@@ -7,10 +7,24 @@ Run from the repository root:
 ``--trace 0`` reports the end-to-end metrics listed in ``BENCHMARK.json``,
 measured with tracing off.  ``--trace 1`` reports the per-layer metrics: the
 first half of the time budget runs untraced, the second half traced, and the
-difference of the two median iteration times is the tracing overhead.  Spans
-go to ``.bench_out/trace-<workload>-seed<seed>.jsonl``.  Digests of the
+difference of the two median iteration times is the tracing overhead.
+
+Spans go to ``.bench_out/trace-<workload>-seed<seed>.jsonl``.  Digests of the
 reports each iteration wrote are printed above the result line; every
 iteration of one run must produce the same digests.
+
+Bounded times are in reference seconds: CPU seconds (user + system, of this
+process and of the children it waited for) scaled to a reference host speed.
+Every workload runs on one thread of one process, so on an unshared core CPU
+time equals wall time.  On a shared virtual machine wall time also counts
+the time the hypervisor takes the vCPU away (steal): a fixed pure-Python loop
+read 0.09-0.22 s wall but 0.09-0.10 s CPU from one second to the next.  CPU
+speed itself still moves with the neighbours' load, so a fixed probe
+(``hostspeed``) is timed every 50 ms inside each untraced iteration, and
+before and after each set-up process, and each CPU time is scaled by
+``PROBE_REF_S / mean probe time`` of its own probes.  The probes' own CPU
+time is taken out.  Raw wall and CPU times are printed and reported per
+layer.
 
 The package is imported from ``src/`` of the checkout this file sits in.
 Without it the benchmark prints an error and exits with code 2.
@@ -28,10 +42,16 @@ import statistics
 import subprocess
 import sys
 import traceback
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
-from time import perf_counter
+from time import perf_counter, process_time
 
+# One BLAS thread, set before numpy is first imported: the workloads are
+# single-threaded, and CPU time must not count spinning pool threads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+from hostspeed import PROBE_REF_S, Sampler, probe
 from layers import HOOKS, ratio, window_metrics
 from tracer import Tracer
 from workloads import WORKLOADS
@@ -40,6 +60,7 @@ BENCH_DIR = Path(__file__).resolve().parent
 ROOT = BENCH_DIR.parent
 SRC = ROOT / "src"
 SETUP_REPEATS = 7
+SETUP_PROBES = 10  # host-speed probes before and after each set-up process
 
 # A fresh process importing the package and, for ``serve``, loading the bundle.
 SETUP_CODE = """
@@ -49,6 +70,12 @@ import ctxrec
 if len(sys.argv) > 2:
     ctxrec.load_pipeline(sys.argv[2])
 """
+
+
+def cpu_seconds() -> float:
+    """CPU time of this process and of the children it has waited for."""
+    children = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return process_time() + children.ru_utime + children.ru_stime
 
 
 def _percentile(values, q: float) -> float:
@@ -79,11 +106,18 @@ class Run:
         )
         self.pending: list[tuple] = []
         self.latencies: list[float] = []
+        self.latencies_cpu: list[float] = []
+        self.latencies_ref: list[float] = []
         self.iteration_s: list[float] = []
+        self.iteration_cpu_s: list[float] = []
+        self.iteration_ref_s: list[float] = []
         self.traced_iteration_s: list[float] = []
         self.layer_windows: list[dict[str, float]] = []
         self.one_off_layers: dict[str, float] = {}
         self.setup_s: list[float] = []
+        self.setup_wall_s: list[float] = []
+        self.probe_s: list[float] = []
+        self.sampler = None
         self._request = 0
 
     def next_request(self) -> int:
@@ -101,15 +135,28 @@ class Run:
         first = self.digests.setdefault(name, digest)
         return [] if digest == first else [f"{name} digest changed: {first} -> {digest}"]
 
+    def own_cpu(self) -> float:
+        """CPU seconds used so far, less what the host-speed probes took."""
+        return cpu_seconds() - (self.sampler.spent if self.sampler else 0.0)
+
+    def reference_scale(self, probes: list[float]) -> float:
+        """Factor from CPU seconds to reference seconds at the probes' speed."""
+        self.probe_s.extend(probes)
+        return PROBE_REF_S / statistics.fmean(probes)
+
     def measure_setup(self, bundle=None) -> None:
         """Time fresh processes that import the package (and load a bundle)."""
         argv = [sys.executable, "-c", SETUP_CODE, str(SRC)]
         if bundle is not None:
             argv.append(str(bundle))
         for _ in range(SETUP_REPEATS if self.size == "full" else 2):
-            start = perf_counter()
+            before = [probe() for _ in range(SETUP_PROBES)]
+            start, cpu = perf_counter(), cpu_seconds()
             subprocess.run(argv, check=True, timeout=120, stdout=subprocess.DEVNULL)
-            self.setup_s.append(perf_counter() - start)
+            cpu = cpu_seconds() - cpu
+            self.setup_wall_s.append(perf_counter() - start)
+            after = [probe() for _ in range(SETUP_PROBES)]
+            self.setup_s.append(cpu * self.reference_scale(before + after))
 
     @contextmanager
     def one_off(self):
@@ -124,11 +171,13 @@ class Run:
             self.one_off_layers[name] = self.one_off_layers.get(name, 0) + value
 
     def iterate(self, once, check) -> None:
-        """Repeat ``once`` until the budget is spent (at least once).
+        """Repeat ``once`` while the next iteration should end within the
+        budget (at least once), predicting its length from the last one.
 
         Only ``once`` is timed; ``check(result)`` runs afterwards and returns
-        the problems it found.  With a tracer, the first half of the budget
-        runs untraced and the second half traced, one aggregation window per
+        the problems it found.  Untraced iterations run under a host-speed
+        ``Sampler``.  With a tracer, the first half of the budget runs
+        untraced and the second half traced, one aggregation window per
         traced iteration.
         """
         if self.tracer is None:
@@ -138,31 +187,50 @@ class Run:
         for traced, budget in phases:
             times = self.traced_iteration_s if traced else self.iteration_s
             self.tracing = traced
+            self.sampler = None if traced else Sampler()
             began = perf_counter()
-            while not times or perf_counter() - began < budget:
-                result = error = None
-                if traced:
-                    self.tracer.reset()
-                start = perf_counter()
-                try:
-                    if traced:
-                        with self.tracer.installed(), self.tracer.span("bench.iteration"):
-                            result = once()
-                    else:
-                        result = once()
-                except Exception:  # the run goes on and reports the failure
-                    error = traceback.format_exc()
-                times.append(perf_counter() - start)
-                if traced:
-                    self.layer_windows.append(window_metrics(self.tracer))
-                problems = [error] if error else check(result)
-                self.operation(not problems, "; ".join(problems)[:2000])
+            with self.sampler or nullcontext():
+                while not times or perf_counter() - began + times[-1] <= budget:
+                    self._iteration(traced, once, check)
+            self.sampler = None
         self.tracing = False
+
+    def _iteration(self, traced: bool, once, check) -> None:
+        result = error = None
+        sampler, queries = self.sampler, len(self.latencies_cpu)
+        if traced:
+            self.tracer.reset()
+        else:
+            samples, wall_spent = len(sampler.samples), sampler.spent_wall
+        start, cpu = perf_counter(), self.own_cpu()
+        try:
+            if traced:
+                with self.tracer.installed(), self.tracer.span("bench.iteration"):
+                    result = once()
+            else:
+                result = once()
+        except Exception:  # the run goes on and reports the failure
+            error = traceback.format_exc()
+        wall, cpu = perf_counter() - start, self.own_cpu() - cpu
+        if traced:
+            self.traced_iteration_s.append(wall)
+            self.layer_windows.append(window_metrics(self.tracer))
+        else:
+            self.iteration_s.append(wall - (sampler.spent_wall - wall_spent))
+            self.iteration_cpu_s.append(cpu)
+            scale = self.reference_scale(sampler.samples[samples:] or [probe()])
+            self.iteration_ref_s.append(cpu * scale)
+        problems = [error] if error else check(result)
+        self.operation(not problems, "; ".join(problems)[:2000])
+        # queries the check just recorded ran in this iteration, at its speed
+        if not traced:
+            self.latencies_ref.extend(scale * t for t in self.latencies_cpu[queries:])
 
     def end_to_end(self) -> dict[str, float]:
         return {
             "setup_s": statistics.median(self.setup_s),
-            "run_s": statistics.median(self.iteration_s),
+            "run_ref_s": statistics.median(self.iteration_ref_s),
+            "query_ref_p50_ms": 1000.0 * _percentile(self.latencies_ref, 50),
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         }
 
@@ -177,12 +245,15 @@ class Run:
         metrics["pipeline.recommend_unlabeled_share"] = ratio(
             metrics["pipeline.recommend_unlabeled"], metrics["pipeline.recommend_calls"]
         )
+        metrics["run_wall_s"] = statistics.median(self.iteration_s)
+        metrics["run_cpu_s"] = statistics.median(self.iteration_cpu_s)
+        metrics["setup_wall_s"] = statistics.median(self.setup_wall_s)
+        metrics["host.probe_cpu_s"] = statistics.median(self.probe_s)
         metrics["trace.overhead_s"] = statistics.median(
             self.traced_iteration_s
         ) - statistics.median(self.iteration_s)
-        # Query latencies come from the untraced half.  They are recorded here
-        # rather than bounded: the Python-heavy query path swings with the
-        # host's speed far more than whole iterations do (see rationale.json).
+        # Wall-clock query latencies of the untraced half.  Unlike the bounded
+        # query_ref_p50_ms they carry the host's steal and speed swings.
         metrics["query_p50_ms"] = 1000.0 * _percentile(self.latencies, 50)
         metrics["query_p99_ms"] = 1000.0 * _percentile(self.latencies, 99)
         metrics["queries_per_s"] = ratio(len(self.latencies), sum(self.latencies))
@@ -237,14 +308,22 @@ def main(argv=None) -> int:
         if value:  # serve and sweep-phase3 score quality only in traced runs
             print(f"quality {key}: {value!r}")
     print(f"iterations untraced (s): {[round(t, 4) for t in run.iteration_s]}")
+    print(f"iterations untraced cpu (s): {[round(t, 4) for t in run.iteration_cpu_s]}")
+    print(f"iterations untraced ref (s): {[round(t, 4) for t in run.iteration_ref_s]}")
     if run.traced_iteration_s:
         print(f"iterations traced (s): {[round(t, 4) for t in run.traced_iteration_s]}")
-    print(f"setup (s): {[round(t, 4) for t in run.setup_s]}")
+    print(f"setup ref (s): {[round(t, 4) for t in run.setup_s]}")
+    print(f"setup (s): {[round(t, 4) for t in run.setup_wall_s]}")
+    if run.probe_s:
+        print(f"host probes: {len(run.probe_s)}, cpu (s) mean {statistics.fmean(run.probe_s):.5f}"
+              f" min {min(run.probe_s):.5f} max {max(run.probe_s):.5f}")
     if run.latencies:
         print(
             f"queries: {len(run.latencies)} timed, p50 {1000 * _percentile(run.latencies, 50):.4f} ms,"
             f" p99 {1000 * _percentile(run.latencies, 99):.4f} ms,"
-            f" {ratio(len(run.latencies), sum(run.latencies)):.2f} 1/s"
+            f" {ratio(len(run.latencies), sum(run.latencies)):.2f} 1/s,"
+            f" cpu p50 {1000 * _percentile(run.latencies_cpu, 50):.4f} ms,"
+            f" cpu p99 {1000 * _percentile(run.latencies_cpu, 99):.4f} ms"
         )
     for problem in run.problems:
         print(f"bench: problem: {problem}", file=sys.stderr)

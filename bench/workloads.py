@@ -8,7 +8,7 @@ public entry points, in this process, with one phase-1 worker.
 * ``compare``: ``ctxrec compare`` on the GenConfig default cube (630 users x
   400 items); the heaviest training path, with p ~ 385 rated items as SOM inputs.
 * ``sweep-phase3``: ``ctxrec sweep --role phase3`` at acceptance scale
-  (200 x 100) over five phase-3 counts around the default; every point refits
+  (200 x 100) over three phase-3 counts around the default; every point refits
   phase 1, so this is where fitting each stage once shows.
 * ``serve``: one closed-loop client issuing ``PipelineModel.recommend``
   queries against a bundle loaded from disk; no SOM training is timed.
@@ -37,7 +37,7 @@ SIZES = {
     "sweep-phase3": {"full": (200, 100), "tiny": (30, 20)},
     "serve": {"full": (630, 400), "tiny": (40, 30)},
 }
-SWEEP_COUNTS = (17, 19, 21, 23, 25)
+SWEEP_COUNTS = (19, 21, 23)
 SERVE_PASS = {"full": 1000, "tiny": 100}  # queries per timed pass
 TOP_N = 10
 
@@ -68,8 +68,11 @@ def _timed_rank_queries(run):
     """Time each ranked-list query that evaluation makes, and keep its output.
 
     ``recommend_key`` is the one call per evaluation unit; wrapping it on the
-    two model classes times queries without tracing.  Outputs are checked
-    after the iteration, outside the timed region.
+    two model classes times queries without tracing.  Outputs of both are
+    checked after the iteration, outside the timed region; query times are
+    kept for the context pipeline's queries only, the ones ``serve`` times.
+    The baseline's are cheaper, and the median of the mix moved with how
+    many units of each kind a seed gave (spread 0.12 over ten seeds).
     """
     from ctxrec.baseline import BaselineModel
     from ctxrec.pipeline import PipelineModel
@@ -79,7 +82,7 @@ def _timed_rank_queries(run):
     def timed(original):
         def recommend_key(model, key, n):
             tracer = run.tracer if run.tracing else None
-            start = perf_counter()
+            start, cpu = perf_counter(), run.own_cpu()
             if tracer is None:
                 ranked = original(model, key, n)
             else:
@@ -87,7 +90,9 @@ def _timed_rank_queries(run):
                 with tracer.span("bench.query"):
                     ranked = original(model, key, n)
                 tracer.request = None
-            run.pending.append((perf_counter() - start, model.space, key, n, ranked))
+            seconds = (perf_counter() - start, run.own_cpu() - cpu)
+            timed = seconds if isinstance(model, PipelineModel) else None
+            run.pending.append((timed, model.space, key, n, ranked))
             return ranked
 
         return recommend_key
@@ -106,8 +111,9 @@ def _check_rank_queries(run) -> None:
     for seconds, space, key, n, ranked in run.pending:
         errors = ranking_errors(ranked, n, space.ratings_of(key), scored=False)
         run.operation(not errors, f"query {key}: {errors}")
-        if not run.tracing:
-            run.latencies.append(seconds)
+        if seconds is not None and not run.tracing:
+            run.latencies.append(seconds[0])
+            run.latencies_cpu.append(seconds[1])
     run.pending.clear()
 
 
@@ -272,7 +278,7 @@ def serve(run) -> None:
         for user, situation in queries:
             if tracer is not None:
                 tracer.request = run.next_request()
-            start = perf_counter()
+            start, cpu = perf_counter(), run.own_cpu()
             try:
                 if tracer is None:
                     ranked = model.recommend(user, situation, TOP_N)
@@ -281,7 +287,7 @@ def serve(run) -> None:
                         ranked = model.recommend(user, situation, TOP_N)
             except Exception as exc:  # a failed query is counted, the loop goes on
                 ranked = exc
-            outcomes.append((perf_counter() - start, ranked))
+            outcomes.append(((perf_counter() - start, run.own_cpu() - cpu), ranked))
         if tracer is not None:
             tracer.request = None
         return outcomes
@@ -298,7 +304,8 @@ def serve(run) -> None:
                 lists.append([user, situation.flat_index, ranked])
             run.operation(not errors, f"query {user}/{situation.flat_index}: {errors}")
             if not run.tracing:
-                run.latencies.append(seconds)
+                run.latencies.append(seconds[0])
+                run.latencies_cpu.append(seconds[1])
         return run.same_digest("rankings", rankings_digest(lists))
 
     one_pass()  # warm-up, untimed and unchecked
