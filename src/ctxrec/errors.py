@@ -9,6 +9,10 @@ class InvalidConfig(CtxRecError):
     """A configuration object violates its invariants."""
 
 
+class CorruptFile(CtxRecError):
+    """A model or report file is not valid UTF-8 JSON."""
+
+
 class MalformedRow(CtxRecError):
     """A ratings CSV row cannot be parsed."""
 

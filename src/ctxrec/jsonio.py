@@ -11,6 +11,8 @@ import json
 import math
 from pathlib import Path
 
+from .errors import CorruptFile
+
 
 def format_float(x: float) -> str:
     if not math.isfinite(x):
@@ -68,4 +70,8 @@ def write_json(path: str | Path, obj, indent: int = 2) -> None:
 
 
 def read_json(path: str | Path):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """Parse a JSON file; undecodable contents raise ``CorruptFile``."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise CorruptFile(f"{path} is not valid JSON: {exc}") from None

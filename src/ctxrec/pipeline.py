@@ -39,7 +39,7 @@ from .errors import (
     UnknownVirtualUser,
 )
 from .rng import derive_seed
-from .som import SomConfig, SomNetwork, assign, cosine_similarity, train
+from .som import SomConfig, SomNetwork, assign, cosine_similarity, train, train_many
 from .som import som_from_json_dict, som_to_json_dict
 from . import jsonio
 
@@ -73,21 +73,24 @@ class ContextClustering:
 
 
 def cluster_user_contexts(
-    cube: RatingCube, user: str, cfg: SomConfig | None = None
+    cube: RatingCube,
+    user: str,
+    cfg: SomConfig | None = None,
+    net: SomNetwork | None = None,
 ) -> ContextClustering:
     """Cluster one user's rated situations by usage pattern.
 
     The SOM seed is derived from ``cfg.seed`` and the user id, so per-user
-    networks are independent of the order users are processed in.
+    networks are independent of the order users are processed in.  ``net``
+    is the user's SOM when it was already trained with a block of users
+    (``cluster_users``); otherwise it is trained here.
     """
     if cfg is None:
         cfg = SomConfig(DEFAULT_PHASE1_NEURONS)
-    pairs = cube.usage_pattern_vectors(user)  # raises UnknownUser
-    if not pairs:
-        raise NoRatings(f"user {user!r} has no ratings")
+    pairs = _usage_pairs(cube, user)
     vectors = [vec for _, vec in pairs]
-    per_user_cfg = replace(cfg, seed=derive_seed(cfg.seed, "phase1", user))
-    net = train(vectors, per_user_cfg)
+    if net is None:
+        net = train(vectors, replace(cfg, seed=_phase1_seed(cfg, user)))
     raw = assign(net, vectors)
     occupied = sorted(set(raw))
     label_of = {neuron: i + 1 for i, neuron in enumerate(occupied)}
@@ -96,6 +99,34 @@ def cluster_user_contexts(
         for (situation, _), neuron in zip(pairs, raw)
     }
     return ContextClustering(user, labels, len(occupied))
+
+
+def cluster_users(
+    cube: RatingCube, users: Sequence[str], cfg: SomConfig | None = None
+) -> dict[str, ContextClustering]:
+    """Phase 1 for a block of users, their SOMs trained in lockstep.
+
+    Each user's clustering is exactly ``cluster_user_contexts(cube, user,
+    cfg)``: the networks of one ``train_many`` call do not interact.
+    """
+    if cfg is None:
+        cfg = SomConfig(DEFAULT_PHASE1_NEURONS)
+    inputs = [[vec for _, vec in _usage_pairs(cube, user)] for user in users]
+    nets = train_many(inputs, cfg, [_phase1_seed(cfg, user) for user in users])
+    return {
+        user: cluster_user_contexts(cube, user, cfg, net) for user, net in zip(users, nets)
+    }
+
+
+def _phase1_seed(cfg: SomConfig, user: str) -> int:
+    return derive_seed(cfg.seed, "phase1", user)
+
+
+def _usage_pairs(cube: RatingCube, user: str) -> list:
+    pairs = cube.usage_pattern_vectors(user)  # raises UnknownUser
+    if not pairs:
+        raise NoRatings(f"user {user!r} has no ratings")
+    return pairs
 
 
 class VirtualUserSpace:
@@ -345,6 +376,11 @@ class PipelineModel:
         return [((user, label), relevant[label]) for label in sorted(relevant)]
 
 
+# users whose phase-1 SOMs train together in one train_many call; bounds the
+# block's (users x neurons x p) weight tensor so phase 1 stays well below the
+# phase-3 memory peak
+PHASE1_BLOCK = 128
+
 _worker_cube: RatingCube | None = None
 _worker_cfg: SomConfig | None = None
 
@@ -355,8 +391,16 @@ def _phase1_init(cube: RatingCube, cfg: SomConfig) -> None:
     _worker_cfg = cfg
 
 
-def _phase1_job(user: str) -> tuple[str, ContextClustering]:
-    return user, cluster_user_contexts(_worker_cube, user, _worker_cfg)
+def _phase1_job(block: list[str]) -> dict[str, ContextClustering]:
+    return cluster_users(_worker_cube, block, _worker_cfg)
+
+
+def _phase1_blocks(cube: RatingCube, users: list[str], workers: int) -> list[list[str]]:
+    """Users sorted by input count, cut into blocks of at most PHASE1_BLOCK
+    (smaller when that gives every worker a block)."""
+    by_count = sorted(users, key=lambda user: len(cube.user_ratings(user)))
+    size = min(PHASE1_BLOCK, -(-len(users) // workers))
+    return [by_count[i : i + size] for i in range(0, len(by_count), size)]
 
 
 def fit_pipeline(
@@ -367,9 +411,10 @@ def fit_pipeline(
 ) -> PipelineModel:
     """Run phases 1-3 on a training cube.
 
-    ``workers`` > 1 spreads the per-user phase-1 clustering over processes;
-    every user's SOM seed is derived from the user id, so the result is
-    identical regardless of worker count or scheduling.
+    Phase 1 trains the users' SOMs in lockstep blocks; ``workers`` > 1
+    spreads the blocks over processes.  Every user's SOM seed is derived
+    from the user id and networks in a block do not interact, so the result
+    is identical for any block grouping, worker count or scheduling.
     """
     if phase1_cfg is None:
         phase1_cfg = SomConfig(DEFAULT_PHASE1_NEURONS)
@@ -378,7 +423,9 @@ def fit_pipeline(
     users = [u for u in sorted(train_cube.users) if train_cube.user_ratings(u)]
     if not users:
         raise EmptySpace("training cube has no ratings")
-    if workers > 1 and len(users) > 1:
+    blocks = _phase1_blocks(train_cube, users, max(1, workers))
+    by_user: dict[str, ContextClustering] = {}
+    if workers > 1 and len(blocks) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(
@@ -386,12 +433,12 @@ def fit_pipeline(
             initializer=_phase1_init,
             initargs=(train_cube, phase1_cfg),
         ) as pool:
-            chunk = max(1, len(users) // (workers * 4))
-            clusterings = dict(pool.map(_phase1_job, users, chunksize=chunk))
+            for result in pool.map(_phase1_job, blocks):
+                by_user.update(result)
     else:
-        clusterings = {
-            user: cluster_user_contexts(train_cube, user, phase1_cfg) for user in users
-        }
+        for block in blocks:
+            by_user.update(cluster_users(train_cube, block, phase1_cfg))
+    clusterings = {user: by_user[user] for user in users}
     space = build_virtual_space(train_cube, clusterings)
     user_model = cluster_virtual_users(space, phase3_cfg)
     return PipelineModel(

@@ -9,6 +9,14 @@ that a given seed produces the same stream on any platform or implementation:
 * integers below n: ``next_u64() % n``,
 * shuffling: Fisher-Yates from the last element down.
 
+``XoshiroLanes`` runs the same generator on many seeds at once: the four
+state words are numpy ``uint64`` arrays with one lane per seed, and lane
+``i`` yields exactly the stream of ``Xoshiro256(seeds[i])``, floats included
+(the same ``>> 11`` and ``2**-53`` mapping).  ``lane(i)`` hands a lane's
+current state to a scalar ``Xoshiro256``, which continues that lane's
+sequence; training draws many networks' initial weights on the lanes this
+way and then shuffles each network's inputs on its own scalar stream.
+
 The synthetic data generator is the one place that uses numpy's Generator
 instead; it never has to interoperate with anything outside this package.
 """
@@ -16,6 +24,9 @@ instead; it never has to interoperate with anything outside this package.
 from __future__ import annotations
 
 import hashlib
+from typing import Sequence
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
@@ -44,6 +55,19 @@ class Xoshiro256:
         if not any(state):  # all-zero state is invalid for xoshiro
             state[0] = 1
         self._s = state
+
+    @classmethod
+    def from_state(cls, state: Sequence[int]) -> "Xoshiro256":
+        """A generator that continues from the four 64-bit words ``state``."""
+        if len(state) != 4 or not any(state):
+            raise ValueError("xoshiro256 state is four words, not all zero")
+        rng = cls.__new__(cls)
+        rng._s = [int(word) & _MASK64 for word in state]
+        return rng
+
+    @property
+    def state(self) -> tuple[int, int, int, int]:
+        return tuple(self._s)
 
     def next_u64(self) -> int:
         s0, s1, s2, s3 = self._s
@@ -76,6 +100,47 @@ class Xoshiro256:
         for i in range(len(items) - 1, 0, -1):
             j = self.below(i + 1)
             items[i], items[j] = items[j], items[i]
+
+
+def _rotl_lanes(x: np.ndarray, k: int) -> np.ndarray:
+    return (x << k) | (x >> (64 - k))
+
+
+class XoshiroLanes:
+    """xoshiro256** on numpy ``uint64`` lanes, one independent stream per seed."""
+
+    def __init__(self, seeds: Sequence[int]):
+        words = np.array([Xoshiro256(seed).state for seed in seeds], dtype=np.uint64)
+        self._s = [words[:, k].copy() for k in range(4)]
+
+    def __len__(self) -> int:
+        return len(self._s[0])
+
+    def next_u64(self) -> np.ndarray:
+        """One output per lane (uint64 arithmetic wraps modulo 2**64)."""
+        s0, s1, s2, s3 = self._s
+        result = _rotl_lanes(s1 * 5, 7) * 9
+        t = s1 << 17
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        self._s[3] = _rotl_lanes(s3, 45)
+        return result
+
+    def uniform(self, low: float, high: float, count: int) -> np.ndarray:
+        """``(lanes, count)`` floats; row i is ``count`` draws of lane i's
+        ``Xoshiro256.uniform(low, high)``."""
+        raw = np.empty((count, len(self)), dtype=np.uint64)
+        for k in range(count):
+            raw[k] = self.next_u64()
+        unit = (np.ascontiguousarray(raw.T) >> 11).astype(np.float64) * (2.0 ** -53)
+        return low + (high - low) * unit
+
+    def lane(self, i: int) -> Xoshiro256:
+        """A scalar generator continuing lane ``i`` from its current state."""
+        return Xoshiro256.from_state([int(words[i]) for words in self._s])
 
 
 def derive_seed(master_seed: int, *parts) -> int:

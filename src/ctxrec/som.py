@@ -10,19 +10,21 @@ with a learning rate and a rectangular neighborhood radius that both decay
 linearly over epochs.  Training is a pure function of (inputs, config): the
 weight initialization and the per-epoch presentation order come from the
 package's portable xoshiro256** generator seeded by ``config.seed``.
+``train_many`` trains many same-shaped networks in lockstep; each one is
+bit-identical to training it alone, and ``train`` is its one-network case.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .errors import EmptyInput, InvalidConfig, LengthMismatch
-from .rng import Xoshiro256
+from .rng import Xoshiro256, XoshiroLanes
 from . import jsonio
 
 
@@ -109,14 +111,8 @@ def cosine_similarity(x: Sequence[float], w: Sequence[float]) -> float:
 
 def _similarities(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Cosine similarity of x against every weight row (0 for zero norms)."""
-    row_norms = np.linalg.norm(weights, axis=1)
-    x_norm = np.linalg.norm(x)
-    denom = row_norms * x_norm
-    dots = weights @ x
-    out = np.zeros(weights.shape[0], dtype=np.float64)
-    nonzero = denom > 0.0
-    out[nonzero] = dots[nonzero] / denom[nonzero]
-    return out
+    denom = np.linalg.norm(weights, axis=1) * np.linalg.norm(x)
+    return np.divide(weights @ x, denom, out=np.zeros_like(denom), where=denom > 0.0)
 
 
 def find_bmu(net: SomNetwork, x: Sequence[float]) -> int:
@@ -140,11 +136,12 @@ def initial_weights(cfg: SomConfig, p: int, rng: Xoshiro256 | None = None) -> np
 
 def update_neighborhood(
     weights: np.ndarray, bmu: int, x: np.ndarray, alpha: float, radius: int
-) -> None:
-    """Move the BMU and neurons within line distance ``radius`` toward x."""
-    lo = max(0, bmu - radius)
-    hi = min(weights.shape[0] - 1, bmu + radius)
-    weights[lo : hi + 1] += alpha * (x - weights[lo : hi + 1])
+) -> slice:
+    """Move the BMU and neurons within line distance ``radius`` toward x;
+    returns the slice of rows that moved."""
+    moved = slice(max(0, bmu - radius), min(weights.shape[0] - 1, bmu + radius) + 1)
+    weights[moved] += alpha * (x - weights[moved])
+    return moved
 
 
 def _as_input_matrix(inputs: Sequence[np.ndarray]) -> np.ndarray:
@@ -164,22 +161,93 @@ def train(inputs: Sequence[np.ndarray], cfg: SomConfig) -> SomNetwork:
     rectangular radius ``round(radius0 * (1 - e / epochs))`` (half-up), and
     presents the inputs in a freshly shuffled order.
     """
-    matrix = _as_input_matrix(inputs)
-    rng = Xoshiro256(cfg.seed)
-    weights = initial_weights(cfg, matrix.shape[1], rng)
+    return train_many([inputs], cfg, [cfg.seed])[0]
+
+
+def train_many(
+    inputs_per_net: Sequence[Sequence[np.ndarray]], cfg: SomConfig, seeds: Sequence[int]
+) -> list[SomNetwork]:
+    """Train one network per input set, all in lockstep.
+
+    Network ``k`` is bit-identical to ``train(inputs_per_net[k],
+    replace(cfg, seed=seeds[k]))``: its initial weights come from lane ``k``
+    of the xoshiro256** lanes, its per-epoch shuffles from that lane's
+    scalar continuation, and the batched similarity and update arithmetic is
+    the per-network arithmetic, element for element.  The networks are kept
+    as one ``(lanes, neurons, p)`` tensor, ordered by descending input
+    count, so the lanes that still present an input at step ``k`` of an
+    epoch are a prefix.  One lane draws its weights from the scalar
+    generator, which is far cheaper than a one-lane vector.
+    """
+    if len(inputs_per_net) != len(seeds):
+        raise LengthMismatch(f"{len(inputs_per_net)} input sets but {len(seeds)} seeds")
+    if not seeds:
+        return []
+    matrices = [_as_input_matrix(inputs) for inputs in inputs_per_net]
+    p = matrices[0].shape[1]
+    if any(matrix.shape[1] != p for matrix in matrices):
+        raise LengthMismatch("networks trained together need equal input lengths")
+    configs = [replace(cfg, seed=seed) for seed in seeds]
+    by_count = sorted(range(len(seeds)), key=lambda k: -matrices[k].shape[0])
+    counts = [matrices[k].shape[0] for k in by_count]
+    lanes = len(by_count)
+
+    if lanes == 1:
+        rngs = [Xoshiro256(seeds[0])]
+        weights = initial_weights(configs[0], p, rngs[0])[None]
+        flat = matrices[0]
+    else:
+        lane_rng = XoshiroLanes([seeds[k] for k in by_count])
+        weights = lane_rng.uniform(0.01, 1.0, cfg.neuron_count * p)
+        weights = weights.reshape(lanes, cfg.neuron_count, p)
+        rngs = [lane_rng.lane(i) for i in range(lanes)]
+        flat = np.concatenate([matrices[k] for k in by_count])
+    # input norms once and weight-row norms kept current, each exactly as
+    # _similarities computes it (np.linalg.norm without its conjugate copy)
+    flat_norms = np.array([np.linalg.norm(x) for x in flat])
+    norms = np.sqrt(np.add.reduce(weights * weights, axis=2))
+    starts = np.cumsum([0] + counts[:-1])
+    active = [sum(1 for n in counts if n > step) for step in range(counts[0])]
     radius0 = cfg.effective_radius0
+
     for epoch in range(cfg.epochs):
         decay = 1.0 - epoch / cfg.epochs
         alpha = cfg.alpha0 * decay
         radius = int(math.floor(radius0 * decay + 0.5))
-        order = list(range(matrix.shape[0]))
-        rng.shuffle(order)
-        for i in order:
-            x = matrix[i]
-            bmu = int(np.argmax(_similarities(weights, x)))
-            update_neighborhood(weights, bmu, x, alpha, radius)
+        offsets = np.arange(-radius, radius + 1)
+        rows = np.zeros((lanes, counts[0]), dtype=np.intp)
+        for i, n in enumerate(counts):
+            order = list(range(n))
+            rngs[i].shuffle(order)
+            rows[i, :n] = order
+        rows += starts[:, None]
+        for step, n_active in enumerate(active):
+            picked = rows[:n_active, step]
+            x = flat[picked]
+            denom = norms[:n_active] * flat_norms[picked][:, None]
+            dots = np.matmul(weights[:n_active], x[:, :, None])[:, :, 0]
+            sims = np.divide(dots, denom, out=np.zeros_like(denom), where=denom > 0.0)
+            bmus = sims.argmax(axis=1)
+            if n_active == 1:
+                moved = update_neighborhood(weights[0], int(bmus[0]), x[0], alpha, radius)
+                hood = weights[0, moved]
+                norms[0, moved] = np.sqrt(np.add.reduce(hood * hood, axis=1))
+                continue
+            # every lane's neighbourhood rows at once: gather, move, scatter
+            neighbours = bmus[:, None] + offsets
+            inside = (neighbours >= 0) & (neighbours < cfg.neuron_count)
+            lane = np.broadcast_to(np.arange(n_active)[:, None], inside.shape)[inside]
+            neuron = neighbours[inside]
+            hood = weights[lane, neuron]
+            hood += alpha * (x[lane] - hood)
+            weights[lane, neuron] = hood
+            norms[lane, neuron] = np.sqrt(np.add.reduce(hood * hood, axis=1))
+
     weights.setflags(write=False)
-    return SomNetwork(weights, cfg)
+    nets = [None] * lanes
+    for i, k in enumerate(by_count):
+        nets[k] = SomNetwork(weights[i], configs[k])
+    return nets
 
 
 def assign(net: SomNetwork, inputs: Sequence[np.ndarray]) -> list[int]:

@@ -1,5 +1,6 @@
 """CLI: flag handling, file outputs, exit codes, reproducibility."""
 
+import shutil
 import subprocess
 import sys
 
@@ -316,6 +317,50 @@ class TestRecommend:
         assert data["user"] == "u001"
         assert data["system"] == "pipeline"
         assert data["items"]
+
+
+class TestCorruptBundle:
+    """A bundle file cut short is a data error (exit 2, one message line)."""
+
+    @pytest.fixture
+    def truncated(self, pipeline_bundle, tmp_path):
+        bundle = tmp_path / "truncated_model"
+        shutil.copytree(pipeline_bundle, bundle)
+        space = bundle / "virtual_space.json"
+        space.write_bytes(space.read_bytes()[: space.stat().st_size // 2])
+        return bundle
+
+    def assert_one_error_line(self, capsys, code):
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ctxrec: error: ")
+        assert "virtual_space.json" in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
+    def test_recommend(self, truncated, capsys):
+        code = run_cli(
+            "recommend", "--model", truncated, "--user", "u001", *TestRecommend.CONTEXT
+        )
+        self.assert_one_error_line(capsys, code)
+
+    def test_eval(self, dataset, truncated, tmp_path, capsys):
+        code = run_cli(
+            "eval",
+            "--model",
+            truncated,
+            "--ratings",
+            dataset / "split" / "test.csv",
+            "--out",
+            tmp_path / "r",
+        )
+        self.assert_one_error_line(capsys, code)
+
+    def test_non_utf8_file(self, truncated, capsys):
+        (truncated / "virtual_space.json").write_bytes(b"\xff\xfe{")
+        code = run_cli(
+            "recommend", "--model", truncated, "--user", "u001", *TestRecommend.CONTEXT
+        )
+        self.assert_one_error_line(capsys, code)
 
 
 class TestSweep:

@@ -15,6 +15,7 @@ from ctxrec.errors import (
     UnknownUser,
     UnknownVirtualUser,
 )
+from ctxrec import pipeline
 from ctxrec.pipeline import (
     DEFAULT_PHASE1_NEURONS,
     DEFAULT_PHASE3_NEURONS,
@@ -23,6 +24,7 @@ from ctxrec.pipeline import (
     aggregate,
     build_virtual_space,
     cluster_user_contexts,
+    cluster_users,
     cluster_virtual_users,
     fit_pipeline,
     load_pipeline,
@@ -151,6 +153,20 @@ class TestClusterUserContexts:
             cluster_user_contexts(alone, "u1").labels
             == cluster_user_contexts(crowded, "u1").labels
         )
+
+
+class TestClusterUsers:
+    def test_block_equals_one_user_at_a_time(self, small_cube):
+        cfg = SomConfig(DEFAULT_PHASE1_NEURONS, epochs=15, seed=4)
+        users = [u for u in small_cube.users if small_cube.user_ratings(u)]
+        block = cluster_users(small_cube, users, cfg)
+        assert list(block) == users
+        for user in users:
+            assert block[user] == cluster_user_contexts(small_cube, user, cfg)
+
+    def test_unknown_user_in_block(self, small_cube):
+        with pytest.raises(UnknownUser):
+            cluster_users(small_cube, ["nobody"])
 
 
 class TestBuildVirtualSpace:
@@ -511,6 +527,29 @@ class TestFitPipeline:
             == parallel.user_model.som.weights.tobytes()
         )
         assert serial.user_model.membership == parallel.user_model.membership
+
+    @pytest.mark.parametrize("block", [1, 4])
+    def test_block_size_does_not_change_result(self, small_cube, monkeypatch, block):
+        cfg1 = SomConfig(DEFAULT_PHASE1_NEURONS, epochs=10)
+        cfg3 = SomConfig(6, epochs=10)
+        whole = fit_pipeline(small_cube, cfg1, cfg3)
+        monkeypatch.setattr(pipeline, "PHASE1_BLOCK", block)
+        blocked = fit_pipeline(small_cube, cfg1, cfg3, workers=2)
+        assert blocked.clusterings == whole.clusterings
+        assert list(blocked.clusterings) == sorted(blocked.clusterings)
+        assert blocked.space.to_json_dict() == whole.space.to_json_dict()
+
+    def test_blocks_sorted_by_input_count(self, small_cube, monkeypatch):
+        monkeypatch.setattr(pipeline, "PHASE1_BLOCK", 4)
+        users = [u for u in sorted(small_cube.users) if small_cube.user_ratings(u)]
+        blocks = pipeline._phase1_blocks(small_cube, users, workers=1)
+        assert [len(b) for b in blocks[:-1]] == [4] * (len(blocks) - 1)
+        flat = [u for block in blocks for u in block]
+        assert sorted(flat) == users
+        counts = [len(small_cube.user_ratings(u)) for u in flat]
+        assert counts == sorted(counts)
+        # with more workers than full blocks, every worker gets a block
+        assert len(pipeline._phase1_blocks(small_cube, users[:6], workers=3)) == 3
 
     def test_empty_cube_rejected(self, schema2x2):
         from ctxrec.core import RatingCube

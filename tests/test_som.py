@@ -1,6 +1,7 @@
 """Self-organizing map: similarities, BMU selection, training, persistence."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from ctxrec.som import (
     save_som,
     som_to_json_dict,
     train,
+    train_many,
     update_neighborhood,
 )
 
@@ -176,6 +178,109 @@ class TestTrain:
         assert np.all(w <= 1.0)
 
 
+def reference_train(inputs, cfg: SomConfig) -> np.ndarray:
+    """The per-network training algorithm, written out step by step on the
+    scalar generator: the bytes ``train`` and ``train_many`` must reproduce."""
+    matrix = np.asarray(inputs, dtype=np.float64)
+    rng = Xoshiro256(cfg.seed)
+    weights = np.empty((cfg.neuron_count, matrix.shape[1]))
+    for i in range(cfg.neuron_count):
+        for j in range(matrix.shape[1]):
+            weights[i, j] = rng.uniform(0.01, 1.0)
+    for epoch in range(cfg.epochs):
+        decay = 1.0 - epoch / cfg.epochs
+        alpha = cfg.alpha0 * decay
+        radius = int(math.floor(cfg.effective_radius0 * decay + 0.5))
+        order = list(range(len(matrix)))
+        rng.shuffle(order)
+        for i in order:
+            x = matrix[i]
+            denom = np.linalg.norm(weights, axis=1) * np.linalg.norm(x)
+            sims = np.zeros(cfg.neuron_count)
+            nonzero = denom > 0.0
+            sims[nonzero] = (weights @ x)[nonzero] / denom[nonzero]
+            bmu = int(np.argmax(sims))
+            lo, hi = max(0, bmu - radius), min(cfg.neuron_count - 1, bmu + radius)
+            weights[lo : hi + 1] += alpha * (x - weights[lo : hi + 1])
+    return weights
+
+
+def random_inputs(rng, count: int, p: int, density: float) -> list[np.ndarray]:
+    """Rows with about ``density * p`` nonzero values in [1, 5); never all-zero.
+
+    Dense rows make every summation order show in the last bits."""
+    rows = (rng.random((count, p)) < density) * rng.uniform(1.0, 5.0, (count, p))
+    rows[:, rng.integers(p)] = 3.0
+    return list(rows)
+
+
+def input_sets(p: int) -> list[list[np.ndarray]]:
+    """Networks with 1 to 8 inputs (some counts twice), sparse and dense, one
+    with an all-zero input row among others and one with only an all-zero
+    row (zero norm, so similarity 0 to every neuron)."""
+    rng = np.random.default_rng(p)
+    counts = (1, 2, 3, 4, 5, 6, 7, 8, 3, 1, 8)
+    sets = [random_inputs(rng, n, p, 0.05 if k % 2 else 1.0) for k, n in enumerate(counts)]
+    sets[4][2] = np.zeros(p)
+    sets.append([np.zeros(p)])
+    return sets
+
+
+LANE_SEEDS = [0, (1 << 64) - 1, 5, 1 << 40, 99, 3, 12, 77, 1 << 63, 8, 2, 41]
+
+
+class TestTrainMany:
+    @pytest.mark.parametrize("p", [7, 384])
+    @pytest.mark.parametrize("neurons,radius0", [(6, None), (6, 0.0), (9, 3.0), (1, 2.0)])
+    def test_each_network_equals_training_it_alone(self, p, neurons, radius0):
+        cfg = SomConfig(neuron_count=neurons, epochs=12, radius0=radius0)
+        sets = input_sets(p)
+        nets = train_many(sets, cfg, LANE_SEEDS)
+        for inputs, seed, net in zip(sets, LANE_SEEDS, nets):
+            alone = replace(cfg, seed=seed)
+            expected = reference_train(inputs, alone)
+            assert net.config == alone
+            assert net.weights.tobytes() == expected.tobytes()
+            assert net.weights.tobytes() == train(inputs, alone).weights.tobytes()
+
+    @pytest.mark.parametrize("radius0", [0.0, 5.0])
+    def test_one_lane_equals_reference(self, radius0):
+        rng = np.random.default_rng(1)
+        inputs = random_inputs(rng, 40, 60, 0.5)
+        cfg = SomConfig(neuron_count=11, epochs=6, radius0=radius0, seed=2024)
+        net = train(inputs, cfg)
+        assert net.weights.tobytes() == reference_train(inputs, cfg).tobytes()
+        assert not net.weights.flags.writeable
+
+    def test_lane_order_and_blocks_do_not_matter(self):
+        cfg = SomConfig(neuron_count=6, epochs=10)
+        sets = input_sets(40)
+        whole = [net.weights.tobytes() for net in train_many(sets, cfg, LANE_SEEDS)]
+        order = list(np.random.default_rng(3).permutation(len(sets)))
+        shuffled = train_many([sets[k] for k in order], cfg, [LANE_SEEDS[k] for k in order])
+        assert [net.weights.tobytes() for net in shuffled] == [whole[k] for k in order]
+        for cut in (1, 5, 11):
+            split = train_many(sets[:cut], cfg, LANE_SEEDS[:cut]) + train_many(
+                sets[cut:], cfg, LANE_SEEDS[cut:]
+            )
+            assert [net.weights.tobytes() for net in split] == whole
+
+    def test_no_networks(self):
+        assert train_many([], SomConfig(neuron_count=2), []) == []
+
+    def test_seed_count_must_match(self):
+        with pytest.raises(LengthMismatch):
+            train_many([[np.ones(3)]], SomConfig(neuron_count=2), [1, 2])
+
+    def test_networks_need_equal_input_lengths(self):
+        with pytest.raises(LengthMismatch):
+            train_many([[np.ones(3)], [np.ones(4)]], SomConfig(neuron_count=2), [1, 2])
+
+    def test_empty_input_set_rejected(self):
+        with pytest.raises(EmptyInput):
+            train_many([[np.ones(3)], []], SomConfig(neuron_count=2), [1, 2])
+
+
 class TestUpdateNeighborhood:
     def test_contraction_per_step(self):
         # constant alpha, single neuron: each presentation scales the
@@ -193,7 +298,7 @@ class TestUpdateNeighborhood:
     def test_radius_limits_updated_rows(self):
         weights = np.zeros((5, 2))
         x = np.array([1.0, 1.0])
-        update_neighborhood(weights, 2, x, 0.5, 1)
+        assert update_neighborhood(weights, 2, x, 0.5, 1) == slice(1, 4)
         touched = [bool(np.any(weights[i] != 0.0)) for i in range(5)]
         assert touched == [False, True, True, True, False]
 
