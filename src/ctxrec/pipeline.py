@@ -376,10 +376,11 @@ class PipelineModel:
         return [((user, label), relevant[label]) for label in sorted(relevant)]
 
 
-# users whose phase-1 SOMs train together in one train_many call; bounds the
-# block's (users x neurons x p) weight tensor so phase 1 stays well below the
-# phase-3 memory peak
-PHASE1_BLOCK = 128
+# users whose phase-1 SOMs train together in one train_many call.  It bounds
+# the block's (users x neurons x p) arrays: at 630 users x 384 items a block
+# of 64 adds about 5 MB of RSS in phase 1, well under the 12 MB phase 3
+# adds, while 128 added 10 MB and raised the run's peak.
+PHASE1_BLOCK = 64
 
 _worker_cube: RatingCube | None = None
 _worker_cfg: SomConfig | None = None

@@ -132,11 +132,16 @@ class XoshiroLanes:
     def uniform(self, low: float, high: float, count: int) -> np.ndarray:
         """``(lanes, count)`` floats; row i is ``count`` draws of lane i's
         ``Xoshiro256.uniform(low, high)``."""
-        raw = np.empty((count, len(self)), dtype=np.uint64)
+        raw = np.empty((len(self), count), dtype=np.uint64)
         for k in range(count):
-            raw[k] = self.next_u64()
-        unit = (np.ascontiguousarray(raw.T) >> 11).astype(np.float64) * (2.0 ** -53)
-        return low + (high - low) * unit
+            raw[:, k] = self.next_u64()
+        raw >>= 11
+        # in place, in the scalar order: (u >> 11) * 2**-53 * (high - low) + low
+        out = raw.astype(np.float64)
+        out *= 2.0 ** -53
+        out *= high - low
+        out += low
+        return out
 
     def lane(self, i: int) -> Xoshiro256:
         """A scalar generator continuing lane ``i`` from its current state."""

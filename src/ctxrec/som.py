@@ -221,8 +221,8 @@ def train_many(
             rngs[i].shuffle(order)
             rows[i, :n] = order
         rows += starts[:, None]
-        for step, n_active in enumerate(active):
-            picked = rows[:n_active, step]
+        for position, n_active in enumerate(active):
+            picked = rows[:n_active, position]
             x = flat[picked]
             denom = norms[:n_active] * flat_norms[picked][:, None]
             dots = np.matmul(weights[:n_active], x[:, :, None])[:, :, 0]
@@ -238,10 +238,15 @@ def train_many(
             inside = (neighbours >= 0) & (neighbours < cfg.neuron_count)
             lane = np.broadcast_to(np.arange(n_active)[:, None], inside.shape)[inside]
             neuron = neighbours[inside]
+            # in place, so a step allocates two (rows, p) arrays, not five
             hood = weights[lane, neuron]
-            hood += alpha * (x[lane] - hood)
+            step = x[lane]
+            step -= hood
+            step *= alpha
+            hood += step
             weights[lane, neuron] = hood
-            norms[lane, neuron] = np.sqrt(np.add.reduce(hood * hood, axis=1))
+            hood *= hood
+            norms[lane, neuron] = np.sqrt(np.add.reduce(hood, axis=1))
 
     weights.setflags(write=False)
     nets = [None] * lanes
