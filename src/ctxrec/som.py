@@ -207,7 +207,7 @@ def train_many(
     flat_norms = np.array([np.linalg.norm(x) for x in flat])
     norms = np.sqrt(np.add.reduce(weights * weights, axis=2))
     starts = np.cumsum([0] + counts[:-1])
-    active = [sum(1 for n in counts if n > step) for step in range(counts[0])]
+    active = [sum(1 for n in counts if n > k) for k in range(counts[0])]
     radius0 = cfg.effective_radius0
 
     for epoch in range(cfg.epochs):
