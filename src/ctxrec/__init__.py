@@ -35,7 +35,7 @@ from .som import (
 from .pipeline import (
     ContextClustering,
     PipelineModel,
-    VirtualUserSpace,
+    RowSpace,
     aggregate,
     build_virtual_space,
     cluster_user_contexts,
@@ -46,12 +46,9 @@ from .pipeline import (
     rank_items,
     recommend,
     save_pipeline,
-    weighted_mean,
 )
 from .baseline import (
     BaselineModel,
-    FlatSpace,
-    baseline_recommend,
     fit_baseline,
     flatten_cube,
     load_baseline,
@@ -83,19 +80,17 @@ __all__ = [
     "CtxRecError",
     "EvalConfig",
     "EvalReport",
-    "FlatSpace",
     "GenConfig",
     "PipelineModel",
     "RatingCube",
     "RatingRecord",
+    "RowSpace",
     "SomConfig",
     "SomNetwork",
     "SplitConfig",
     "SweepResult",
-    "VirtualUserSpace",
     "aggregate",
     "assign",
-    "baseline_recommend",
     "build_virtual_space",
     "cluster_user_contexts",
     "cluster_virtual_users",
@@ -130,7 +125,6 @@ __all__ = [
     "scaled_config",
     "split",
     "train",
-    "weighted_mean",
     "write_dataset",
     "write_ratings",
 ]

@@ -10,86 +10,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
 
-import numpy as np
-
-from .core import ContextSchema, RatingCube, load_schema, save_schema, vector_from_ratings
-from .errors import EmptyCube, UnknownUser
+from .core import ContextSchema, RatingCube
+from .errors import EmptyCube
 from .pipeline import (
+    RowSpace,
     UserClusterModel,
+    _load_bundle,
+    _save_bundle,
     aggregate,
     cluster_virtual_users,
     predict_scores,
     rank_items,
 )
-from .som import SomConfig, assign, som_from_json_dict, som_to_json_dict
-from . import jsonio
+from .som import SomConfig
 
 DEFAULT_BASELINE_NEURONS = 19
 
 
-class FlatSpace:
-    """User x item matrix with the same row protocol as VirtualUserSpace."""
-
-    def __init__(
-        self,
-        users: Sequence[str],
-        items: Sequence[str],
-        matrix: Mapping[str, Mapping[str, float]],
-    ):
-        self.users = tuple(users)
-        self.items = tuple(items)
-        self.matrix = {u: dict(matrix[u]) for u in self.users}
-        self._item_index = {item: i for i, item in enumerate(self.items)}
-        self._dense: np.ndarray | None = None
-
-    @property
-    def keys(self) -> tuple[str, ...]:
-        return self.users
-
-    @property
-    def item_index(self) -> Mapping[str, int]:
-        return self._item_index
-
-    def ratings_of(self, key: str) -> Mapping[str, float]:
-        try:
-            return self.matrix[key]
-        except KeyError:
-            raise UnknownUser(f"unknown user {key!r}") from None
-
-    def vector(self, key: str) -> np.ndarray:
-        return vector_from_ratings(
-            self.ratings_of(key), self._item_index, len(self.items)
-        )
-
-    def dense_matrix(self) -> np.ndarray:
-        if self._dense is None:
-            self._dense = np.asarray(
-                [self.vector(u) for u in self.users], dtype=np.float64
-            )
-            self._dense.setflags(write=False)
-        return self._dense
-
-    def to_json_dict(self) -> dict:
-        return {
-            "items": list(self.items),
-            "rows": [
-                {"user": user, "ratings": self.matrix[user]} for user in self.users
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data) -> "FlatSpace":
-        users = [row["user"] for row in data["rows"]]
-        matrix = {
-            row["user"]: {item: float(v) for item, v in row["ratings"].items()}
-            for row in data["rows"]
-        }
-        return cls(users, tuple(data["items"]), matrix)
-
-
-def flatten_cube(cube: RatingCube) -> FlatSpace:
+def flatten_cube(cube: RatingCube) -> RowSpace:
     """Average away the situation axis, keeping users with >= 1 rating."""
     users = [u for u in sorted(cube.users) if cube.user_ratings(u)]
     if not users:
@@ -101,7 +40,7 @@ def flatten_cube(cube: RatingCube) -> FlatSpace:
             for item, rating in sorted(cube.user_ratings(user)[flat].items()):
                 per_item.setdefault(item, []).append(rating)
         matrix[user] = {item: aggregate(vals) for item, vals in per_item.items()}
-    return FlatSpace(users, cube.items, matrix)
+    return RowSpace.from_ratings(cube.items, matrix)
 
 
 @dataclass
@@ -109,20 +48,18 @@ class BaselineModel:
     """Flat user-clustering recommender sharing the pipeline's scorer."""
 
     schema: ContextSchema
-    space: FlatSpace
+    space: RowSpace
     cfg: SomConfig
     user_model: UserClusterModel
 
     def recommend(self, user: str, n: int) -> list[tuple[str, float]]:
-        if user not in self.space.matrix:
-            raise UnknownUser(f"unknown user {user!r}")
         return rank_items(predict_scores(self.user_model, self.space, user), n)
 
     def recommend_key(self, key: str, n: int) -> list[str]:
         return [item for item, _ in self.recommend(key, n)]
 
     def eval_user_pool(self) -> list[str]:
-        return list(self.space.users)
+        return list(self.space.keys)
 
     def eval_units(
         self, user: str, test: RatingCube, threshold: int
@@ -145,28 +82,10 @@ def fit_baseline(cube: RatingCube, cfg: SomConfig | None = None) -> BaselineMode
     return BaselineModel(cube.schema, space, cfg, user_model)
 
 
-def baseline_recommend(
-    flat: FlatSpace, cfg: SomConfig, user: str, n: int
-) -> list[tuple[str, float]]:
-    """Fit on the flat space and recommend in one call."""
-    user_model = cluster_virtual_users(flat, cfg)
-    if user not in flat.matrix:
-        raise UnknownUser(f"unknown user {user!r}")
-    return rank_items(predict_scores(user_model, flat, user), n)
-
-
 def save_baseline(model: BaselineModel, directory: str | Path) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    save_schema(model.schema, directory / "schema.json")
-    jsonio.write_json(directory / "flat_space.json", model.space.to_json_dict())
-    jsonio.write_json(directory / "user_som.json", som_to_json_dict(model.user_model.som))
+    _save_bundle(model, directory, "flat_space.json")
 
 
 def load_baseline(directory: str | Path) -> BaselineModel:
-    directory = Path(directory)
-    schema = load_schema(directory / "schema.json")
-    space = FlatSpace.from_json_dict(jsonio.read_json(directory / "flat_space.json"))
-    net = som_from_json_dict(jsonio.read_json(directory / "user_som.json"))
-    membership = dict(zip(space.keys, assign(net, list(space.dense_matrix()))))
-    return BaselineModel(schema, space, net.config, UserClusterModel(net, membership))
+    schema, space, user_model = _load_bundle(directory, "flat_space.json")
+    return BaselineModel(schema, space, user_model.som.config, user_model)

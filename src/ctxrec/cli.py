@@ -237,7 +237,7 @@ def cmd_train(args) -> int:
         run = RunConfig(
             "train", args.seed, args.schema, baseline=baseline_cfg, out=args.out
         )
-        summary = f"trained baseline on {len(model.space.users)} users"
+        summary = f"trained baseline on {len(model.space.keys)} users"
     jsonio.write_json(out / "run_config.json", run.to_json_dict())
     print(f"{summary}; model saved under {out}")
     return 0
@@ -315,25 +315,23 @@ def cmd_sweep(args) -> int:
 
 def cmd_recommend(args) -> int:
     model, system = _load_model(args.model)
+    # one --<dimension> VALUE flag per dimension of the model's schema
+    names = [dim.name for dim in model.schema.dimensions]
+    context = _Parser(prog="ctxrec recommend", add_help=False, allow_abbrev=False)
+    for name in names:
+        context.add_argument(f"--{name}", dest=name)
+    values = [getattr(context.parse_args(args.context), name) for name in names]
     if system == "pipeline":
-        values = []
-        for dim in model.schema.dimensions:
-            value = getattr(args, dim.name.replace("-", "_"), None)
-            if value is None:
-                raise UsageError(
-                    f"missing --{dim.name} (the model's schema needs all of: "
-                    + ", ".join(d.name for d in model.schema.dimensions)
-                    + ")"
-                )
-            values.append(value)
+        if None in values:
+            raise UsageError(
+                f"missing --{names[values.index(None)]} "
+                f"(the model's schema needs all of: {', '.join(names)})"
+            )
         situation = model.schema.situation_from_names(values)
         ranked = model.recommend(args.user, situation, args.num)
     else:
-        for flag in ("day", "time", "companion", "weather"):
-            if getattr(args, flag, None) is not None:
-                raise UsageError(
-                    "context flags have no effect on a flat baseline model"
-                )
+        if values.count(None) != len(values):
+            raise UsageError("context flags have no effect on a flat baseline model")
         ranked = model.recommend(args.user, args.num)
     for rank, (item, score) in enumerate(ranked, start=1):
         print(f"{rank:2d}. {item}  {score:.4f}")
@@ -503,15 +501,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_eval_flags(p)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("recommend", help="top-N items for a user in a context")
+    p = sub.add_parser(
+        "recommend",
+        help="top-N items for a user in a context",
+        epilog="context: one --<dimension> VALUE per dimension of the model's schema, "
+        "e.g. --day --time --companion --weather; a baseline model takes none",
+        allow_abbrev=False,
+    )
     p.add_argument("--model", required=True, help="model bundle directory")
     p.add_argument("--user", required=True)
     p.add_argument("-n", "--num", type=int, default=10)
     p.add_argument("--out", help="also write recommendations.json here")
-    p.add_argument("--day")
-    p.add_argument("--time")
-    p.add_argument("--companion")
-    p.add_argument("--weather")
     p.set_defaults(func=cmd_recommend)
 
     p = sub.add_parser("compare", help="pipeline vs baseline on one split")
@@ -529,7 +529,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # recommend's context flags depend on the model's schema; it parses them
+    args, extras = parser.parse_known_args(argv)
+    if extras and args.command != "recommend":
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.context = extras
     try:
         return args.func(args)
     except UsageError as exc:

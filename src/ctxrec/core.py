@@ -367,16 +367,6 @@ class RatingCube:
         )
 
 
-def vector_from_ratings(
-    ratings: Mapping[str, float], item_index: Mapping[str, int], p: int
-) -> np.ndarray:
-    """Dense length-p vector from an item->rating map, 0 where unrated."""
-    vec = np.zeros(p, dtype=np.float64)
-    for item, value in ratings.items():
-        vec[item_index[item]] = float(value)
-    return vec
-
-
 def _expected_header(schema: ContextSchema) -> list[str]:
     return ["user_id", "item_id"] + [d.name for d in schema.dimensions] + ["rating"]
 

@@ -14,21 +14,16 @@ two systems differ only in how the 2-D space is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .core import (
-    ContextSchema,
-    ContextSituation,
-    RatingCube,
-    load_schema,
-    save_schema,
-    vector_from_ratings,
-)
+from .core import ContextSchema, ContextSituation, RatingCube
 from .errors import (
+    CorruptFile,
+    CtxRecError,
     EmptyList,
     EmptySpace,
     InvalidConfig,
@@ -129,82 +124,77 @@ def _usage_pairs(cube: RatingCube, user: str) -> list:
     return pairs
 
 
-class VirtualUserSpace:
-    """The collapsed 2-D space: virtual users (user, label) x items."""
+class RowSpace:
+    """A 2-D recommendation space: one dense row per key, one column per item.
 
-    def __init__(
-        self,
-        virtual_users: Sequence[VirtualUserId],
-        items: Sequence[str],
-        matrix: Mapping[VirtualUserId, Mapping[str, float]],
-    ):
-        self.virtual_users = tuple(virtual_users)
+    Keys are (user, label) virtual users for the pipeline and plain user ids
+    for the flat baseline.  ``matrix`` is read-only float64 and 0 means
+    unrated, so a row's rated items are its nonzero columns.
+    """
+
+    def __init__(self, keys: Sequence, items: Sequence[str], matrix: np.ndarray):
+        self.keys = tuple(keys)
         self.items = tuple(items)
-        self.matrix = {vu: dict(matrix[vu]) for vu in self.virtual_users}
-        self._item_index = {item: i for i, item in enumerate(self.items)}
-        self._dense: np.ndarray | None = None
-
-    @property
-    def keys(self) -> tuple[VirtualUserId, ...]:
-        return self.virtual_users
-
-    @property
-    def item_index(self) -> Mapping[str, int]:
-        return self._item_index
-
-    def ratings_of(self, key: VirtualUserId) -> Mapping[str, float]:
-        try:
-            return self.matrix[key]
-        except KeyError:
-            raise UnknownVirtualUser(f"unknown virtual user {key!r}") from None
-
-    def vector(self, key: VirtualUserId) -> np.ndarray:
-        return vector_from_ratings(
-            self.ratings_of(key), self._item_index, len(self.items)
-        )
-
-    def dense_matrix(self) -> np.ndarray:
-        """Row per virtual user in key order; cached."""
-        if self._dense is None:
-            self._dense = np.asarray(
-                [self.vector(vu) for vu in self.virtual_users], dtype=np.float64
-            )
-            self._dense.setflags(write=False)
-        return self._dense
-
-    def of_user(self, user: str) -> list[VirtualUserId]:
-        return [vu for vu in self.virtual_users if vu[0] == user]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "items": list(self.items),
-            "rows": [
-                {"user": user, "label": label, "ratings": self.matrix[(user, label)]}
-                for user, label in self.virtual_users
-            ],
-        }
+        matrix = np.asarray(matrix, dtype=np.float64)
+        self.matrix = matrix.reshape(len(self.keys), len(self.items))
+        self.matrix.setflags(write=False)
+        self.index = {key: i for i, key in enumerate(self.keys)}
+        if len(self.index) != len(self.keys):
+            raise InvalidConfig("row keys must be unique")
 
     @classmethod
-    def from_json_dict(cls, data) -> "VirtualUserSpace":
-        keys = [(row["user"], int(row["label"])) for row in data["rows"]]
-        matrix = {
-            (row["user"], int(row["label"])): {
-                item: float(v) for item, v in row["ratings"].items()
-            }
-            for row in data["rows"]
-        }
-        return cls(keys, tuple(data["items"]), matrix)
+    def from_ratings(
+        cls, items: Sequence[str], ratings: Mapping[Hashable, Mapping[str, float]]
+    ) -> "RowSpace":
+        """Rows in the mapping's key order from ``{key: {item: value}}``."""
+        column = {item: j for j, item in enumerate(items)}
+        matrix = np.zeros((len(ratings), len(column)))
+        for i, row in enumerate(ratings.values()):
+            for item, value in row.items():
+                matrix[i, column[item]] = float(value)
+        if np.count_nonzero(matrix) != sum(len(r) for r in ratings.values()):
+            raise InvalidConfig("a stored rating is 0, which encodes 'unrated'")
+        return cls(ratings, items, matrix)
+
+    def row(self, key: Hashable) -> int:
+        if key in self.index:
+            return self.index[key]
+        if isinstance(key, tuple):
+            raise UnknownVirtualUser(f"unknown virtual user {key!r}")
+        raise UnknownUser(f"unknown user {key!r}")
+
+    def ratings_of(self, key: Hashable) -> dict[str, float]:
+        """The row's rated items, in item order."""
+        values = self.matrix[self.row(key)]
+        return {self.items[j]: float(values[j]) for j in np.flatnonzero(values)}
+
+    def to_json_dict(self) -> dict:
+        rows = []
+        for key in self.keys:
+            pair = isinstance(key, tuple)
+            row = {"user": key[0], "label": key[1]} if pair else {"user": key}
+            row["ratings"] = self.ratings_of(key)
+            rows.append(row)
+        return {"items": list(self.items), "rows": rows}
+
+    @classmethod
+    def from_json_dict(cls, data) -> "RowSpace":
+        rows = data["rows"]
+        keys = [(r["user"], int(r["label"])) if "label" in r else r["user"] for r in rows]
+        if len(set(keys)) != len(keys):
+            raise InvalidConfig("row keys must be unique")
+        ratings = {key: r["ratings"] for key, r in zip(keys, rows)}
+        return cls.from_ratings(data["items"], ratings)
 
 
 def build_virtual_space(
     cube: RatingCube, clusterings: Mapping[str, ContextClustering]
-) -> VirtualUserSpace:
+) -> RowSpace:
     """Phase 2: average each user's ratings per (item, cluster label).
 
     Every user with ratings must appear in ``clusterings``; every rating
     contributes to exactly one virtual-user cell.
     """
-    keys: list[VirtualUserId] = []
     matrix: dict[VirtualUserId, dict[str, float]] = {}
     for user in sorted(set(u for u in cube.users if cube.user_ratings(u))):
         clustering = clusterings.get(user)
@@ -217,67 +207,55 @@ def build_virtual_space(
             for item in sorted(cube.user_ratings(user)[flat]):
                 bucket.setdefault(item, []).append(cube.user_ratings(user)[flat][item])
         for label in sorted(per_label):
-            key = (user, label)
-            keys.append(key)
-            matrix[key] = {
+            matrix[(user, label)] = {
                 item: aggregate(values) for item, values in per_label[label].items()
             }
-    return VirtualUserSpace(keys, cube.items, matrix)
+    return RowSpace.from_ratings(cube.items, matrix)
 
 
 @dataclass
 class UserClusterModel:
-    """Phase-3 SOM over a 2-D space plus the row -> neuron membership."""
+    """Phase-3 SOM over a 2-D space plus each row's neuron, by key and by row."""
 
     som: SomNetwork
     membership: dict
+    neurons: np.ndarray = field(repr=False, compare=False)
+
+
+def _cluster_model(net: SomNetwork, space: RowSpace) -> UserClusterModel:
+    neurons = assign(net, list(space.matrix))
+    return UserClusterModel(net, dict(zip(space.keys, neurons)), np.asarray(neurons, int))
 
 
 def cluster_virtual_users(
-    space, cfg: SomConfig | None = None
+    space: RowSpace, cfg: SomConfig | None = None
 ) -> UserClusterModel:
     """Cluster the rows of a 2-D space (virtual users or plain users)."""
     if cfg is None:
         cfg = SomConfig(DEFAULT_PHASE3_NEURONS)
     if not space.keys:
         raise EmptySpace("no rows to cluster")
-    inputs = space.dense_matrix()
-    net = train(list(inputs), cfg)
-    membership = dict(zip(space.keys, assign(net, list(inputs))))
-    return UserClusterModel(net, membership)
+    return _cluster_model(train(list(space.matrix), cfg), space)
 
 
-def weighted_mean(sims: Sequence[float], values: Sequence[float]) -> float:
-    """Similarity-weighted mean: sum(s*v) / sum(s)."""
-    num = 0.0
-    den = 0.0
-    for s, v in zip(sims, values):
-        num += s * v
-        den += s
-    if den <= 0.0:
-        raise ZeroDivisionError("total similarity weight is zero")
-    return num / den
-
-
-def predict_scores(model: UserClusterModel, space, key) -> dict[str, float]:
+def predict_scores(model: UserClusterModel, space: RowSpace, key) -> dict[str, float]:
     """Predicted score per unrated item for one row of the space.
 
-    Peers are the other rows on the same neuron; each item's score is the
-    cosine-similarity-weighted mean of the peers that rated it.  When no
-    peer rated the item (or total similarity is zero), the neuron's weight
-    component stands in.  Items the row already rated are excluded.
+    Peers are the other rows on the same neuron, in row order; each item's
+    score is the cosine-similarity-weighted mean of the peers that rated it.
+    When no peer rated the item (or total similarity is zero), the neuron's
+    weight component stands in.  Items the row already rated are excluded.
     """
-    own = space.ratings_of(key)  # raises for unknown keys
-    neuron = model.membership[key]
+    row = space.row(key)  # raises for unknown keys
+    neuron = model.neurons[row]
     prototype = model.som.weights[neuron]
-    own_vec = space.vector(key)
-    peer_keys = [k for k in space.keys if k != key and model.membership[k] == neuron]
-    if peer_keys:
-        dense = space.dense_matrix()
-        index_of = {k: i for i, k in enumerate(space.keys)}
-        peer_rows = dense[[index_of[k] for k in peer_keys]]
+    own_vec = space.matrix[row]
+    peers = np.flatnonzero(model.neurons == neuron)
+    peers = peers[peers != row]
+    if len(peers):
+        peer_rows = space.matrix[peers]
         sims = np.asarray(
-            [cosine_similarity(own_vec, row) for row in peer_rows], dtype=np.float64
+            [cosine_similarity(own_vec, peer) for peer in peer_rows], dtype=np.float64
         )
         rated = peer_rows > 0.0
         num = sims @ np.where(rated, peer_rows, 0.0)
@@ -286,11 +264,7 @@ def predict_scores(model: UserClusterModel, space, key) -> dict[str, float]:
             scored = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), prototype)
     else:
         scored = np.asarray(prototype, dtype=np.float64)
-    return {
-        item: float(scored[i])
-        for i, item in enumerate(space.items)
-        if item not in own
-    }
+    return {space.items[j]: float(scored[j]) for j in np.flatnonzero(own_vec == 0.0)}
 
 
 def rank_items(scores: Mapping[str, float], n: int) -> list[tuple[str, float]]:
@@ -301,7 +275,7 @@ def rank_items(scores: Mapping[str, float], n: int) -> list[tuple[str, float]]:
 
 def recommend(
     model: UserClusterModel,
-    space: VirtualUserSpace,
+    space: RowSpace,
     clusterings: Mapping[str, ContextClustering],
     user: str,
     online_context: ContextSituation,
@@ -311,19 +285,21 @@ def recommend(
 
     The online situation is routed to the cluster label it received in
     phase 1.  A situation the user never rated in (hence unlabeled) falls
-    back to the user's virtual user with the most rated items (ties to the
-    smallest label).  Items the chosen virtual user rated in training are
-    never returned.
+    back to the one of the user's virtual users (user, 1..m) with the most
+    rated items (ties to the smallest label).  Items the chosen virtual user
+    rated in training are never returned.
     """
     clustering = clusterings.get(user)
     if clustering is None:
         raise UnknownUser(f"no clustering for user {user!r}")
     label = clustering.labels.get(online_context.flat_index)
     if label is None:
-        candidates = space.of_user(user)
-        if not candidates:
+        if clustering.m == 0:
             raise NoVirtualUsers(f"user {user!r} has no virtual users")
-        label = max(candidates, key=lambda vu: (len(space.ratings_of(vu)), -vu[1]))[1]
+        label = max(
+            range(1, clustering.m + 1),
+            key=lambda k: (np.count_nonzero(space.matrix[space.row((user, k))]), -k),
+        )
     return rank_items(predict_scores(model, space, (user, label)), n)
 
 
@@ -335,7 +311,7 @@ class PipelineModel:
     phase1_cfg: SomConfig
     phase3_cfg: SomConfig
     clusterings: dict[str, ContextClustering]
-    space: VirtualUserSpace
+    space: RowSpace
     user_model: UserClusterModel
 
     def recommend(
@@ -447,52 +423,84 @@ def fit_pipeline(
     )
 
 
-def save_pipeline(model: PipelineModel, directory: str | Path) -> None:
-    """Persist a pipeline bundle: schema, clusterings, space, user SOM."""
+def _save_bundle(model, directory: str | Path, space_file: str) -> Path:
+    """Write schema.json, the space file and user_som.json of either system."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    save_schema(model.schema, directory / "schema.json")
-    jsonio.write_json(
-        directory / "clusterings.json",
-        {
-            "phase1_config": model.phase1_cfg.to_json_dict(),
-            "users": {
-                user: {
-                    "m": c.m,
-                    "labels": {str(flat): label for flat, label in sorted(c.labels.items())},
-                }
-                for user, c in sorted(model.clusterings.items())
-            },
-        },
-    )
-    jsonio.write_json(directory / "virtual_space.json", model.space.to_json_dict())
+    jsonio.write_json(directory / "schema.json", model.schema.to_json_dict())
+    jsonio.write_json(directory / space_file, model.space.to_json_dict())
     jsonio.write_json(directory / "user_som.json", som_to_json_dict(model.user_model.som))
+    return directory
 
 
-def load_pipeline(directory: str | Path) -> PipelineModel:
-    """Load a pipeline bundle; membership is recomputed from the stored SOM."""
+def _read_part(path: Path, parse):
+    """Parse one bundle file; a wrong shape raises ``CorruptFile`` naming it."""
+    data = jsonio.read_json(path)
+    try:
+        return parse(data)
+    except (CtxRecError, AttributeError, LookupError, TypeError, ValueError) as exc:
+        raise CorruptFile(f"{path} is not a valid bundle file: {exc!r}") from None
+
+
+def _load_bundle(directory: str | Path, space_file: str):
+    """Read schema.json, the space file and user_som.json of either system.
+
+    The SOM must span the space's items and every stored rating must lie in
+    the schema's range.  Returns (schema, space, user model).
+    """
     directory = Path(directory)
-    schema = load_schema(directory / "schema.json")
-    cdata = jsonio.read_json(directory / "clusterings.json")
-    phase1_cfg = SomConfig.from_json_dict(cdata["phase1_config"])
+    space_path, som_path = directory / space_file, directory / "user_som.json"
+    schema = _read_part(directory / "schema.json", ContextSchema.from_json_dict)
+    space = _read_part(space_path, RowSpace.from_json_dict)
+    net = _read_part(som_path, som_from_json_dict)
+    if net.weights.ndim != 2 or net.p != len(space.items):
+        raise CorruptFile(f"{som_path} does not span the items of {space_file}")
+    stored = space.matrix[space.matrix != 0.0]
+    if not np.all((stored >= schema.rating_min) & (stored <= schema.rating_max)):
+        raise CorruptFile(f"{space_path} holds a rating outside the schema's range")
+    return schema, space, _cluster_model(net, space)
+
+
+def _clusterings_from_json(data) -> tuple[SomConfig, dict[str, ContextClustering]]:
     clusterings = {
         user: ContextClustering(
             user,
             {int(flat): int(label) for flat, label in entry["labels"].items()},
             int(entry["m"]),
         )
-        for user, entry in cdata["users"].items()
+        for user, entry in data["users"].items()
     }
-    space = VirtualUserSpace.from_json_dict(
-        jsonio.read_json(directory / "virtual_space.json")
+    return SomConfig.from_json_dict(data["phase1_config"]), clusterings
+
+
+def save_pipeline(model: PipelineModel, directory: str | Path) -> None:
+    """Persist a pipeline bundle: schema, clusterings, space, user SOM."""
+    directory = _save_bundle(model, directory, "virtual_space.json")
+    users = {
+        user: {
+            "m": c.m,
+            "labels": {str(flat): label for flat, label in sorted(c.labels.items())},
+        }
+        for user, c in sorted(model.clusterings.items())
+    }
+    jsonio.write_json(
+        directory / "clusterings.json",
+        {"phase1_config": model.phase1_cfg.to_json_dict(), "users": users},
     )
-    net = som_from_json_dict(jsonio.read_json(directory / "user_som.json"))
-    membership = dict(zip(space.keys, assign(net, list(space.dense_matrix()))))
+
+
+def load_pipeline(directory: str | Path) -> PipelineModel:
+    """Load a pipeline bundle; membership is recomputed from the stored SOM.
+
+    The space's rows must be exactly the virtual users (user, 1..m) of the
+    clusterings, which the unlabeled-context fallback of ``recommend`` uses.
+    """
+    schema, space, user_model = _load_bundle(directory, "virtual_space.json")
+    path = Path(directory) / "clusterings.json"
+    phase1_cfg, clusterings = _read_part(path, _clusterings_from_json)
+    labels = {(user, k) for user, c in clusterings.items() for k in range(1, c.m + 1)}
+    if set(space.keys) != labels:
+        raise CorruptFile(f"virtual_space.json rows are not the virtual users of {path}")
     return PipelineModel(
-        schema,
-        phase1_cfg,
-        net.config,
-        clusterings,
-        space,
-        UserClusterModel(net, membership),
+        schema, phase1_cfg, user_model.som.config, clusterings, space, user_model
     )

@@ -4,8 +4,6 @@ import pytest
 
 from ctxrec.baseline import (
     DEFAULT_BASELINE_NEURONS,
-    FlatSpace,
-    baseline_recommend,
     fit_baseline,
     flatten_cube,
     load_baseline,
@@ -14,7 +12,7 @@ from ctxrec.baseline import (
 from ctxrec.core import RatingCube, RatingRecord
 from ctxrec.datagen import GenConfig, generate
 from ctxrec.errors import EmptyCube, UnknownUser
-from ctxrec.pipeline import VirtualUserSpace, cluster_virtual_users, predict_scores
+from ctxrec.pipeline import RowSpace, cluster_virtual_users, predict_scores
 from ctxrec.som import SomConfig
 
 from conftest import make_cube
@@ -87,7 +85,7 @@ class TestFlattenCube:
 
 class TestSharedCfPath:
     def test_equal_matrices_give_equal_outputs(self):
-        # same numbers as a virtual space and as a flat space -> the same
+        # same numbers under pair keys and under str keys -> the same
         # SOM, the same membership, and the same rankings
         ratings = {
             "u1": {"i1": 5.0, "i2": 2.0},
@@ -95,18 +93,15 @@ class TestSharedCfPath:
             "u3": {"i2": 1.0, "i3": 5.0},
         }
         items = ("i1", "i2", "i3", "i4")
-        flat = FlatSpace(tuple(ratings), items, ratings)
-        virtual = VirtualUserSpace(
-            [(u, 1) for u in ratings],
-            items,
-            {(u, 1): ratings[u] for u in ratings},
-        )
+        flat = RowSpace.from_ratings(items, ratings)
+        virtual = RowSpace.from_ratings(items, {(u, 1): ratings[u] for u in ratings})
         cfg = SomConfig(2, epochs=15, seed=9)
         flat_model = cluster_virtual_users(flat, cfg)
         virt_model = cluster_virtual_users(virtual, cfg)
         assert (
             flat_model.som.weights.tobytes() == virt_model.som.weights.tobytes()
         )
+        assert flat_model.neurons.tolist() == virt_model.neurons.tolist()
         for user in ratings:
             assert predict_scores(flat_model, flat, user) == predict_scores(
                 virt_model, virtual, (user, 1)
@@ -125,19 +120,20 @@ class TestBaselineRecommend:
             items = [item for item, _ in model.recommend(user, 10)]
             assert not set(items) & set(model.space.ratings_of(user))
 
-    def test_ties_ordered_by_item_id(self):
+    def test_ties_ordered_by_item_id(self, schema2x2):
         # a lone user gets prototype scores; force a tie via equal weights
-        space = FlatSpace(("u1",), ("i1", "i2", "i3"), {"u1": {"i1": 3.0}})
-        out = baseline_recommend(space, SomConfig(1, seed=4), "u1", 3)
+        train = make_cube(
+            schema2x2, [("u1", "i1", ("a", "x"), 3)], items=("i1", "i2", "i3")
+        )
+        out = fit_baseline(train, SomConfig(1, seed=4)).recommend("u1", 3)
         items = [item for item, _ in out]
         assert items == sorted(items, key=lambda it: (-dict(out)[it], it))
 
-    def test_singleton_cluster_prototype_fallback(self):
-        space = FlatSpace(("u1",), ("i1", "i2"), {"u1": {"i1": 4.0}})
-        cfg = SomConfig(1, seed=0)
-        model = cluster_virtual_users(space, cfg)
-        out = baseline_recommend(space, cfg, "u1", 2)
-        assert out == [("i2", model.som.weights[0][1])]
+    def test_singleton_cluster_prototype_fallback(self, schema2x2):
+        train = make_cube(schema2x2, [("u1", "i1", ("a", "x"), 4)], items=("i1", "i2"))
+        model = fit_baseline(train, SomConfig(1, seed=0))
+        out = model.recommend("u1", 2)
+        assert out == [("i2", model.user_model.som.weights[0][1])]
 
     def test_no_padding(self, flat_model):
         _, model = flat_model
@@ -186,7 +182,8 @@ class TestBaselinePersistence:
         _, model = flat_model
         save_baseline(model, tmp_path / "bundle")
         loaded = load_baseline(tmp_path / "bundle")
-        assert loaded.space.matrix == model.space.matrix
+        assert loaded.space.keys == model.space.keys
+        assert loaded.space.matrix.tobytes() == model.space.matrix.tobytes()
         assert loaded.user_model.membership == model.user_model.membership
         for user in model.eval_user_pool()[:5]:
             assert loaded.recommend(user, 10) == model.recommend(user, 10)

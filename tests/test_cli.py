@@ -7,7 +7,13 @@ import sys
 import pytest
 
 from ctxrec.cli import main
-from ctxrec.core import default_schema, load_ratings
+from ctxrec.core import (
+    ContextDimension,
+    ContextSchema,
+    default_schema,
+    load_ratings,
+    save_schema,
+)
 from ctxrec import jsonio
 
 
@@ -318,6 +324,35 @@ class TestRecommend:
         assert data["system"] == "pipeline"
         assert data["items"]
 
+    def test_context_flags_follow_the_model_schema(self, tmp_path, capsys):
+        schema = ContextSchema(
+            (
+                ContextDimension("mood", ("calm", "tense")),
+                ContextDimension("place", ("home", "out")),
+            )
+        )
+        save_schema(schema, tmp_path / "schema.json")
+        flags = ("--schema", tmp_path / "schema.json", "--seed", 1)
+        assert run_cli("gen", "--out", tmp_path / "data", *flags, *GEN_SMALL) == 0
+        ratings = tmp_path / "data" / "ratings.csv"
+        for system in ("pipeline", "baseline"):
+            out = tmp_path / system
+            assert run_cli(
+                "train", "--ratings", ratings, "--out", out, "--system", system,
+                "--epochs", 5, *flags,
+            ) == 0
+        clusterings = jsonio.read_json(tmp_path / "pipeline" / "clusterings.json")
+        user = sorted(clusterings["users"])[0]
+        query = ("recommend", "--user", user, "--model")
+        context = ("--mood", "calm", "--place", "home")
+        assert run_cli(*query, tmp_path / "pipeline", *context) == 0
+        assert capsys.readouterr().out.strip()
+        with pytest.raises(SystemExit) as err:
+            run_cli(*query, tmp_path / "pipeline", *context, "--day", "Weekday")
+        assert err.value.code == 1
+        assert run_cli(*query, tmp_path / "baseline", "--mood", "calm") == 1
+        assert run_cli(*query, tmp_path / "baseline") == 0
+
 
 class TestCorruptBundle:
     """A bundle file cut short is a data error (exit 2, one message line)."""
@@ -330,11 +365,11 @@ class TestCorruptBundle:
         space.write_bytes(space.read_bytes()[: space.stat().st_size // 2])
         return bundle
 
-    def assert_one_error_line(self, capsys, code):
+    def assert_one_error_line(self, capsys, code, name="virtual_space.json"):
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("ctxrec: error: ")
-        assert "virtual_space.json" in err
+        assert name in err
         assert "Traceback" not in err and len(err.splitlines()) == 1
 
     def test_recommend(self, truncated, capsys):
@@ -361,6 +396,36 @@ class TestCorruptBundle:
             "recommend", "--model", truncated, "--user", "u001", *TestRecommend.CONTEXT
         )
         self.assert_one_error_line(capsys, code)
+
+    @pytest.mark.parametrize("command", ["recommend", "eval"])
+    @pytest.mark.parametrize("content", ["{}", "[]"])
+    @pytest.mark.parametrize(
+        "system, name",
+        [
+            ("pipeline", "schema.json"),
+            ("pipeline", "clusterings.json"),
+            ("pipeline", "virtual_space.json"),
+            ("pipeline", "user_som.json"),
+            ("baseline", "schema.json"),
+            ("baseline", "flat_space.json"),
+            ("baseline", "user_som.json"),
+        ],
+    )
+    def test_wrong_shape(
+        self, request, dataset, tmp_path, capsys, system, name, content, command
+    ):
+        bundle = tmp_path / "model"
+        shutil.copytree(request.getfixturevalue(f"{system}_bundle"), bundle)
+        (bundle / name).write_text(content)
+        if command == "recommend":
+            context = TestRecommend.CONTEXT if system == "pipeline" else ()
+            code = run_cli("recommend", "--model", bundle, "--user", "u001", *context)
+        else:
+            test = dataset / "split" / "test.csv"
+            code = run_cli(
+                "eval", "--model", bundle, "--ratings", test, "--out", tmp_path / "r"
+            )
+        self.assert_one_error_line(capsys, code, name)
 
 
 class TestSweep:

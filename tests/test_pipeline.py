@@ -1,12 +1,18 @@
 """Three-phase pipeline: context clustering, virtual users, cluster CF."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctxrec.baseline import flatten_cube
 from ctxrec.core import default_schema
 from ctxrec.datagen import GenConfig, generate
+from ctxrec import jsonio
 from ctxrec.errors import (
+    CorruptFile,
     EmptyList,
     EmptySpace,
     InvalidConfig,
@@ -20,7 +26,7 @@ from ctxrec.pipeline import (
     DEFAULT_PHASE1_NEURONS,
     DEFAULT_PHASE3_NEURONS,
     ContextClustering,
-    VirtualUserSpace,
+    RowSpace,
     aggregate,
     build_virtual_space,
     cluster_user_contexts,
@@ -32,7 +38,6 @@ from ctxrec.pipeline import (
     rank_items,
     recommend,
     save_pipeline,
-    weighted_mean,
 )
 from ctxrec.som import SomConfig, cosine_similarity
 
@@ -285,17 +290,73 @@ class TestBuildVirtualSpace:
 
     def test_json_round_trip(self, small_model):
         space = small_model.space
-        again = VirtualUserSpace.from_json_dict(space.to_json_dict())
+        again = RowSpace.from_json_dict(space.to_json_dict())
         assert again.keys == space.keys
         assert again.items == space.items
-        assert again.matrix == space.matrix
+        assert again.matrix.tobytes() == space.matrix.tobytes()
+
+
+ITEMS = ("i1", "i2", "i3", "i4", "i5")
+
+
+@st.composite
+def ratings_maps(draw):
+    """{key: {item: value}} with all-pair or all-str keys; rows may be empty."""
+    users = st.text(min_size=1, max_size=4)
+    keys = st.tuples(users, st.integers(1, 6)) if draw(st.booleans()) else users
+    row = st.dictionaries(
+        st.sampled_from(ITEMS), st.floats(min_value=1.0, max_value=5.0), max_size=len(ITEMS)
+    )
+    return draw(st.dictionaries(keys, row, max_size=8))
+
+
+class TestRowSpace:
+    @settings(max_examples=100, deadline=None)
+    @given(ratings=ratings_maps())
+    def test_json_round_trip_property(self, ratings):
+        space = RowSpace.from_ratings(ITEMS, ratings)
+        again = RowSpace.from_json_dict(json.loads(jsonio.dumps(space.to_json_dict())))
+        assert again.keys == space.keys == tuple(ratings)
+        assert again.items == ITEMS
+        assert again.matrix.tobytes() == space.matrix.tobytes()
+        for key in space.keys:
+            assert again.ratings_of(key) == space.ratings_of(key) == ratings[key]
+
+    def test_ratings_of_in_item_order(self):
+        space = RowSpace.from_ratings(ITEMS, {"u1": {"i3": 2.0, "i1": 5.0}})
+        assert list(space.ratings_of("u1").items()) == [("i1", 5.0), ("i3", 2.0)]
+        assert space.matrix.tolist() == [[5.0, 0.0, 2.0, 0.0, 0.0]]
+
+    def test_rows_carry_a_label_exactly_for_pair_keys(self):
+        pairs = RowSpace.from_ratings(ITEMS, {("u1", 2): {"i1": 1.0}}).to_json_dict()
+        users = RowSpace.from_ratings(ITEMS, {"u1": {"i1": 1.0}}).to_json_dict()
+        assert pairs["rows"] == [{"user": "u1", "label": 2, "ratings": {"i1": 1.0}}]
+        assert users["rows"] == [{"user": "u1", "ratings": {"i1": 1.0}}]
+
+    def test_matrix_is_read_only(self):
+        space = RowSpace.from_ratings(ITEMS, {"u1": {"i1": 4.0}})
+        with pytest.raises(ValueError):
+            space.matrix[0, 1] = 3.0
+
+    def test_stored_zero_rejected(self):
+        with pytest.raises(InvalidConfig):
+            RowSpace.from_ratings(ITEMS, {"u1": {"i1": 0.0}})
+
+    def test_duplicate_keys_rejected(self):
+        with pytest.raises(InvalidConfig):
+            RowSpace(("u1", "u1"), ("i1",), [[1.0], [2.0]])
+
+    def test_unknown_keys(self):
+        space = RowSpace.from_ratings(ITEMS, {"u1": {"i1": 4.0}})
+        with pytest.raises(UnknownUser):
+            space.ratings_of("ghost")
+        with pytest.raises(UnknownVirtualUser):
+            space.ratings_of(("u1", 1))
 
 
 class TestClusterVirtualUsers:
     def one_row_space(self):
-        return VirtualUserSpace(
-            [("u1", 1)], ("i1", "i2"), {("u1", 1): {"i1": 4.0}}
-        )
+        return RowSpace.from_ratings(("i1", "i2"), {("u1", 1): {"i1": 4.0}})
 
     def test_default_neuron_count(self):
         model = cluster_virtual_users(self.one_row_space())
@@ -306,8 +367,7 @@ class TestClusterVirtualUsers:
         assert list(model.membership) == [("u1", 1)]
 
     def test_identical_rows_share_a_neuron(self):
-        space = VirtualUserSpace(
-            [("u1", 1), ("u2", 1)],
+        space = RowSpace.from_ratings(
             ("i1", "i2"),
             {
                 ("u1", 1): {"i1": 4.0, "i2": 2.0},
@@ -318,7 +378,7 @@ class TestClusterVirtualUsers:
         assert model.membership[("u1", 1)] == model.membership[("u2", 1)]
 
     def test_empty_space_rejected(self):
-        space = VirtualUserSpace([], ("i1",), {})
+        space = RowSpace.from_ratings(("i1",), {})
         with pytest.raises(EmptySpace):
             cluster_virtual_users(space, SomConfig(2))
 
@@ -326,32 +386,16 @@ class TestClusterVirtualUsers:
         from ctxrec.som import assign
 
         space = small_model.space
-        labels = assign(small_model.user_model.som, list(space.dense_matrix()))
+        labels = assign(small_model.user_model.som, list(space.matrix))
         assert small_model.user_model.membership == dict(
             zip(space.keys, labels)
         )
-
-
-class TestWeightedMean:
-    def test_hand_computed(self):
-        # (1.0*4 + 0.5*2) / 1.5 = 10/3
-        assert weighted_mean([1.0, 0.5], [4.0, 2.0]) == pytest.approx(
-            10.0 / 3.0, abs=1e-15
-        )
-
-    def test_equal_ratings_equal_result(self):
-        assert weighted_mean([1.0, 1.0], [5.0, 5.0]) == 5.0
-
-    def test_zero_weight_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            weighted_mean([0.0, 0.0], [4.0, 2.0])
+        assert small_model.user_model.neurons.tolist() == labels
 
 
 class TestPredictScores:
     def test_singleton_cluster_uses_prototype(self):
-        space = VirtualUserSpace(
-            [("u1", 1)], ("i1", "i2", "i3"), {("u1", 1): {"i1": 4.0}}
-        )
+        space = RowSpace.from_ratings(("i1", "i2", "i3"), {("u1", 1): {"i1": 4.0}})
         model = cluster_virtual_users(space, SomConfig(1, seed=0))
         scores = predict_scores(model, space, ("u1", 1))
         prototype = model.som.weights[model.membership[("u1", 1)]]
@@ -361,8 +405,7 @@ class TestPredictScores:
 
     def test_unanimous_peers(self):
         # two peers identical to the target but for item i3 rated 5 by both
-        space = VirtualUserSpace(
-            [("u1", 1), ("u2", 1), ("u3", 1)],
+        space = RowSpace.from_ratings(
             ("i1", "i2", "i3"),
             {
                 ("u1", 1): {"i1": 4.0, "i2": 2.0},
@@ -380,7 +423,7 @@ class TestPredictScores:
         model = small_model.user_model
         for key in space.keys[:10]:
             neuron = model.membership[key]
-            own_vec = space.vector(key)
+            own_vec = space.matrix[space.row(key)]
             peers = [
                 k
                 for k in space.keys
@@ -390,7 +433,7 @@ class TestPredictScores:
             for item, got in scores.items():
                 pairs = [
                     (
-                        cosine_similarity(own_vec, space.vector(k)),
+                        cosine_similarity(own_vec, space.matrix[space.row(k)]),
                         space.ratings_of(k)[item],
                     )
                     for k in peers
@@ -400,9 +443,7 @@ class TestPredictScores:
                 if pairs and den > 0.0:
                     expected = sum(s * v for s, v in pairs) / den
                 else:
-                    expected = model.som.weights[neuron][
-                        space.item_index[item]
-                    ]
+                    expected = model.som.weights[neuron][space.items.index(item)]
                 assert got == pytest.approx(expected, abs=1e-12)
 
     def test_own_items_never_scored(self, small_model):
@@ -479,6 +520,12 @@ class TestRecommend:
         sit = schema.situation_from_names(("a", "x"))
         out = recommend(model, space, clusterings, "u1", sit, 50)
         assert len(out) == 3  # 5 items minus 2 rated by (u1, 1)
+
+    def test_fallback_candidates_are_the_users_rows(self, small_model):
+        # the unlabeled fallback picks among (user, 1..m)
+        for user, clustering in small_model.clusterings.items():
+            rows = [key for key in small_model.space.keys if key[0] == user]
+            assert rows == [(user, label) for label in range(1, clustering.m + 1)]
 
     def test_output_sorted_and_duplicate_free(self, small_model):
         schema = small_model.schema
@@ -593,3 +640,44 @@ class TestPipelinePersistence:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
+
+    def corrupt(self, small_model, tmp_path, name, edit):
+        save_pipeline(small_model, tmp_path / "bundle")
+        data = jsonio.read_json(tmp_path / "bundle" / name)
+        edit(data)
+        jsonio.write_json(tmp_path / "bundle" / name, data)
+        with pytest.raises(CorruptFile) as err:
+            load_pipeline(tmp_path / "bundle")
+        return str(err.value)
+
+    def test_som_must_span_the_items(self, small_model, tmp_path):
+        def drop_column(data):
+            data["weights"] = [row[1:] for row in data["weights"]]
+
+        assert "user_som.json" in self.corrupt(
+            small_model, tmp_path, "user_som.json", drop_column
+        )
+
+    def test_rows_must_be_the_virtual_users(self, small_model, tmp_path):
+        message = self.corrupt(
+            small_model, tmp_path, "virtual_space.json", lambda d: d["rows"].pop()
+        )
+        assert "virtual_space.json" in message
+
+    @pytest.mark.parametrize("value", [0.0, 0.5, 5.5, -1.0])
+    def test_ratings_must_be_in_range(self, small_model, tmp_path, value):
+        def set_first(data):
+            ratings = data["rows"][0]["ratings"]
+            ratings[next(iter(ratings))] = value
+
+        message = self.corrupt(small_model, tmp_path, "virtual_space.json", set_first)
+        assert "virtual_space.json" in message
+
+    def test_labels_must_be_compacted(self, small_model, tmp_path):
+        def skip_label(data):
+            entry = next(iter(data["users"].values()))
+            entry["m"] += 1
+
+        assert "clusterings.json" in self.corrupt(
+            small_model, tmp_path, "clusterings.json", skip_label
+        )
