@@ -12,7 +12,6 @@ from ctxrec.core import (
     ContextDimension,
     ContextSchema,
     RatingCube,
-    RatingRecord,
     default_schema,
     load_ratings,
     write_ratings,
@@ -37,13 +36,15 @@ def main():
     print(f"decode({situation.flat_index}) -> {schema.decode(situation.flat_index)}")
 
     # -- filling a cube --------------------------------------------------
-    records = [
-        RatingRecord("ana", "solaris", schema.situation_from_names(["Weekday", "Alone"]), 5),
-        RatingRecord("ana", "alien", schema.situation_from_names(["Weekend", "Friends"]), 4),
-        RatingRecord("ana", "solaris", schema.situation_from_names(["Weekend", "Friends"]), 2),
-        RatingRecord("ben", "alien", schema.situation_from_names(["Weekend", "Family"]), 3),
-    ]
-    cube = RatingCube.from_records(schema, records)
+    # a cube is a map from (user, situation flat index, item) cells to ratings
+    flat = lambda *names: schema.situation_from_names(names).flat_index
+    cells = {
+        ("ana", flat("Weekday", "Alone"), "solaris"): 5,
+        ("ana", flat("Weekend", "Friends"), "alien"): 4,
+        ("ana", flat("Weekend", "Friends"), "solaris"): 2,
+        ("ben", flat("Weekend", "Family"), "alien"): 3,
+    }
+    cube = RatingCube(schema, users=("ana", "ben"), items=("alien", "solaris"), cells=cells)
     print(f"\ncube: {len(cube.users)} users x {schema.situation_count} situations "
           f"x {len(cube.items)} items, {cube.n_ratings} ratings")
 

@@ -12,13 +12,9 @@ from .core import (
     ContextSchema,
     ContextSituation,
     RatingCube,
-    RatingRecord,
     default_schema,
-    enumerate_situations,
     load_ratings,
     load_schema,
-    ratings_csv_text,
-    save_schema,
     write_ratings,
 )
 from .som import (
@@ -27,9 +23,7 @@ from .som import (
     assign,
     cosine_similarity,
     find_bmu,
-    load_som,
     mean_similarity,
-    save_som,
     train,
 )
 from .pipeline import (
@@ -83,7 +77,6 @@ __all__ = [
     "GenConfig",
     "PipelineModel",
     "RatingCube",
-    "RatingRecord",
     "RowSpace",
     "SomConfig",
     "SomNetwork",
@@ -96,7 +89,6 @@ __all__ = [
     "cluster_virtual_users",
     "cosine_similarity",
     "default_schema",
-    "enumerate_situations",
     "evaluate",
     "f1",
     "find_bmu",
@@ -109,19 +101,15 @@ __all__ = [
     "load_pipeline",
     "load_ratings",
     "load_schema",
-    "load_som",
     "mean_similarity",
     "neuron_sweep",
     "per_cluster_f1",
     "precision_recall",
     "predict_scores",
     "rank_items",
-    "ratings_csv_text",
     "recommend",
     "save_baseline",
     "save_pipeline",
-    "save_schema",
-    "save_som",
     "scaled_config",
     "split",
     "train",

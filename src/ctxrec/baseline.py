@@ -16,9 +16,9 @@ from .errors import EmptyCube
 from .pipeline import (
     RowSpace,
     UserClusterModel,
+    _average_rows,
     _load_bundle,
     _save_bundle,
-    aggregate,
     cluster_virtual_users,
     predict_scores,
     rank_items,
@@ -30,17 +30,9 @@ DEFAULT_BASELINE_NEURONS = 19
 
 def flatten_cube(cube: RatingCube) -> RowSpace:
     """Average away the situation axis, keeping users with >= 1 rating."""
-    users = [u for u in sorted(cube.users) if cube.user_ratings(u)]
-    if not users:
+    if not cube.n_ratings:
         raise EmptyCube("cube has no ratings to flatten")
-    matrix: dict[str, dict[str, float]] = {}
-    for user in users:
-        per_item: dict[str, list[int]] = {}
-        for flat in sorted(cube.user_ratings(user)):
-            for item, rating in sorted(cube.user_ratings(user)[flat].items()):
-                per_item.setdefault(item, []).append(rating)
-        matrix[user] = {item: aggregate(vals) for item, vals in per_item.items()}
-    return RowSpace.from_ratings(cube.items, matrix)
+    return _average_rows(cube, lambda user, flat: user)
 
 
 @dataclass

@@ -148,6 +148,20 @@ def _eval_cfg(args) -> EvalConfig:
     )
 
 
+# flags of ``recommend`` itself; a context dimension cannot share their names
+_RECOMMEND_FLAGS = ("model", "user", "num", "out", "help")
+
+
+def _check_dimension_names(schema: ContextSchema) -> None:
+    """A schema a model can be queried with: no dimension shadows a flag."""
+    for dim in schema.dimensions:
+        if dim.name in _RECOMMEND_FLAGS:
+            raise InvalidConfig(
+                f"context dimension {dim.name!r} has the name of a recommend flag "
+                f"(reserved: {', '.join(_RECOMMEND_FLAGS)})"
+            )
+
+
 def _load_model(path: str):
     """A model bundle is a directory; its files tell the two systems apart."""
     directory = Path(path)
@@ -216,6 +230,7 @@ def cmd_split(args) -> int:
 
 def cmd_train(args) -> int:
     schema = _load_schema_arg(args.schema)
+    _check_dimension_names(schema)
     cube = load_ratings(args.ratings, schema)
     out = _out_dir(args)
     if args.system == "pipeline":
@@ -315,6 +330,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_recommend(args) -> int:
     model, system = _load_model(args.model)
+    _check_dimension_names(model.schema)
     # one --<dimension> VALUE flag per dimension of the model's schema
     names = [dim.name for dim in model.schema.dimensions]
     context = _Parser(prog="ctxrec recommend", add_help=False, allow_abbrev=False)

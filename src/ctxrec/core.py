@@ -13,10 +13,9 @@ Inside vectors, 0 always means "unrated"; legal ratings start at 1.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Mapping, Sequence
 
 import numpy as np
 
@@ -193,27 +192,8 @@ def default_schema() -> ContextSchema:
     )
 
 
-def enumerate_situations(schema: ContextSchema) -> list[ContextSituation]:
-    """All situations of the schema in flat-index order."""
-    return [schema.situation_from_flat(i) for i in range(schema.situation_count)]
-
-
-def save_schema(schema: ContextSchema, path: str | Path) -> None:
-    jsonio.write_json(path, schema.to_json_dict())
-
-
 def load_schema(path: str | Path) -> ContextSchema:
     return ContextSchema.from_json_dict(jsonio.read_json(path))
-
-
-@dataclass(frozen=True)
-class RatingRecord:
-    """One rating event: user rated item in a concrete context situation."""
-
-    user_id: str
-    item_id: str
-    situation: ContextSituation
-    rating: int
 
 
 class RatingCube:
@@ -261,34 +241,6 @@ class RatingCube:
             len(items_) for flats in by_user.values() for items_ in flats.values()
         )
 
-    @classmethod
-    def from_records(
-        cls,
-        schema: ContextSchema,
-        records: Iterable[RatingRecord],
-        users: Sequence[str] | None = None,
-        items: Sequence[str] | None = None,
-    ) -> "RatingCube":
-        """Build a cube; id universes default to the sorted ids seen."""
-        cells: dict[tuple[str, int, str], int] = {}
-        seen_users, seen_items = set(), set()
-        for rec in records:
-            key = (rec.user_id, rec.situation.flat_index, rec.item_id)
-            if key in cells:
-                raise DuplicateCell(
-                    f"duplicate rating for user {rec.user_id!r}, "
-                    f"item {rec.item_id!r}, situation {rec.situation.flat_index}"
-                )
-            cells[key] = rec.rating
-            seen_users.add(rec.user_id)
-            seen_items.add(rec.item_id)
-        return cls(
-            schema,
-            sorted(seen_users) if users is None else users,
-            sorted(seen_items) if items is None else items,
-            cells,
-        )
-
     @property
     def p(self) -> int:
         """Number of items (pattern-vector length)."""
@@ -298,32 +250,20 @@ class RatingCube:
     def n_ratings(self) -> int:
         return self._n_ratings
 
-    @property
-    def item_index(self) -> Mapping[str, int]:
-        return self._item_index
-
-    def records(self) -> Iterator[RatingRecord]:
-        """All ratings in canonical (user, situation, item) order."""
-        for user in sorted(self._by_user):
-            for flat in sorted(self._by_user[user]):
-                situation = self.schema.situation_from_flat(flat)
-                for item in sorted(self._by_user[user][flat]):
-                    yield RatingRecord(
-                        user, item, situation, self._by_user[user][flat][item]
-                    )
-
     def cells(self) -> dict[tuple[str, int, str], int]:
+        """All ratings keyed (user, flat index, item), in sorted key order."""
+        # _by_user was filled from the sorted cells, so it iterates in order
         return {
-            (r.user_id, r.situation.flat_index, r.item_id): r.rating
-            for r in self.records()
+            (user, flat, item): rating
+            for user, flats in self._by_user.items()
+            for flat, ratings in flats.items()
+            for item, rating in ratings.items()
         }
 
     def user_ratings(self, user: str) -> dict[int, dict[str, int]]:
-        """Ratings of one user grouped by situation flat index ({} if none)."""
+        """Ratings of one user grouped by situation flat index ({} if none),
+        both levels in sorted order."""
         return self._by_user.get(user, {})
-
-    def has_user(self, user: str) -> bool:
-        return user in self._user_set
 
     def usage_pattern_vectors(
         self, user: str
@@ -392,8 +332,7 @@ def load_ratings(source: str | Path | IO[str], schema: ContextSchema) -> RatingC
             f"bad header {','.join(header)!r}; expected {','.join(expected)!r}"
         )
     n_dims = len(schema.dimensions)
-    records = []
-    seen: set[tuple[str, int, str]] = set()
+    cells: dict[tuple[str, int, str], int] = {}
     for line_no, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -420,14 +359,15 @@ def load_ratings(source: str | Path | IO[str], schema: ContextSchema) -> RatingC
                 f"[{schema.rating_min}, {schema.rating_max}]"
             )
         key = (user_id, situation.flat_index, item_id)
-        if key in seen:
+        if key in cells:
             raise DuplicateCell(
                 f"line {line_no}: duplicate rating for user {user_id!r}, "
                 f"item {item_id!r}, situation {situation.flat_index}"
             )
-        seen.add(key)
-        records.append(RatingRecord(user_id, item_id, situation, rating))
-    return RatingCube.from_records(schema, records)
+        cells[key] = rating
+    users = sorted({user for user, _, _ in cells})
+    items = sorted({item for _, _, item in cells})
+    return RatingCube(schema, users, items, cells)
 
 
 def write_ratings(cube: RatingCube, target: str | Path | IO[str]) -> None:
@@ -436,17 +376,11 @@ def write_ratings(cube: RatingCube, target: str | Path | IO[str]) -> None:
         with open(target, "w", encoding="utf-8", newline="") as handle:
             write_ratings(cube, handle)
         return
+    schema = cube.schema
     writer = csv.writer(target, lineterminator="\n")
-    writer.writerow(_expected_header(cube.schema))
-    for rec in cube.records():
-        writer.writerow(
-            [rec.user_id, rec.item_id]
-            + list(cube.schema.value_names(rec.situation))
-            + [rec.rating]
-        )
-
-
-def ratings_csv_text(cube: RatingCube) -> str:
-    buf = io.StringIO()
-    write_ratings(cube, buf)
-    return buf.getvalue()
+    writer.writerow(_expected_header(schema))
+    names: dict[int, tuple[str, ...]] = {}  # flat index -> value names
+    for (user, flat, item), rating in cube.cells().items():
+        if flat not in names:
+            names[flat] = schema.value_names(schema.situation_from_flat(flat))
+        writer.writerow([user, item, *names[flat], rating])

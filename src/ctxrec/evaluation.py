@@ -15,7 +15,6 @@ sorted id order), so runs are reproducible bit for bit.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -74,17 +73,11 @@ def split(cube: RatingCube, cfg: SplitConfig) -> tuple[RatingCube, RatingCube]:
     Both halves keep the full user and item universes of the source cube,
     so vector layouts stay aligned between training and testing.
     """
-    records = list(cube.records())
+    cells = list(cube.cells().items())
     rng = Xoshiro256(derive_seed(cfg.seed, "split"))
-    rng.shuffle(records)
-    n_train = math.ceil(cfg.train_fraction * len(records))
-    to_cells = lambda recs: {
-        (r.user_id, r.situation.flat_index, r.item_id): r.rating for r in recs
-    }
-    return (
-        cube.with_cells(to_cells(records[:n_train])),
-        cube.with_cells(to_cells(records[n_train:])),
-    )
+    rng.shuffle(cells)
+    n_train = math.ceil(cfg.train_fraction * len(cells))
+    return cube.with_cells(dict(cells[:n_train])), cube.with_cells(dict(cells[n_train:]))
 
 
 def precision_recall(
@@ -122,7 +115,6 @@ class EvalReport:
     n_units_evaluated: int
     skipped_no_relevant: int
     skipped_no_candidates: int
-    elapsed_seconds: float = 0.0
     config: dict = field(default_factory=dict)
     per_cluster: dict | None = None
 
@@ -162,22 +154,6 @@ class EvalReport:
             )
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_json_dict(cls, data) -> "EvalReport":
-        per_n = {int(n): row for n, row in data["per_n"].items()}
-        top_ns = tuple(sorted(per_n))
-        return cls(
-            top_ns=top_ns,
-            mean_f1={n: per_n[n]["mean_f1"] for n in top_ns},
-            mean_precision={n: per_n[n]["mean_precision"] for n in top_ns},
-            mean_recall={n: per_n[n]["mean_recall"] for n in top_ns},
-            n_users_evaluated=data["n_users_evaluated"],
-            n_units_evaluated=data["n_units_evaluated"],
-            skipped_no_relevant=data["skipped_no_relevant"],
-            skipped_no_candidates=data["skipped_no_candidates"],
-            config=data.get("config", {}),
-        )
-
 
 def sample_eval_users(pool: Sequence[str], cfg: EvalConfig) -> list[str]:
     """Seeded sample of up to ``sample_users`` ids, returned sorted."""
@@ -203,7 +179,6 @@ def evaluate(model, test: RatingCube, cfg: EvalConfig | None = None) -> EvalRepo
     users = sample_eval_users(pool, cfg)
     n_max = max(cfg.top_ns)
 
-    start = time.monotonic()
     per_user_f1: dict[int, list[float]] = {n: [] for n in cfg.top_ns}
     per_user_p: dict[int, list[float]] = {n: [] for n in cfg.top_ns}
     per_user_r: dict[int, list[float]] = {n: [] for n in cfg.top_ns}
@@ -235,7 +210,6 @@ def evaluate(model, test: RatingCube, cfg: EvalConfig | None = None) -> EvalRepo
             per_user_f1[n].append(sum(unit_f1[n]) / len(unit_f1[n]))
             per_user_p[n].append(sum(unit_p[n]) / len(unit_p[n]))
             per_user_r[n].append(sum(unit_r[n]) / len(unit_r[n]))
-    elapsed = time.monotonic() - start
 
     n_users = len(per_user_f1[cfg.top_ns[0]])
     mean = lambda xs: sum(xs) / len(xs) if xs else 0.0
@@ -248,7 +222,6 @@ def evaluate(model, test: RatingCube, cfg: EvalConfig | None = None) -> EvalRepo
         n_units_evaluated=n_units,
         skipped_no_relevant=skipped_no_relevant,
         skipped_no_candidates=skipped_no_candidates,
-        elapsed_seconds=elapsed,
         config=cfg.to_json_dict(),
     )
 

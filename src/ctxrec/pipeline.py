@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Hashable, Mapping, Sequence
+from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -187,6 +187,25 @@ class RowSpace:
         return cls.from_ratings(data["items"], ratings)
 
 
+def _average_rows(cube: RatingCube, row_key: Callable[[str, int], Hashable]) -> RowSpace:
+    """The 2-D space whose row ``row_key(user, flat)`` holds, per item, the
+    mean of the cube's ratings mapped to it; rows in sorted key order.
+
+    Each mean adds its ratings in ascending flat order.
+    """
+    values: dict[Hashable, dict[str, list[int]]] = {}
+    for user in cube.users:
+        for flat, ratings in cube.user_ratings(user).items():
+            row = values.setdefault(row_key(user, flat), {})
+            for item, rating in ratings.items():
+                row.setdefault(item, []).append(rating)
+    rows = {
+        key: {item: aggregate(ratings) for item, ratings in values[key].items()}
+        for key in sorted(values)
+    }
+    return RowSpace.from_ratings(cube.items, rows)
+
+
 def build_virtual_space(
     cube: RatingCube, clusterings: Mapping[str, ContextClustering]
 ) -> RowSpace:
@@ -195,22 +214,10 @@ def build_virtual_space(
     Every user with ratings must appear in ``clusterings``; every rating
     contributes to exactly one virtual-user cell.
     """
-    matrix: dict[VirtualUserId, dict[str, float]] = {}
-    for user in sorted(set(u for u in cube.users if cube.user_ratings(u))):
-        clustering = clusterings.get(user)
-        if clustering is None:
+    for user in cube.users:
+        if user not in clusterings and cube.user_ratings(user):
             raise MissingClustering(f"no clustering for user {user!r}")
-        per_label: dict[int, dict[str, list[int]]] = {}
-        for flat in sorted(cube.user_ratings(user)):
-            label = clustering.labels[flat]
-            bucket = per_label.setdefault(label, {})
-            for item in sorted(cube.user_ratings(user)[flat]):
-                bucket.setdefault(item, []).append(cube.user_ratings(user)[flat][item])
-        for label in sorted(per_label):
-            matrix[(user, label)] = {
-                item: aggregate(values) for item, values in per_label[label].items()
-            }
-    return RowSpace.from_ratings(cube.items, matrix)
+    return _average_rows(cube, lambda user, flat: (user, clusterings[user].labels[flat]))
 
 
 @dataclass
@@ -461,7 +468,9 @@ def _load_bundle(directory: str | Path, space_file: str):
     return schema, space, _cluster_model(net, space)
 
 
-def _clusterings_from_json(data) -> tuple[SomConfig, dict[str, ContextClustering]]:
+def _clusterings_from_json(
+    data, schema: ContextSchema
+) -> tuple[SomConfig, dict[str, ContextClustering]]:
     clusterings = {
         user: ContextClustering(
             user,
@@ -470,6 +479,9 @@ def _clusterings_from_json(data) -> tuple[SomConfig, dict[str, ContextClustering
         )
         for user, entry in data["users"].items()
     }
+    for c in clusterings.values():
+        if not all(0 <= flat < schema.situation_count for flat in c.labels):
+            raise InvalidConfig(f"user {c.user_id!r} labels a flat index outside the schema")
     return SomConfig.from_json_dict(data["phase1_config"]), clusterings
 
 
@@ -492,12 +504,13 @@ def save_pipeline(model: PipelineModel, directory: str | Path) -> None:
 def load_pipeline(directory: str | Path) -> PipelineModel:
     """Load a pipeline bundle; membership is recomputed from the stored SOM.
 
-    The space's rows must be exactly the virtual users (user, 1..m) of the
-    clusterings, which the unlabeled-context fallback of ``recommend`` uses.
+    Every labelled flat index must lie in the schema, and the space's rows
+    must be exactly the virtual users (user, 1..m) of the clusterings, which
+    the unlabeled-context fallback of ``recommend`` uses.
     """
     schema, space, user_model = _load_bundle(directory, "virtual_space.json")
     path = Path(directory) / "clusterings.json"
-    phase1_cfg, clusterings = _read_part(path, _clusterings_from_json)
+    phase1_cfg, clusterings = _read_part(path, lambda d: _clusterings_from_json(d, schema))
     labels = {(user, k) for user, c in clusterings.items() for k in range(1, c.m + 1)}
     if set(space.keys) != labels:
         raise CorruptFile(f"virtual_space.json rows are not the virtual users of {path}")

@@ -18,14 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .errors import EmptyInput, InvalidConfig, LengthMismatch
 from .rng import Xoshiro256, XoshiroLanes
-from . import jsonio
 
 
 @dataclass(frozen=True)
@@ -280,10 +278,3 @@ def som_from_json_dict(data) -> SomNetwork:
     weights.setflags(write=False)
     return SomNetwork(weights, SomConfig.from_json_dict(data["config"]))
 
-
-def save_som(net: SomNetwork, path: str | Path) -> None:
-    jsonio.write_json(path, som_to_json_dict(net))
-
-
-def load_som(path: str | Path) -> SomNetwork:
-    return som_from_json_dict(jsonio.read_json(path))

@@ -6,7 +6,6 @@ from ctxrec.core import (
     ContextDimension,
     ContextSchema,
     RatingCube,
-    RatingRecord,
     default_schema,
 )
 
@@ -22,12 +21,19 @@ def tiny_schema() -> ContextSchema:
 
 
 def make_cube(schema, rows, users=None, items=None) -> RatingCube:
-    """Build a cube from (user, item, value-names, rating) tuples."""
-    records = [
-        RatingRecord(user, item, schema.situation_from_names(names), rating)
+    """Build a cube from (user, item, value-names, rating) tuples.
+
+    The id universes default to the sorted ids the rows use.
+    """
+    cells = {
+        (user, schema.situation_from_names(names).flat_index, item): rating
         for user, item, names, rating in rows
-    ]
-    return RatingCube.from_records(schema, records, users=users, items=items)
+    }
+    if users is None:
+        users = sorted({user for user, _, _ in cells})
+    if items is None:
+        items = sorted({item for _, _, item in cells})
+    return RatingCube(schema, users, items, cells)
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ import pytest
 
 from ctxrec.baseline import fit_baseline
 from ctxrec.cli import main as cli_main
-from ctxrec.core import RatingCube, RatingRecord, default_schema
+from ctxrec.core import RatingCube, default_schema
 from ctxrec.datagen import GenConfig, generate, scaled_config, write_dataset
 from ctxrec.evaluation import (
     EvalConfig,

@@ -9,7 +9,7 @@ from ctxrec.baseline import (
     load_baseline,
     save_baseline,
 )
-from ctxrec.core import RatingCube, RatingRecord
+from ctxrec.core import RatingCube
 from ctxrec.datagen import GenConfig, generate
 from ctxrec.errors import EmptyCube, UnknownUser
 from ctxrec.pipeline import RowSpace, cluster_virtual_users, predict_scores
@@ -63,14 +63,13 @@ class TestFlattenCube:
             ],
         )
         once = flatten_cube(cube)
-        sit = schema2x2.situation_from_names(("a", "x"))
-        rebuilt = RatingCube.from_records(
-            schema2x2,
-            [
-                RatingRecord(user, item, sit, int(value))
+        flat = schema2x2.situation_from_names(("a", "x")).flat_index
+        rebuilt = cube.with_cells(
+            {
+                (user, flat, item): int(value)
                 for user in once.keys
                 for item, value in once.ratings_of(user).items()
-            ],
+            }
         )
         twice = flatten_cube(rebuilt)
         assert twice.keys == once.keys

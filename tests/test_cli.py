@@ -12,7 +12,6 @@ from ctxrec.core import (
     ContextSchema,
     default_schema,
     load_ratings,
-    save_schema,
 )
 from ctxrec import jsonio
 
@@ -331,7 +330,7 @@ class TestRecommend:
                 ContextDimension("place", ("home", "out")),
             )
         )
-        save_schema(schema, tmp_path / "schema.json")
+        jsonio.write_json(tmp_path / "schema.json", schema.to_json_dict())
         flags = ("--schema", tmp_path / "schema.json", "--seed", 1)
         assert run_cli("gen", "--out", tmp_path / "data", *flags, *GEN_SMALL) == 0
         ratings = tmp_path / "data" / "ratings.csv"
@@ -352,6 +351,34 @@ class TestRecommend:
         assert err.value.code == 1
         assert run_cli(*query, tmp_path / "baseline", "--mood", "calm") == 1
         assert run_cli(*query, tmp_path / "baseline") == 0
+
+    @pytest.mark.parametrize("command", ["train", "recommend"])
+    @pytest.mark.parametrize("name", ["model", "user", "num", "out", "help"])
+    def test_dimension_named_like_a_flag_is_rejected(
+        self, pipeline_bundle, tmp_path, capsys, command, name
+    ):
+        dims = (ContextDimension(name, ("a", "b")), ContextDimension("place", ("home",)))
+        schema = ContextSchema(dims)
+        if command == "train":
+            flags = ("--schema", tmp_path / "schema.json", "--seed", 1)
+            jsonio.write_json(tmp_path / "schema.json", schema.to_json_dict())
+            assert run_cli("gen", "--out", tmp_path / "data", *flags, *GEN_SMALL) == 0
+            capsys.readouterr()
+            ratings = tmp_path / "data" / "ratings.csv"
+            out = tmp_path / "model"
+            code = run_cli("train", "--ratings", ratings, "--out", out, *flags)
+            assert not (out / "user_som.json").exists()
+        else:
+            bundle = tmp_path / "model"
+            shutil.copytree(pipeline_bundle, bundle)
+            data = jsonio.read_json(bundle / "schema.json")
+            data["dimensions"][0]["name"] = name
+            jsonio.write_json(bundle / "schema.json", data)
+            code = run_cli("recommend", "--model", bundle, "--user", "u001")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ctxrec: error: ") and len(err.splitlines()) == 1
+        assert repr(name) in err
 
 
 class TestCorruptBundle:
@@ -426,6 +453,27 @@ class TestCorruptBundle:
                 "eval", "--model", bundle, "--ratings", test, "--out", tmp_path / "r"
             )
         self.assert_one_error_line(capsys, code, name)
+
+    @pytest.mark.parametrize("command", ["recommend", "eval"])
+    def test_flat_index_outside_the_schema(
+        self, dataset, pipeline_bundle, tmp_path, capsys, command
+    ):
+        bundle = tmp_path / "model"
+        shutil.copytree(pipeline_bundle, bundle)
+        data = jsonio.read_json(bundle / "clusterings.json")
+        labels = next(iter(data["users"].values()))["labels"]
+        labels["9999"] = labels.pop(next(iter(labels)))
+        jsonio.write_json(bundle / "clusterings.json", data)
+        if command == "recommend":
+            code = run_cli(
+                "recommend", "--model", bundle, "--user", "u001", *TestRecommend.CONTEXT
+            )
+        else:
+            test = dataset / "split" / "test.csv"
+            code = run_cli(
+                "eval", "--model", bundle, "--ratings", test, "--out", tmp_path / "r"
+            )
+        self.assert_one_error_line(capsys, code, "clusterings.json")
 
 
 class TestSweep:

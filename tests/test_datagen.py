@@ -68,8 +68,8 @@ class TestGenerate:
         cube = generate(
             GenConfig(n_users=10, n_items=20, noise_sd=2.0, density=0.02, seed=1)
         )
-        for rec in cube.records():
-            assert 1 <= rec.rating <= 5
+        for rating in cube.cells().values():
+            assert 1 <= rating <= 5
 
     def test_every_user_rates_something(self):
         cube = generate(

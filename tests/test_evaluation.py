@@ -13,7 +13,6 @@ from ctxrec.errors import (
 )
 from ctxrec.evaluation import (
     EvalConfig,
-    EvalReport,
     SplitConfig,
     evaluate,
     f1,
@@ -386,14 +385,6 @@ class TestEvalReportSerialization:
             {("u1", 1): ["a", "c", "b"]},
         )
         return evaluate(model, None, EvalConfig(top_ns=(1, 3)))
-
-    def test_json_round_trip(self):
-        report = self.make_report()
-        again = EvalReport.from_json_dict(report.to_json_dict())
-        assert again.mean_f1 == report.mean_f1
-        assert again.mean_precision == report.mean_precision
-        assert again.mean_recall == report.mean_recall
-        assert again.n_users_evaluated == report.n_users_evaluated
 
     def test_csv_header_and_rows(self):
         text = self.make_report().csv_text()

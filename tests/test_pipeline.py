@@ -681,3 +681,13 @@ class TestPipelinePersistence:
         assert "clusterings.json" in self.corrupt(
             small_model, tmp_path, "clusterings.json", skip_label
         )
+
+    @pytest.mark.parametrize("flat", [-1, 336, 9999])
+    def test_flat_indices_must_lie_in_the_schema(self, small_model, tmp_path, flat):
+        def move_label(data):
+            labels = next(iter(data["users"].values()))["labels"]
+            labels[str(flat)] = labels.pop(next(iter(labels)))
+
+        assert "clusterings.json" in self.corrupt(
+            small_model, tmp_path, "clusterings.json", move_label
+        )

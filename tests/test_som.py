@@ -8,6 +8,7 @@ import pytest
 
 from ctxrec.errors import EmptyInput, InvalidConfig, LengthMismatch
 from ctxrec.rng import Xoshiro256
+from ctxrec import jsonio
 from ctxrec.som import (
     SomConfig,
     SomNetwork,
@@ -15,9 +16,8 @@ from ctxrec.som import (
     cosine_similarity,
     find_bmu,
     initial_weights,
-    load_som,
     mean_similarity,
-    save_som,
+    som_from_json_dict,
     som_to_json_dict,
     train,
     train_many,
@@ -382,6 +382,15 @@ class TestMeanSimilarity:
             best.append(max(scores))
         for smaller, larger in zip(best, best[1:]):
             assert larger >= smaller - 1e-9
+
+
+def save_som(net, path):
+    """Write a SOM the way a model bundle writes user_som.json."""
+    jsonio.write_json(path, som_to_json_dict(net))
+
+
+def load_som(path):
+    return som_from_json_dict(jsonio.read_json(path))
 
 
 class TestPersistence:
