@@ -392,6 +392,15 @@ class TestCorruptBundle:
         space.write_bytes(space.read_bytes()[: space.stat().st_size // 2])
         return bundle
 
+    def run_on(self, command, bundle, dataset, tmp_path, system="pipeline"):
+        if command == "recommend":
+            context = TestRecommend.CONTEXT if system == "pipeline" else ()
+            return run_cli("recommend", "--model", bundle, "--user", "u001", *context)
+        test = dataset / "split" / "test.csv"
+        return run_cli(
+            "eval", "--model", bundle, "--ratings", test, "--out", tmp_path / "r"
+        )
+
     def assert_one_error_line(self, capsys, code, name="virtual_space.json"):
         assert code == 2
         err = capsys.readouterr().err
@@ -444,14 +453,7 @@ class TestCorruptBundle:
         bundle = tmp_path / "model"
         shutil.copytree(request.getfixturevalue(f"{system}_bundle"), bundle)
         (bundle / name).write_text(content)
-        if command == "recommend":
-            context = TestRecommend.CONTEXT if system == "pipeline" else ()
-            code = run_cli("recommend", "--model", bundle, "--user", "u001", *context)
-        else:
-            test = dataset / "split" / "test.csv"
-            code = run_cli(
-                "eval", "--model", bundle, "--ratings", test, "--out", tmp_path / "r"
-            )
+        code = self.run_on(command, bundle, dataset, tmp_path, system)
         self.assert_one_error_line(capsys, code, name)
 
     @pytest.mark.parametrize("command", ["recommend", "eval"])
@@ -464,15 +466,7 @@ class TestCorruptBundle:
         labels = next(iter(data["users"].values()))["labels"]
         labels["9999"] = labels.pop(next(iter(labels)))
         jsonio.write_json(bundle / "clusterings.json", data)
-        if command == "recommend":
-            code = run_cli(
-                "recommend", "--model", bundle, "--user", "u001", *TestRecommend.CONTEXT
-            )
-        else:
-            test = dataset / "split" / "test.csv"
-            code = run_cli(
-                "eval", "--model", bundle, "--ratings", test, "--out", tmp_path / "r"
-            )
+        code = self.run_on(command, bundle, dataset, tmp_path)
         self.assert_one_error_line(capsys, code, "clusterings.json")
 
 

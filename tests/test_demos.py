@@ -1,4 +1,4 @@
-"""Every demo script runs to completion from a scratch directory."""
+"""Every demo script runs to completion from an empty working directory."""
 
 import os
 import subprocess
