@@ -2,7 +2,8 @@
 
 ``ctxrec compare --seed 0`` on the 60 x 50 users x items dataset of
 ``GenConfig(seed=0)`` must produce exactly these bytes, serially and with
-``--parallel 2``.  ``ctxrec train --seed 0`` on the same dataset must write
+``--parallel 2``.  ``ctxrec sweep --seed 0`` over two phase-1 and two
+phase-3 neuron counts must write exactly these reports.  ``ctxrec train --seed 0`` on the same dataset must write
 bundles with these canonical contents, and the loaded models must rank
 exactly these items.  A change that moves them changes behaviour; it has to
 say why in CHANGES.md and update the digests here.
@@ -39,6 +40,17 @@ BASELINE_BUNDLE_SHA256 = {
 # the first and last situation of the schema (227 queries, 107 labelled)
 PIPELINE_RANKINGS_SHA256 = "b4a0b319abed14abc678324e40d1961d677a28ce31412e03608a2a79fe6a4ce6"
 BASELINE_RANKINGS_SHA256 = "6d19227e3d5cde3f054420938e606c8e93147e1a57ba2d75f389aca88911313e"
+# (sweep.csv, sweep.json with the output directory replaced by ``OUT``)
+SWEEP_SHA256 = {
+    ("phase1", "2,4"): (
+        "5e868318506d70d5e488c387e15cb84a4e9681ac66a4eeff3d431a6ea6ee14c8",
+        "5531641110ddb44a0f2d1ce7dc0c9ea787cef0d69a0968a574c027ea811525ae",
+    ),
+    ("phase3", "3,5"): (
+        "842179273b6a3026d77daacc050311767ab144816e78b1f56ee86ab2ce9d88c8",
+        "8df4fb58e2e9c43bad011c2c00dce2bc38d7388ac29dbc6eca4d611de17cc436",
+    ),
+}
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +88,18 @@ def test_compare_fingerprint(ratings, tmp_path, parallel):
     json_bytes = (out / "compare.json").read_bytes().replace(str(out).encode(), b"OUT")
     assert hashlib.sha256(csv_bytes).hexdigest() == COMPARE_CSV_SHA256
     assert hashlib.sha256(json_bytes).hexdigest() == COMPARE_JSON_SHA256
+
+
+@pytest.mark.parametrize("role, counts", sorted(SWEEP_SHA256))
+def test_sweep_fingerprint(ratings, tmp_path, role, counts):
+    out = tmp_path / "out"
+    argv = ["sweep", "--ratings", str(ratings), "--out", str(out), "--seed", "0"]
+    assert cli_main(argv + ["--role", role, "--counts", counts]) == 0
+    csv_bytes = (out / "sweep.csv").read_bytes()
+    json_bytes = (out / "sweep.json").read_bytes().replace(str(out).encode(), b"OUT")
+    expected_csv, expected_json = SWEEP_SHA256[(role, counts)]
+    assert hashlib.sha256(csv_bytes).hexdigest() == expected_csv
+    assert hashlib.sha256(json_bytes).hexdigest() == expected_json
 
 
 @pytest.mark.parametrize(
