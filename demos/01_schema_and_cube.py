@@ -53,12 +53,13 @@ def main():
         names = schema.value_names(schema.situation_from_flat(flat))
         print(f"  ana @ {names}: {dict(sorted(item_ratings.items()))}")
 
-    # -- usage pattern vectors -------------------------------------------
-    # One vector per situation the user rated in; component i is the rating
-    # of item i (0 = unrated).  These are the inputs to per-user clustering.
-    print("\nusage pattern vectors for ana:")
-    for situation, vec in cube.usage_pattern_vectors("ana"):
-        print(f"  {schema.value_names(situation)}: {vec}")
+    # -- usage pattern matrix --------------------------------------------
+    # One row per situation the user rated in; column i is the rating of
+    # item i (0 = unrated).  This matrix is the input to per-user clustering.
+    print("\nusage pattern matrix for ana:")
+    flats, matrix = cube.usage_matrix("ana")
+    for flat, row in zip(flats, matrix):
+        print(f"  {schema.value_names(schema.situation_from_flat(flat))}: {row}")
 
     # -- CSV round trip ---------------------------------------------------
     buf = io.StringIO()

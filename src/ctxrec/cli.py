@@ -107,17 +107,19 @@ def _parse_topn(text: str) -> tuple[int, ...]:
 
 
 def _parse_counts(text: str) -> tuple[int, ...]:
-    """Neuron counts: '5-35' (inclusive range) or '5,9,13'."""
+    """Neuron counts: '5-35' (inclusive range) or '5,9,13'; distinct, positive
+    and ascending."""
     try:
         if "-" in text:
             lo, hi = text.split("-", 1)
-            lo, hi = int(lo), int(hi)
-            if hi < lo:
-                raise ValueError
-            return tuple(range(lo, hi + 1))
-        return tuple(int(part) for part in text.split(","))
+            counts = tuple(range(int(lo), int(hi) + 1))
+        else:
+            counts = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise UsageError(f"cannot parse --counts {text!r}; expected e.g. 2-15 or 2,5,9")
+    if not counts or counts[0] < 1 or list(counts) != sorted(set(counts)):
+        raise UsageError(f"--counts {text!r} must be distinct, positive and ascending")
+    return counts
 
 
 def _load_schema_arg(path: str | None) -> ContextSchema:
@@ -284,9 +286,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    counts = _parse_counts(args.counts)
     schema = _load_schema_arg(args.schema)
     cube = load_ratings(args.ratings, schema)
-    counts = _parse_counts(args.counts)
     split_cfg = _split_cfg(args)
     eval_cfg = _eval_cfg(args)
     if args.metric_n not in eval_cfg.top_ns:

@@ -121,9 +121,6 @@ class ContextSchema:
             rest //= k
         return tuple(indices)
 
-    def situation_from_indices(self, indices: Sequence[int]) -> ContextSituation:
-        return ContextSituation(tuple(indices), self.encode(indices))
-
     def situation_from_flat(self, flat_index: int) -> ContextSituation:
         return ContextSituation(self.decode(flat_index), flat_index)
 
@@ -141,7 +138,7 @@ class ContextSchema:
                     f"(expected one of {', '.join(dim.values)})"
                 )
             indices.append(lookup[name])
-        return self.situation_from_indices(indices)
+        return ContextSituation(tuple(indices), self.encode(indices))
 
     def value_names(self, situation: ContextSituation) -> tuple[str, ...]:
         return tuple(
@@ -265,24 +262,22 @@ class RatingCube:
         both levels in sorted order."""
         return self._by_user.get(user, {})
 
-    def usage_pattern_vectors(
-        self, user: str
-    ) -> list[tuple[ContextSituation, np.ndarray]]:
-        """One length-p vector per situation in which the user rated anything.
+    def usage_matrix(self, user: str) -> tuple[list[int], np.ndarray]:
+        """The ascending flat indices of the situations in which the user
+        rated anything, and one length-p row per such situation.
 
-        Component ``i`` is the rating of item ``i`` in that situation, 0 when
-        unrated.  Situations without ratings are skipped (an all-zero vector
-        has no usable cosine direction).
+        Column ``i`` of a row is the rating of item ``i`` in that situation,
+        0 when unrated.  Situations without ratings are skipped (an all-zero
+        row has no usable cosine direction).
         """
         if user not in self._user_set:
             raise UnknownUser(f"unknown user {user!r}")
-        out = []
-        for flat in sorted(self._by_user.get(user, {})):
-            vec = np.zeros(self.p, dtype=np.float64)
-            for item, rating in self._by_user[user][flat].items():
-                vec[self._item_index[item]] = float(rating)
-            out.append((self.schema.situation_from_flat(flat), vec))
-        return out
+        by_flat = self._by_user.get(user, {})
+        matrix = np.zeros((len(by_flat), self.p))
+        for row, ratings in enumerate(by_flat.values()):
+            for item, rating in ratings.items():
+                matrix[row, self._item_index[item]] = rating
+        return list(by_flat), matrix
 
     def with_cells(
         self, cells: Mapping[tuple[str, int, str], int]

@@ -139,11 +139,10 @@ def generate_dataset(cfg: GenConfig) -> tuple[RatingCube, dict[int, int]]:
             weights /= weights.sum()
             chosen = rng.choice(cfg.n_items, size=per_situation, replace=False, p=weights)
             noise = rng.normal(0.0, cfg.noise_sd, size=per_situation)
-            situation = schema.situation_from_flat(flat)
             for idx, eps in zip(chosen, noise):
                 latent = blend[idx] + eps
                 rating = int(min(hi, max(lo, np.rint(latent))))
-                cells[(user, situation.flat_index, items[idx])] = rating
+                cells[(user, flat, items[idx])] = rating
     cube = RatingCube(schema, users, items, cells)
     truth = {flat: int(arch) for flat, arch in enumerate(situation_archetypes)}
     return cube, truth

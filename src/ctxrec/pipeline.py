@@ -82,17 +82,13 @@ def cluster_user_contexts(
     """
     if cfg is None:
         cfg = SomConfig(DEFAULT_PHASE1_NEURONS)
-    pairs = _usage_pairs(cube, user)
-    vectors = [vec for _, vec in pairs]
+    flats, matrix = _usage_matrix(cube, user)
     if net is None:
-        net = train(vectors, replace(cfg, seed=_phase1_seed(cfg, user)))
-    raw = assign(net, vectors)
+        net = train(matrix, replace(cfg, seed=_phase1_seed(cfg, user)))
+    raw = assign(net, matrix)
     occupied = sorted(set(raw))
     label_of = {neuron: i + 1 for i, neuron in enumerate(occupied)}
-    labels = {
-        situation.flat_index: label_of[neuron]
-        for (situation, _), neuron in zip(pairs, raw)
-    }
+    labels = {flat: label_of[neuron] for flat, neuron in zip(flats, raw)}
     return ContextClustering(user, labels, len(occupied))
 
 
@@ -106,7 +102,7 @@ def cluster_users(
     """
     if cfg is None:
         cfg = SomConfig(DEFAULT_PHASE1_NEURONS)
-    inputs = [[vec for _, vec in _usage_pairs(cube, user)] for user in users]
+    inputs = [_usage_matrix(cube, user)[1] for user in users]
     nets = train_many(inputs, cfg, [_phase1_seed(cfg, user) for user in users])
     return {
         user: cluster_user_contexts(cube, user, cfg, net) for user, net in zip(users, nets)
@@ -117,11 +113,11 @@ def _phase1_seed(cfg: SomConfig, user: str) -> int:
     return derive_seed(cfg.seed, "phase1", user)
 
 
-def _usage_pairs(cube: RatingCube, user: str) -> list:
-    pairs = cube.usage_pattern_vectors(user)  # raises UnknownUser
-    if not pairs:
+def _usage_matrix(cube: RatingCube, user: str) -> tuple[list[int], np.ndarray]:
+    flats, matrix = cube.usage_matrix(user)  # raises UnknownUser
+    if not flats:
         raise NoRatings(f"user {user!r} has no ratings")
-    return pairs
+    return flats, matrix
 
 
 class RowSpace:
@@ -230,7 +226,7 @@ class UserClusterModel:
 
 
 def _cluster_model(net: SomNetwork, space: RowSpace) -> UserClusterModel:
-    neurons = assign(net, list(space.matrix))
+    neurons = assign(net, space.matrix)
     return UserClusterModel(net, dict(zip(space.keys, neurons)), np.asarray(neurons, int))
 
 
@@ -242,7 +238,7 @@ def cluster_virtual_users(
         cfg = SomConfig(DEFAULT_PHASE3_NEURONS)
     if not space.keys:
         raise EmptySpace("no rows to cluster")
-    return _cluster_model(train(list(space.matrix), cfg), space)
+    return _cluster_model(train(space.matrix, cfg), space)
 
 
 def predict_scores(model: UserClusterModel, space: RowSpace, key) -> dict[str, float]:

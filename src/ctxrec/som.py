@@ -7,7 +7,9 @@ neuron within the current neighborhood radius move toward the input:
     W <- W + alpha * (X - W)
 
 with a learning rate and a rectangular neighborhood radius that both decay
-linearly over epochs.  Training is a pure function of (inputs, config): the
+linearly over epochs.  Inputs are one (n, p) float64 array, one row per
+input vector; a list of equal-length vectors is converted with
+``np.asarray``.  Training is a pure function of (inputs, config): the
 weight initialization and the per-epoch presentation order come from the
 package's portable xoshiro256** generator seeded by ``config.seed``.
 ``train_many`` trains many same-shaped networks in lockstep; each one is
@@ -107,18 +109,9 @@ def cosine_similarity(x: Sequence[float], w: Sequence[float]) -> float:
     return float(np.dot(xa, wa)) / denom
 
 
-def _similarities(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Cosine similarity of x against every weight row (0 for zero norms)."""
-    denom = np.linalg.norm(weights, axis=1) * np.linalg.norm(x)
-    return np.divide(weights @ x, denom, out=np.zeros_like(denom), where=denom > 0.0)
-
-
 def find_bmu(net: SomNetwork, x: Sequence[float]) -> int:
     """Index of the most similar neuron; ties break to the lowest index."""
-    xa = np.asarray(x, dtype=np.float64)
-    if xa.shape[0] != net.p:
-        raise LengthMismatch(f"input length {xa.shape[0]} != {net.p}")
-    return int(np.argmax(_similarities(net.weights, xa)))
+    return assign(net, [x])[0]
 
 
 def initial_weights(cfg: SomConfig, p: int, rng: Xoshiro256 | None = None) -> np.ndarray:
@@ -142,17 +135,21 @@ def update_neighborhood(
     return moved
 
 
-def _as_input_matrix(inputs: Sequence[np.ndarray]) -> np.ndarray:
+def _as_input_matrix(inputs: np.ndarray) -> np.ndarray:
+    """The inputs as one (n, p) float64 array; an array that already is one
+    is returned as it is, not copied."""
     if len(inputs) == 0:
-        raise EmptyInput("training needs at least one input vector")
-    p = len(inputs[0])
-    for vec in inputs:
-        if len(vec) != p:
-            raise LengthMismatch("input vectors have differing lengths")
-    return np.asarray(inputs, dtype=np.float64)
+        raise EmptyInput("at least one input vector is needed")
+    try:
+        matrix = np.asarray(inputs, dtype=np.float64)
+    except ValueError:
+        raise LengthMismatch("input vectors have differing lengths") from None
+    if matrix.ndim != 2:
+        raise LengthMismatch(f"inputs must be (n, p) vectors, got shape {matrix.shape}")
+    return matrix
 
 
-def train(inputs: Sequence[np.ndarray], cfg: SomConfig) -> SomNetwork:
+def train(inputs: np.ndarray, cfg: SomConfig) -> SomNetwork:
     """Train a network; the result is fully determined by (inputs, cfg).
 
     Epoch ``e`` (0-based) uses ``alpha = alpha0 * (1 - e / epochs)`` and a
@@ -163,7 +160,7 @@ def train(inputs: Sequence[np.ndarray], cfg: SomConfig) -> SomNetwork:
 
 
 def train_many(
-    inputs_per_net: Sequence[Sequence[np.ndarray]], cfg: SomConfig, seeds: Sequence[int]
+    inputs_per_net: Sequence[np.ndarray], cfg: SomConfig, seeds: Sequence[int]
 ) -> list[SomNetwork]:
     """Train one network per input set, all in lockstep.
 
@@ -201,7 +198,7 @@ def train_many(
         rngs = [lane_rng.lane(i) for i in range(lanes)]
         flat = np.concatenate([matrices[k] for k in by_count])
     # input norms once and weight-row norms kept current, each exactly as
-    # _similarities computes it (np.linalg.norm without its conjugate copy)
+    # assign computes it (np.linalg.norm without its conjugate copy)
     flat_norms = np.array([np.linalg.norm(x) for x in flat])
     norms = np.sqrt(np.add.reduce(weights * weights, axis=2))
     starts = np.cumsum([0] + counts[:-1])
@@ -253,17 +250,27 @@ def train_many(
     return nets
 
 
-def assign(net: SomNetwork, inputs: Sequence[np.ndarray]) -> list[int]:
-    """BMU index for each input; identical inputs get identical labels."""
-    return [find_bmu(net, x) for x in inputs]
+def assign(net: SomNetwork, inputs: np.ndarray) -> list[int]:
+    """BMU index for each input row (highest cosine similarity, ties to the
+    lowest index); identical inputs get identical labels."""
+    matrix = _as_input_matrix(inputs)
+    if matrix.shape[1] != net.p:
+        raise LengthMismatch(f"input length {matrix.shape[1]} != {net.p}")
+    # one weight-row norm per call; a zero norm gives similarity 0
+    norms = np.linalg.norm(net.weights, axis=1)
+    bmus = []
+    for x in matrix:
+        denom = norms * np.linalg.norm(x)
+        sims = np.divide(net.weights @ x, denom, out=np.zeros_like(denom), where=denom > 0.0)
+        bmus.append(int(np.argmax(sims)))
+    return bmus
 
 
-def mean_similarity(net: SomNetwork, inputs: Sequence[np.ndarray]) -> float:
+def mean_similarity(net: SomNetwork, inputs: np.ndarray) -> float:
     """Mean cosine similarity between inputs and their BMU rows."""
-    if len(inputs) == 0:
-        raise EmptyInput("mean_similarity needs at least one input")
-    sims = [cosine_similarity(x, net.weights[find_bmu(net, x)]) for x in inputs]
-    return sum(sims) / len(sims)
+    matrix = _as_input_matrix(inputs)
+    bmus = assign(net, matrix)
+    return sum(cosine_similarity(x, net.weights[b]) for x, b in zip(matrix, bmus)) / len(bmus)
 
 
 def som_to_json_dict(net: SomNetwork) -> dict:

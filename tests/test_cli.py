@@ -267,6 +267,25 @@ class TestRecommend:
         assert code == 2
         assert "u999" in capsys.readouterr().err
 
+    def test_user_without_virtual_users_is_data_error(
+        self, pipeline_bundle, tmp_path, capsys
+    ):
+        bundle = tmp_path / "model"
+        shutil.copytree(pipeline_bundle, bundle)
+        clusterings = jsonio.read_json(bundle / "clusterings.json")
+        clusterings["users"]["u001"] = {"m": 0, "labels": {}}
+        jsonio.write_json(bundle / "clusterings.json", clusterings)
+        space = jsonio.read_json(bundle / "virtual_space.json")
+        space["rows"] = [row for row in space["rows"] if row["user"] != "u001"]
+        jsonio.write_json(bundle / "virtual_space.json", space)
+        code = run_cli("recommend", "--model", bundle, "--user", "u001", *self.CONTEXT)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ctxrec: error: ")
+        assert err.rstrip().endswith("has no virtual users")
+        assert "'u001'" in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
     def test_missing_context_flag_is_usage_error(self, pipeline_bundle):
         code = run_cli(
             "recommend", "--model", pipeline_bundle, "--user", "u001",
@@ -535,6 +554,25 @@ class TestSweep:
             "many",
         )
         assert code == 1
+
+    @pytest.mark.parametrize("counts", ["0", "9,5", "5,5", "0-3", "5-3"])
+    def test_invalid_counts_is_usage_error(self, dataset, tmp_path, capsys, counts):
+        code = run_cli(
+            "sweep",
+            "--ratings",
+            dataset / "data" / "ratings.csv",
+            "--out",
+            tmp_path / "x",
+            "--role",
+            "phase1",
+            "--counts",
+            counts,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ctxrec: error: ") and len(err.splitlines()) == 1
+        assert repr(counts) in err
+        assert not (tmp_path / "x").exists()
 
     def test_metric_n_must_be_in_topn(self, dataset, tmp_path):
         code = run_cli(

@@ -204,11 +204,11 @@ class TestUsagePatternVectors:
             [("u1", "i2", ("a", "x"), 4)],
             items=("i1", "i2", "i3"),
         )
-        vectors = cube.usage_pattern_vectors("u1")
-        assert len(vectors) == 1
-        sit, vec = vectors[0]
-        assert schema2x2.value_names(sit) == ("a", "x")
-        assert vec.tolist() == [0.0, 4.0, 0.0]
+        flats, matrix = cube.usage_matrix("u1")
+        assert len(flats) == 1
+        situation = schema2x2.situation_from_flat(flats[0])
+        assert schema2x2.value_names(situation) == ("a", "x")
+        assert matrix.tolist() == [[0.0, 4.0, 0.0]]
 
     def test_user_with_no_ratings_gives_empty_list(self, schema2x2):
         cube = make_cube(
@@ -217,7 +217,9 @@ class TestUsagePatternVectors:
             users=("u1", "u2"),
             items=("i1",),
         )
-        assert cube.usage_pattern_vectors("u2") == []
+        flats, matrix = cube.usage_matrix("u2")
+        assert flats == []
+        assert matrix.shape == (0, 1)
 
     def test_one_vector_per_rated_situation(self, restaurant_schema):
         names = [
@@ -227,18 +229,19 @@ class TestUsagePatternVectors:
         ]
         rows = [("u1", f"i{k}", ctx, 3) for k, ctx in enumerate(names)]
         cube = make_cube(restaurant_schema, rows)
-        vectors = cube.usage_pattern_vectors("u1")
-        assert len(vectors) == 3
-        flats = [sit.flat_index for sit, _ in vectors]
+        flats, matrix = cube.usage_matrix("u1")
+        assert matrix.shape == (3, 3)
         assert flats == sorted(flats)
+        encoded = [restaurant_schema.situation_from_names(n).flat_index for n in names]
+        assert flats == sorted(encoded)
 
     def test_unknown_user_rejected(self, schema2x2):
         cube = make_cube(schema2x2, [("u1", "i1", ("a", "x"), 3)])
         with pytest.raises(UnknownUser):
-            cube.usage_pattern_vectors("nobody")
+            cube.usage_matrix("nobody")
 
     def test_nonzero_components_sum_to_cell_count(self, restaurant_schema):
-        # invariant: per user, nonzeros across vectors == that user's cells
+        # invariant: per user, nonzeros in the usage matrix == that user's cells
         rng = np.random.default_rng(7)
         cells = {}
         for _ in range(200):
@@ -252,10 +255,7 @@ class TestUsagePatternVectors:
         items = sorted({item for _, _, item in cells})
         cube = RatingCube(restaurant_schema, users, items, cells)
         for user in cube.users:
-            total = sum(
-                int(np.count_nonzero(vec))
-                for _, vec in cube.usage_pattern_vectors(user)
-            )
+            total = int(np.count_nonzero(cube.usage_matrix(user)[1]))
             expected = sum(
                 len(items) for items in cube.user_ratings(user).values()
             )

@@ -18,6 +18,7 @@ from ctxrec.errors import (
     InvalidConfig,
     MissingClustering,
     NoRatings,
+    NoVirtualUsers,
     UnknownUser,
     UnknownVirtualUser,
 )
@@ -386,7 +387,7 @@ class TestClusterVirtualUsers:
         from ctxrec.som import assign
 
         space = small_model.space
-        labels = assign(small_model.user_model.som, list(space.matrix))
+        labels = assign(small_model.user_model.som, space.matrix)
         assert small_model.user_model.membership == dict(
             zip(space.keys, labels)
         )
@@ -541,6 +542,13 @@ class TestRecommend:
         sit = schema.situation_from_names(("a", "x"))
         with pytest.raises(UnknownUser):
             recommend(model, space, clusterings, "ghost", sit, 5)
+
+    def test_user_without_virtual_users(self):
+        schema, clusterings, space, model = self.two_cluster_setup()
+        clusterings = {**clusterings, "u3": ContextClustering("u3", {}, 0)}
+        sit = schema.situation_from_names(("a", "x"))
+        with pytest.raises(NoVirtualUsers, match="'u3' has no virtual users"):
+            recommend(model, space, clusterings, "u3", sit, 5)
 
 
 class TestFitPipeline:

@@ -8,7 +8,7 @@ import pytest
 
 from ctxrec.errors import EmptyInput, InvalidConfig, LengthMismatch
 from ctxrec.rng import Xoshiro256
-from ctxrec import jsonio
+from ctxrec import jsonio, som
 from ctxrec.som import (
     SomConfig,
     SomNetwork,
@@ -164,6 +164,20 @@ class TestTrain:
                 [np.array([1.0, 2.0]), np.array([1.0])],
                 SomConfig(neuron_count=2),
             )
+
+    def test_wrong_ndim_rejected(self):
+        with pytest.raises(LengthMismatch):
+            train(np.ones(3), SomConfig(neuron_count=2))
+        with pytest.raises(LengthMismatch):
+            train(np.ones((2, 3, 1)), SomConfig(neuron_count=2))
+
+    def test_array_input_is_used_without_a_copy(self):
+        matrix = np.random.default_rng(4).uniform(0.0, 5.0, (9, 6))
+        matrix.setflags(write=False)
+        assert som._as_input_matrix(matrix) is matrix
+        cfg = SomConfig(neuron_count=3, seed=2)
+        from_list = train([row.copy() for row in matrix], cfg)
+        assert train(matrix, cfg).weights.tobytes() == from_list.weights.tobytes()
 
     def test_weights_stay_finite_and_nonnegative(self):
         rng = np.random.default_rng(5)
@@ -343,6 +357,37 @@ class TestAssign:
         assert len(set(labels[:3])) == 1
         assert len(set(labels[3:])) == 1
         assert labels[0] != labels[3]
+
+    def test_matches_the_per_input_similarity_argmax(self):
+        # reference: one input at a time, the weight-row norms recomputed
+        # for each input, an all-zero row or input scoring 0 everywhere
+        rng = np.random.default_rng(12)
+        weights = rng.uniform(0.0, 1.0, (7, 30))
+        weights[3] = 0.0
+        inputs = np.where(rng.random((40, 30)) < 0.2, rng.integers(1, 6, (40, 30)), 0.0)
+        inputs[5] = 0.0
+        net = net_from_rows(weights)
+        expected = []
+        for x in inputs:
+            denom = np.linalg.norm(weights, axis=1) * np.linalg.norm(x)
+            sims = np.divide(weights @ x, denom, out=np.zeros_like(denom), where=denom > 0.0)
+            expected.append(int(np.argmax(sims)))
+        assert assign(net, inputs) == expected
+        assert assign(net, list(inputs)) == expected
+        assert [find_bmu(net, x) for x in inputs] == expected
+
+    def test_bad_input_shapes_rejected(self):
+        net = net_from_rows([[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(EmptyInput):
+            assign(net, np.zeros((0, 2)))
+        with pytest.raises(LengthMismatch):
+            assign(net, [np.ones(2), np.ones(3)])
+        with pytest.raises(LengthMismatch):
+            assign(net, np.ones((2, 3)))
+        with pytest.raises(LengthMismatch):
+            assign(net, np.ones(2))
+        with pytest.raises(LengthMismatch):
+            find_bmu(net, np.ones(3))
 
 
 class TestMeanSimilarity:
