@@ -230,10 +230,12 @@ class TestUsagePatternVectors:
         rows = [("u1", f"i{k}", ctx, 3) for k, ctx in enumerate(names)]
         cube = make_cube(restaurant_schema, rows)
         flats, matrix = cube.usage_matrix("u1")
-        assert matrix.shape == (3, 3)
-        assert flats == sorted(flats)
         encoded = [restaurant_schema.situation_from_names(n).flat_index for n in names]
         assert flats == sorted(encoded)
+        # item i<k> is rated 3 in situation k, and in no other
+        for flat, row in zip(flats, matrix):
+            k = encoded.index(flat)
+            assert row.tolist() == [3.0 if j == k else 0.0 for j in range(3)]
 
     def test_unknown_user_rejected(self, schema2x2):
         cube = make_cube(schema2x2, [("u1", "i1", ("a", "x"), 3)])
