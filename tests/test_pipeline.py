@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctxrec.baseline import flatten_cube
+from ctxrec.baseline import BaselineModel, flatten_cube
 from ctxrec.core import default_schema
 from ctxrec.datagen import GenConfig, generate
 from ctxrec import jsonio
@@ -27,6 +27,7 @@ from ctxrec.pipeline import (
     DEFAULT_PHASE1_NEURONS,
     DEFAULT_PHASE3_NEURONS,
     ContextClustering,
+    PipelineModel,
     RowSpace,
     aggregate,
     build_virtual_space,
@@ -40,7 +41,7 @@ from ctxrec.pipeline import (
     recommend,
     save_pipeline,
 )
-from ctxrec.som import SomConfig, cosine_similarity
+from ctxrec.som import SomConfig, SomNetwork, cosine_similarity
 
 from conftest import make_cube, tiny_schema
 
@@ -549,6 +550,164 @@ class TestRecommend:
         sit = schema.situation_from_names(("a", "x"))
         with pytest.raises(NoVirtualUsers, match="'u3' has no virtual users"):
             recommend(model, space, clusterings, "u3", sit, 5)
+
+
+def reference_scores(model, space, key) -> dict[str, float]:
+    """The scorer written out plainly: one ``cosine_similarity`` per peer, a
+    masked weighted mean, the prototype where no peer rated an item.  These
+    are the bits ``predict_scores`` must reproduce."""
+    row = space.row(key)
+    neuron = model.membership[key]
+    prototype = model.som.weights[neuron]
+    own_vec = space.matrix[row]
+    peers = [
+        r for r, k in enumerate(space.keys) if r != row and model.membership[k] == neuron
+    ]
+    if peers:
+        peer_rows = space.matrix[peers]
+        sims = np.asarray([cosine_similarity(own_vec, peer) for peer in peer_rows])
+        rated = peer_rows > 0.0
+        num = sims @ np.where(rated, peer_rows, 0.0)
+        den = sims @ rated
+        with np.errstate(invalid="ignore"):
+            scored = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), prototype)
+    else:
+        scored = np.asarray(prototype, dtype=np.float64)
+    return {space.items[j]: float(scored[j]) for j in np.flatnonzero(own_vec == 0.0)}
+
+
+def reference_rank(scores, n) -> list[tuple[str, float]]:
+    return sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[: max(n, 0)]
+
+
+def reference_label(model: PipelineModel, user, situation) -> int:
+    clustering = model.clusterings[user]
+    label = clustering.labels.get(situation.flat_index)
+    if label is None:
+        label = max(
+            range(1, clustering.m + 1),
+            key=lambda k: (len(model.space.ratings_of((user, k))), -k),
+        )
+    return label
+
+
+def bits(pairs) -> list[tuple[str, str]]:
+    """(item, score) pairs with each score as its exact float bits."""
+    return [(item, float.hex(score)) for item, score in pairs]
+
+
+def assert_matches_reference(model: PipelineModel, flat: BaselineModel) -> None:
+    """Every key's scores and rankings of both systems equal the reference's,
+    bit for bit, for n in {-1, 0, 1, 2, more than the candidates}; so do the
+    pipeline's ``recommend`` results in labelled and unlabelled situations."""
+    ns = (-1, 0, 1, 2, len(model.space.items) + 1)
+    for system, space, user_model in (
+        ("pipeline", model.space, model.user_model),
+        ("baseline", flat.space, flat.user_model),
+    ):
+        for key in space.keys:
+            expected = reference_scores(user_model, space, key)
+            got = predict_scores(user_model, space, key)
+            assert bits(got.items()) == bits(expected.items())
+            for n in ns:
+                ranked = reference_rank(expected, n)
+                assert bits(rank_items(expected, n)) == bits(ranked)
+                items = [item for item, _ in ranked]
+                if system == "pipeline":
+                    assert model.recommend_key(key, n) == items
+                else:
+                    assert bits(flat.recommend(key, n)) == bits(ranked)
+                    assert flat.recommend_key(key, n) == items
+    for user, clustering in model.clusterings.items():
+        # every labelled situation, and unlabelled ones among the first four
+        for flat_index in sorted(set(clustering.labels) | set(range(4))):
+            situation = model.schema.situation_from_flat(flat_index)
+            label = reference_label(model, user, situation)
+            expected = reference_scores(model.user_model, model.space, (user, label))
+            for n in ns:
+                got = model.recommend(user, situation, n)
+                assert bits(got) == bits(reference_rank(expected, n))
+
+
+def scored_systems(schema, items, users_m, flats, matrix, weights):
+    """A pipeline and a baseline model sharing one matrix and one SOM.
+
+    Pipeline rows are the virtual users (user, 1..m) in order; user ``i``
+    labels flat ``flats[k - 1]`` with ``k``.  Baseline rows are users
+    ``f0, f1, ...``.
+    """
+    keys = [(f"u{i}", k) for i, m in enumerate(users_m) for k in range(1, m + 1)]
+    clusterings = {
+        f"u{i}": ContextClustering(f"u{i}", {flats[k - 1]: k for k in range(1, m + 1)}, m)
+        for i, m in enumerate(users_m)
+    }
+    net = SomNetwork(np.asarray(weights, dtype=np.float64), SomConfig(len(weights)))
+    space = RowSpace(keys, items, matrix)
+    user_model = pipeline._cluster_model(net, space)
+    model = PipelineModel(schema, SomConfig(2), net.config, clusterings, space, user_model)
+    flat_space = RowSpace([f"f{r}" for r in range(len(keys))], items, matrix)
+    flat_model = pipeline._cluster_model(net, flat_space)
+    return model, BaselineModel(schema, flat_space, net.config, flat_model)
+
+
+# item ids whose column order is not their sorted order
+REF_ITEMS = ("c", "a10", "B", "a2", "é", "a")
+
+
+@st.composite
+def scored_cases(draw):
+    """Small random spaces and SOMs.  Ratings and weights come from a few
+    values, so rows repeat, rows are all-zero and scores tie; with up to four
+    neurons over a handful of rows, some neurons hold one row."""
+    p = draw(st.integers(1, len(REF_ITEMS)))
+    items = tuple(draw(st.permutations(REF_ITEMS))[:p])
+    users_m = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    rows = sum(users_m)
+    value = st.sampled_from([0.0, 0.0, 1.0, 2.0, 2.5, 4.0, 5.0])
+    weight = st.sampled_from([0.0, 0.25, 0.5, 1.0, 0.3])
+    matrix = draw(st.lists(st.lists(value, min_size=p, max_size=p), min_size=rows, max_size=rows))
+    neurons = draw(st.integers(1, 4))
+    weights = draw(
+        st.lists(st.lists(weight, min_size=p, max_size=p), min_size=neurons, max_size=neurons)
+    )
+    flats = draw(st.permutations(range(4)))
+    return scored_systems(tiny_schema(), items, users_m, flats, matrix, weights)
+
+
+class TestScorerReference:
+    """Scores and rankings equal the plain reference scorer bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=scored_cases())
+    def test_random_spaces(self, case):
+        assert_matches_reference(*case)
+
+    def test_zero_rows_singletons_ties_and_unsorted_items(self):
+        items = ("d", "b", "c", "a")
+        matrix = [
+            [5.0, 5.0, 0.0, 0.0],  # (u0, 1)
+            [0.0, 0.0, 0.0, 0.0],  # (u0, 2): all-zero
+            [5.0, 5.0, 2.0, 0.0],  # (u1, 1)
+            [5.0, 5.0, 0.0, 2.0],  # (u1, 2): ties (u0, 1)'s scores on c and a
+            [0.0, 0.0, 3.0, 3.0],  # (u2, 1): alone on neuron 1
+        ]
+        weights = [[1.0, 1.0, 0.5, 0.5], [0.0, 0.0, 0.5, 0.5]]
+        schema = tiny_schema()
+        model, flat = scored_systems(schema, items, [2, 2, 1], [3, 0, 1, 2], matrix, weights)
+        assert model.user_model.neurons.tolist() == [0, 0, 0, 0, 1]
+        scores = predict_scores(model.user_model, model.space, ("u0", 1))
+        assert scores == {"c": 2.0, "a": 2.0}
+        assert_matches_reference(model, flat)
+
+    def test_trained_model(self, small_model, small_cube):
+        flat_space = flatten_cube(small_cube)
+        flat = BaselineModel(
+            small_cube.schema,
+            flat_space,
+            SomConfig(5),
+            cluster_virtual_users(flat_space, SomConfig(5, epochs=10)),
+        )
+        assert_matches_reference(small_model, flat)
 
 
 class TestFitPipeline:
