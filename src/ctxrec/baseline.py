@@ -18,10 +18,9 @@ from .pipeline import (
     UserClusterModel,
     _average_rows,
     _load_bundle,
+    _ranked,
     _save_bundle,
     cluster_virtual_users,
-    predict_scores,
-    rank_items,
 )
 from .som import SomConfig
 
@@ -45,7 +44,7 @@ class BaselineModel:
     user_model: UserClusterModel
 
     def recommend(self, user: str, n: int) -> list[tuple[str, float]]:
-        return rank_items(predict_scores(self.user_model, self.space, user), n)
+        return _ranked(self.user_model, self.space, user, n)
 
     def recommend_key(self, key: str, n: int) -> list[str]:
         return [item for item, _ in self.recommend(key, n)]

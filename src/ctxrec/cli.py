@@ -122,6 +122,12 @@ def _parse_counts(text: str) -> tuple[int, ...]:
     return counts
 
 
+def _check_count(flag: str, value: int) -> None:
+    """A count flag (``--parallel``, ``--num``) must be at least 1."""
+    if value < 1:
+        raise UsageError(f"{flag} must be >= 1, got {value}")
+
+
 def _load_schema_arg(path: str | None) -> ContextSchema:
     return load_schema(path) if path else default_schema()
 
@@ -231,6 +237,7 @@ def cmd_split(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _check_count("--parallel", args.parallel)
     schema = _load_schema_arg(args.schema)
     _check_dimension_names(schema)
     cube = load_ratings(args.ratings, schema)
@@ -331,6 +338,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_recommend(args) -> int:
+    _check_count("--num", args.num)
     model, system = _load_model(args.model)
     _check_dimension_names(model.schema)
     # one --<dimension> VALUE flag per dimension of the model's schema
@@ -367,6 +375,7 @@ def cmd_recommend(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    _check_count("--parallel", args.parallel)
     schema = _load_schema_arg(args.schema)
     cube = load_ratings(args.ratings, schema)
     split_cfg = _split_cfg(args)

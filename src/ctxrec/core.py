@@ -13,7 +13,8 @@ Inside vectors, 0 always means "unrated"; legal ratings start at 1.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Mapping, Sequence
 
@@ -39,6 +40,8 @@ class ContextDimension:
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(self.values))
+        if not isinstance(self.name, str) or not all(isinstance(v, str) for v in self.values):
+            raise InvalidConfig("dimension names and values must be strings")
         if not self.name:
             raise InvalidConfig("dimension name must be non-empty")
         if not self.values:
@@ -66,6 +69,8 @@ class ContextSchema:
     dimensions: tuple[ContextDimension, ...]
     rating_min: int = 1
     rating_max: int = 5
+    cardinalities: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    situation_count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "dimensions", tuple(self.dimensions))
@@ -83,43 +88,34 @@ class ContextSchema:
             "_value_index",
             tuple({v: i for i, v in enumerate(d.values)} for d in self.dimensions),
         )
-
-    @property
-    def cardinalities(self) -> tuple[int, ...]:
-        return tuple(d.cardinality for d in self.dimensions)
-
-    @property
-    def situation_count(self) -> int:
-        count = 1
-        for d in self.dimensions:
-            count *= d.cardinality
-        return count
+        cardinalities = tuple(d.cardinality for d in self.dimensions)
+        object.__setattr__(self, "cardinalities", cardinalities)
+        object.__setattr__(self, "situation_count", math.prod(cardinalities))
 
     def encode(self, indices: Sequence[int]) -> int:
         """Mixed-radix encoding of value indices; last dimension fastest."""
-        if len(indices) != len(self.dimensions):
+        if len(indices) != len(self.cardinalities):
             raise InvalidConfig(
-                f"expected {len(self.dimensions)} indices, got {len(indices)}"
+                f"expected {len(self.cardinalities)} indices, got {len(indices)}"
             )
         flat = 0
-        for idx, dim in zip(indices, self.dimensions):
-            if not 0 <= idx < dim.cardinality:
+        for pos, (idx, k) in enumerate(zip(indices, self.cardinalities)):
+            if not 0 <= idx < k:
                 raise UnknownContextValue(
-                    f"index {idx} out of range for dimension {dim.name!r}"
+                    f"index {idx} out of range for dimension {self.dimensions[pos].name!r}"
                 )
-            flat = flat * dim.cardinality + idx
+            flat = flat * k + idx
         return flat
 
     def decode(self, flat_index: int) -> tuple[int, ...]:
         if not 0 <= flat_index < self.situation_count:
             raise InvalidConfig(f"flat index {flat_index} out of range")
-        indices = [0] * len(self.dimensions)
+        indices = []
         rest = flat_index
-        for pos in range(len(self.dimensions) - 1, -1, -1):
-            k = self.dimensions[pos].cardinality
-            indices[pos] = rest % k
-            rest //= k
-        return tuple(indices)
+        for k in reversed(self.cardinalities):
+            rest, idx = divmod(rest, k)
+            indices.append(idx)
+        return tuple(reversed(indices))
 
     def situation_from_flat(self, flat_index: int) -> ContextSituation:
         return ContextSituation(self.decode(flat_index), flat_index)

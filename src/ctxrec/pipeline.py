@@ -34,7 +34,7 @@ from .errors import (
     UnknownVirtualUser,
 )
 from .rng import derive_seed
-from .som import SomConfig, SomNetwork, assign, cosine_similarity, train, train_many
+from .som import SomConfig, SomNetwork, assign, train, train_many
 from .som import som_from_json_dict, som_to_json_dict
 from . import jsonio
 
@@ -137,6 +137,10 @@ class RowSpace:
         self.index = {key: i for i, key in enumerate(self.keys)}
         if len(self.index) != len(self.keys):
             raise InvalidConfig("row keys must be unique")
+        # each column's place in ascending item-id order, the ranking tie-break
+        by_id = sorted(range(len(self.items)), key=self.items.__getitem__)
+        self.item_rank = np.empty(len(by_id), dtype=np.intp)
+        self.item_rank[by_id] = np.arange(len(by_id))
 
     @classmethod
     def from_ratings(
@@ -176,6 +180,8 @@ class RowSpace:
     @classmethod
     def from_json_dict(cls, data) -> "RowSpace":
         rows = data["rows"]
+        if not all(isinstance(id_, str) for id_ in [*data["items"], *(r["user"] for r in rows)]):
+            raise InvalidConfig("item and user ids must be strings")
         keys = [(r["user"], int(r["label"])) if "label" in r else r["user"] for r in rows]
         if len(set(keys)) != len(keys):
             raise InvalidConfig("row keys must be unique")
@@ -218,16 +224,35 @@ def build_virtual_space(
 
 @dataclass
 class UserClusterModel:
-    """Phase-3 SOM over a 2-D space plus each row's neuron, by key and by row."""
+    """Phase-3 SOM over a 2-D space plus each row's neuron, by key and by row.
+
+    ``norms`` holds each row's Euclidean norm and ``members[k]`` the rows on
+    neuron ``k`` in ascending order: the scorer's O(rows) state.
+    """
 
     som: SomNetwork
     membership: dict
     neurons: np.ndarray = field(repr=False, compare=False)
+    norms: np.ndarray = field(repr=False, compare=False)
+    members: tuple[np.ndarray, ...] = field(repr=False, compare=False)
 
 
 def _cluster_model(net: SomNetwork, space: RowSpace) -> UserClusterModel:
-    neurons = assign(net, space.matrix)
-    return UserClusterModel(net, dict(zip(space.keys, neurons)), np.asarray(neurons, int))
+    neurons = np.asarray(assign(net, space.matrix), int)
+    # np.linalg.norm of one row, as cosine_similarity calls it, is
+    # sqrt(row.dot(row)); np.linalg.norm(axis=1) differs in the last bit on
+    # some rows
+    squares = np.fromiter((row.dot(row) for row in space.matrix), np.float64, len(neurons))
+    norms = np.sqrt(squares)
+    by_neuron = np.argsort(neurons, kind="stable")
+    bounds = np.searchsorted(neurons[by_neuron], np.arange(1, net.neuron_count))
+    return UserClusterModel(
+        net,
+        dict(zip(space.keys, neurons.tolist())),
+        neurons,
+        norms,
+        tuple(np.split(by_neuron, bounds)),
+    )
 
 
 def cluster_virtual_users(
@@ -241,6 +266,35 @@ def cluster_virtual_users(
     return _cluster_model(train(space.matrix, cfg), space)
 
 
+def _score(model: UserClusterModel, space: RowSpace, key) -> tuple[np.ndarray, np.ndarray]:
+    """The row's unrated columns, ascending, and their predicted scores.
+
+    Each peer's similarity is ``cosine_similarity`` of the two rows, bit for
+    bit: one ``np.dot`` per peer over the cached norms (a batched product
+    rounds differently).  0 means unrated, so the peers' rows are already the
+    masked ratings of the weighted mean.
+    """
+    row = space.row(key)  # raises for unknown keys
+    neuron = model.neurons[row]
+    prototype = model.som.weights[neuron]
+    own_vec = space.matrix[row]
+    peers = model.members[neuron]
+    peers = peers[peers != row]
+    if len(peers):
+        peer_rows = space.matrix[peers]
+        denom = model.norms[row] * model.norms[peers]
+        dots = np.fromiter(map(own_vec.dot, peer_rows), np.float64, len(peers))
+        sims = np.divide(dots, denom, out=np.zeros_like(denom), where=denom != 0.0)
+        num = sims @ peer_rows
+        den = sims @ (peer_rows > 0.0)
+        with np.errstate(invalid="ignore"):
+            scored = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), prototype)
+    else:
+        scored = prototype
+    columns = np.flatnonzero(own_vec == 0.0)
+    return columns, scored[columns]
+
+
 def predict_scores(model: UserClusterModel, space: RowSpace, key) -> dict[str, float]:
     """Predicted score per unrated item for one row of the space.
 
@@ -249,31 +303,32 @@ def predict_scores(model: UserClusterModel, space: RowSpace, key) -> dict[str, f
     When no peer rated the item (or total similarity is zero), the neuron's
     weight component stands in.  Items the row already rated are excluded.
     """
-    row = space.row(key)  # raises for unknown keys
-    neuron = model.neurons[row]
-    prototype = model.som.weights[neuron]
-    own_vec = space.matrix[row]
-    peers = np.flatnonzero(model.neurons == neuron)
-    peers = peers[peers != row]
-    if len(peers):
-        peer_rows = space.matrix[peers]
-        sims = np.asarray(
-            [cosine_similarity(own_vec, peer) for peer in peer_rows], dtype=np.float64
-        )
-        rated = peer_rows > 0.0
-        num = sims @ np.where(rated, peer_rows, 0.0)
-        den = sims @ rated
-        with np.errstate(invalid="ignore"):
-            scored = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), prototype)
-    else:
-        scored = np.asarray(prototype, dtype=np.float64)
-    return {space.items[j]: float(scored[j]) for j in np.flatnonzero(own_vec == 0.0)}
+    columns, scores = _score(model, space, key)
+    return {space.items[j]: score for j, score in zip(columns.tolist(), scores.tolist())}
+
+
+def _top_n(
+    items: Sequence[str], item_rank: np.ndarray, columns: np.ndarray, scores: np.ndarray, n: int
+) -> list[tuple[str, float]]:
+    """The n best (item, score) of the candidate columns: descending score,
+    ties to ascending item id (``item_rank`` is each column's place in it)."""
+    if n <= 0:
+        return []
+    top = np.lexsort((item_rank[columns], -scores))[:n]
+    return [(items[j], s) for j, s in zip(columns[top].tolist(), scores[top].tolist())]
+
+
+def _ranked(model: UserClusterModel, space: RowSpace, key, n: int) -> list[tuple[str, float]]:
+    """``rank_items(predict_scores(model, space, key), n)`` from arrays."""
+    return _top_n(space.items, space.item_rank, *_score(model, space, key), n)
 
 
 def rank_items(scores: Mapping[str, float], n: int) -> list[tuple[str, float]]:
     """Top-n by descending score; ties broken by ascending item id."""
-    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-    return ranked[: max(n, 0)]
+    items = sorted(scores)
+    order = np.arange(len(items))
+    values = np.array([scores[item] for item in items], dtype=np.float64)
+    return _top_n(items, order, order, values, n)
 
 
 def recommend(
@@ -303,7 +358,7 @@ def recommend(
             range(1, clustering.m + 1),
             key=lambda k: (np.count_nonzero(space.matrix[space.row((user, k))]), -k),
         )
-    return rank_items(predict_scores(model, space, (user, label)), n)
+    return _ranked(model, space, (user, label), n)
 
 
 @dataclass
@@ -326,7 +381,7 @@ class PipelineModel:
 
     def recommend_key(self, key: VirtualUserId, n: int) -> list[str]:
         """Ranked item ids for one virtual user (evaluation surface)."""
-        return [item for item, _ in rank_items(predict_scores(self.user_model, self.space, key), n)]
+        return [item for item, _ in _ranked(self.user_model, self.space, key, n)]
 
     def eval_user_pool(self) -> list[str]:
         return sorted(self.clusterings)
@@ -448,8 +503,8 @@ def _read_part(path: Path, parse):
 def _load_bundle(directory: str | Path, space_file: str):
     """Read schema.json, the space file and user_som.json of either system.
 
-    The SOM must span the space's items and every stored rating must lie in
-    the schema's range.  Returns (schema, space, user model).
+    The SOM must span the space's items with finite weights and every stored
+    rating must lie in the schema's range.  Returns (schema, space, user model).
     """
     directory = Path(directory)
     space_path, som_path = directory / space_file, directory / "user_som.json"
@@ -458,6 +513,8 @@ def _load_bundle(directory: str | Path, space_file: str):
     net = _read_part(som_path, som_from_json_dict)
     if net.weights.ndim != 2 or net.p != len(space.items):
         raise CorruptFile(f"{som_path} does not span the items of {space_file}")
+    if not np.isfinite(net.weights).all():
+        raise CorruptFile(f"{som_path} holds a non-finite weight")
     stored = space.matrix[space.matrix != 0.0]
     if not np.all((stored >= schema.rating_min) & (stored <= schema.rating_max)):
         raise CorruptFile(f"{space_path} holds a rating outside the schema's range")

@@ -1,10 +1,19 @@
 """CLI: flag handling, file outputs, exit codes, reproducibility."""
 
+import io
+import json
 import shutil
 import subprocess
 import sys
+import tempfile
+import traceback
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctxrec.cli import main
 from ctxrec.core import (
@@ -476,6 +485,21 @@ class TestCorruptBundle:
         self.assert_one_error_line(capsys, code, name)
 
     @pytest.mark.parametrize("command", ["recommend", "eval"])
+    @pytest.mark.parametrize("system", ["pipeline", "baseline"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_som_weight(
+        self, request, dataset, tmp_path, capsys, system, value, command
+    ):
+        bundle = tmp_path / "model"
+        shutil.copytree(request.getfixturevalue(f"{system}_bundle"), bundle)
+        data = jsonio.read_json(bundle / "user_som.json")
+        data["weights"][-1][0] = value
+        # the json module writes NaN, Infinity and -Infinity, and reads them back
+        (bundle / "user_som.json").write_text(json.dumps(data))
+        code = self.run_on(command, bundle, dataset, tmp_path, system)
+        self.assert_one_error_line(capsys, code, "user_som.json")
+
+    @pytest.mark.parametrize("command", ["recommend", "eval"])
     def test_flat_index_outside_the_schema(
         self, dataset, pipeline_bundle, tmp_path, capsys, command
     ):
@@ -639,6 +663,139 @@ class TestCompare:
         assert (out_a / "compare.csv").read_bytes() == (
             out_b / "compare.csv"
         ).read_bytes()
+
+
+class TestCountFlags:
+    """A worker or result count below 1 is a usage error, not a silent default."""
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("train", "--parallel", 0),
+            ("train", "--parallel", -3),
+            ("compare", "--parallel", 0),
+            ("compare", "--parallel", -2),
+            ("recommend", "--num", 0),
+            ("recommend", "-n", -5),
+        ],
+    )
+    def test_count_below_one_is_usage_error(
+        self, dataset, pipeline_bundle, tmp_path, capsys, command, flag, value
+    ):
+        out = tmp_path / "out"
+        if command == "recommend":
+            argv = ("--model", pipeline_bundle, "--user", "u001", *TestRecommend.CONTEXT)
+        elif command == "train":
+            argv = ("--ratings", dataset / "split" / "train.csv", "--out", out)
+        else:
+            argv = ("--ratings", dataset / "data" / "ratings.csv", "--out", out)
+        code = run_cli(command, *argv, flag, value)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ctxrec: error: ")
+        assert "--parallel" in err if flag == "--parallel" else "--num" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+
+# what the fuzz test writes over one CSV field or one bundle JSON value
+FIELD_SWAPS = ("", "x", "NaN", "-1")
+VALUE_SWAPS = ({}, [], None, float("nan"))
+
+
+def run_captured(*argv) -> tuple[object, str]:
+    """Run the CLI in this process; returns the exit code and everything a
+    separate process would have printed on stderr: messages, warnings and
+    the traceback of an exception that escaped ``main``."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            try:
+                code = main([str(a) for a in argv])
+            except SystemExit as exc:
+                code = exc.code
+            except Exception:
+                code = None
+                err.write(traceback.format_exc())
+    for w in caught:
+        err.write(warnings.formatwarning(w.message, w.category, w.filename, w.lineno))
+    return code, err.getvalue()
+
+
+def json_paths(data, path=()):
+    """The path of every value in a parsed JSON document, the root first."""
+    yield path
+    if isinstance(data, (dict, list)):
+        for key, value in data.items() if isinstance(data, dict) else enumerate(data):
+            yield from json_paths(value, path + (key,))
+
+
+def replaced(data, path, value):
+    if not path:
+        return value
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
+@st.composite
+def csv_mutations(draw, text: str) -> str:
+    """The CSV with one line cut short or one field swapped."""
+    lines = text.splitlines()
+    k = draw(st.integers(0, len(lines) - 1))
+    if draw(st.booleans()):
+        lines[k] = lines[k][: draw(st.integers(0, len(lines[k]) - 1))]
+    else:
+        fields = lines[k].split(",")
+        fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(FIELD_SWAPS))
+        lines[k] = ",".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+class TestFuzz:
+    """Mutated CSVs and bundles: the exit code stays 0, 1 or 2, and stderr
+    never shows a traceback or a warning."""
+
+    def assert_clean(self, *argv):
+        code, err = run_captured(*argv)
+        assert code in (0, 1, 2), err
+        assert "Traceback" not in err and "Warning" not in err, err
+        return code
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_mutated_inputs(self, dataset, pipeline_bundle, baseline_bundle, data):
+        system = data.draw(st.sampled_from(["pipeline", "baseline"]))
+        bundle = {"pipeline": pipeline_bundle, "baseline": baseline_bundle}[system]
+        context = TestRecommend.CONTEXT if system == "pipeline" else ()
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            test_csv = dataset / "split" / "test.csv"
+            if data.draw(st.booleans(), label="mutate a CSV"):
+                text = (dataset / "split" / "train.csv").read_text()
+                test_csv = tmp / "ratings.csv"
+                test_csv.write_text(data.draw(csv_mutations(text)))
+                self.assert_clean(
+                    "train", "--ratings", test_csv, "--out", tmp / "m",
+                    "--system", system, "--epochs", 2, "--neurons-baseline", 5,
+                )
+            else:
+                model = tmp / "model"
+                shutil.copytree(bundle, model)
+                name = data.draw(st.sampled_from(sorted(p.name for p in bundle.iterdir())))
+                doc = json.loads((model / name).read_text())
+                path = data.draw(st.sampled_from(list(json_paths(doc))))
+                value = data.draw(st.sampled_from(VALUE_SWAPS))
+                (model / name).write_text(json.dumps(replaced(doc, path, value)))
+                bundle = model
+                self.assert_clean("recommend", "--model", bundle, "--user", "u001", *context)
+            self.assert_clean(
+                "eval", "--model", bundle, "--ratings", test_csv, "--out", tmp / "r",
+                "--sample-users", 4,
+            )
 
 
 class TestParser:

@@ -50,6 +50,11 @@ class TestContextDimension:
         with pytest.raises(InvalidConfig):
             ContextDimension("day", ("Weekday", "Weekday"))
 
+    @pytest.mark.parametrize("name, values", [(float("nan"), ("a",)), ("d", ("a", None))])
+    def test_rejects_non_string_names_and_values(self, name, values):
+        with pytest.raises(InvalidConfig, match="must be strings"):
+            ContextDimension(name, values)
+
 
 class TestContextSchema:
     def test_default_schema_situation_count(self):
@@ -120,6 +125,12 @@ class TestContextSchema:
     def test_decode_out_of_range(self):
         with pytest.raises(InvalidConfig):
             tiny_schema().decode(4)
+
+    def test_counts_are_fixed_at_construction(self):
+        schema = default_schema()
+        assert schema.cardinalities == (2, 4, 6, 7)
+        assert schema.situation_count == 336
+        assert schema == ContextSchema(schema.dimensions)
 
     def test_schema_needs_a_dimension(self):
         with pytest.raises(InvalidConfig):

@@ -348,6 +348,20 @@ class TestRowSpace:
         with pytest.raises(InvalidConfig):
             RowSpace(("u1", "u1"), ("i1",), [[1.0], [2.0]])
 
+    @pytest.mark.parametrize("field, value", [("user", None), ("user", 3), ("item", 1.5)])
+    def test_json_ids_must_be_strings(self, field, value):
+        data = RowSpace.from_ratings(ITEMS, {"u1": {"i1": 4.0}}).to_json_dict()
+        if field == "user":
+            data["rows"][0]["user"] = value
+        else:
+            data["items"][-1] = value
+        with pytest.raises(InvalidConfig, match="must be strings"):
+            RowSpace.from_json_dict(data)
+
+    def test_item_rank_is_the_sorted_order(self):
+        space = RowSpace(("u1",), ("c", "a10", "B", "a2"), [[0.0] * 4])
+        assert space.item_rank.tolist() == [3, 1, 0, 2]
+
     def test_unknown_keys(self):
         space = RowSpace.from_ratings(ITEMS, {"u1": {"i1": 4.0}})
         with pytest.raises(UnknownUser):
@@ -393,6 +407,15 @@ class TestClusterVirtualUsers:
             zip(space.keys, labels)
         )
         assert small_model.user_model.neurons.tolist() == labels
+
+    def test_scorer_state_is_norms_and_members(self, small_model):
+        # the bits cosine_similarity uses, and each neuron's rows in order
+        model, matrix = small_model.user_model, small_model.space.matrix
+        norms = [float(np.linalg.norm(row)) for row in matrix]
+        assert model.norms.tolist() == norms
+        assert len(model.members) == model.som.neuron_count
+        for neuron, rows in enumerate(model.members):
+            assert rows.tolist() == np.flatnonzero(model.neurons == neuron).tolist()
 
 
 class TestPredictScores:
@@ -472,6 +495,11 @@ class TestRankItems:
 
     def test_n_exceeding_candidates_returns_all(self):
         assert len(rank_items({"a": 1.0, "b": 2.0}, 10)) == 2
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_n_below_one_returns_nothing(self, n):
+        assert rank_items({"a": 1.0}, n) == []
+        assert rank_items({}, 3) == []
 
 
 class TestRecommend:
@@ -839,6 +867,16 @@ class TestPipelinePersistence:
 
         message = self.corrupt(small_model, tmp_path, "virtual_space.json", set_first)
         assert "virtual_space.json" in message
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_som_weights_must_be_finite(self, small_model, tmp_path, value):
+        save_pipeline(small_model, tmp_path / "bundle")
+        path = tmp_path / "bundle" / "user_som.json"
+        data = jsonio.read_json(path)
+        data["weights"][0][0] = value
+        path.write_text(json.dumps(data))
+        with pytest.raises(CorruptFile, match="user_som.json holds a non-finite weight"):
+            load_pipeline(tmp_path / "bundle")
 
     def test_labels_must_be_compacted(self, small_model, tmp_path):
         def skip_label(data):
