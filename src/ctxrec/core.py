@@ -324,6 +324,7 @@ def load_ratings(source: str | Path | IO[str], schema: ContextSchema) -> RatingC
         )
     n_dims = len(schema.dimensions)
     cells: dict[tuple[str, int, str], int] = {}
+    ids: dict[str, str] = {}
     for line_no, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -331,7 +332,8 @@ def load_ratings(source: str | Path | IO[str], schema: ContextSchema) -> RatingC
             raise MalformedRow(
                 f"line {line_no}: expected {len(expected)} fields, got {len(row)}"
             )
-        user_id, item_id = row[0], row[1]
+        # one str per distinct id, not one per row: the cube keeps the ids
+        user_id, item_id = ids.setdefault(row[0], row[0]), ids.setdefault(row[1], row[1])
         if not user_id or not item_id:
             raise MalformedRow(f"line {line_no}: empty user or item id")
         try:

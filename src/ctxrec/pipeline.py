@@ -121,19 +121,32 @@ def _usage_matrix(cube: RatingCube, user: str) -> tuple[list[int], np.ndarray]:
 
 
 class RowSpace:
-    """A 2-D recommendation space: one dense row per key, one column per item.
+    """A 2-D recommendation space: one row per key, one column per item.
 
     Keys are (user, label) virtual users for the pipeline and plain user ids
-    for the flat baseline.  ``matrix`` is read-only float64 and 0 means
-    unrated, so a row's rated items are its nonzero columns.
+    for the flat baseline, and 0 means unrated.  Only the rated entries are
+    kept, row by row in column order: row ``i`` holds ``values[starts[i]:
+    starts[i + 1]]`` in columns ``columns[starts[i]:starts[i + 1]]``.  The
+    spaces are a few per cent dense, so this is a small part of the dense
+    float64 matrix, which ``dense`` and ``matrix`` rebuild on demand with the
+    same values.
     """
 
     def __init__(self, keys: Sequence, items: Sequence[str], matrix: np.ndarray):
+        keys, items = tuple(keys), tuple(items)
+        matrix = np.asarray(matrix, dtype=np.float64).reshape(len(keys), len(items))
+        rows, columns = np.nonzero(matrix)
+        counts = np.bincount(rows, minlength=len(keys))
+        self._store(keys, items, counts, columns, matrix[rows, columns])
+
+    def _store(self, keys, items, counts, columns, values) -> None:
         self.keys = tuple(keys)
         self.items = tuple(items)
-        matrix = np.asarray(matrix, dtype=np.float64)
-        self.matrix = matrix.reshape(len(self.keys), len(self.items))
-        self.matrix.setflags(write=False)
+        self.starts = np.concatenate(([0], np.cumsum(counts, dtype=np.intp)))
+        self.columns = np.asarray(columns, dtype=np.intp)
+        self.values = np.asarray(values, dtype=np.float64)
+        for array in (self.starts, self.columns, self.values):
+            array.setflags(write=False)
         self.index = {key: i for i, key in enumerate(self.keys)}
         if len(self.index) != len(self.keys):
             raise InvalidConfig("row keys must be unique")
@@ -148,13 +161,38 @@ class RowSpace:
     ) -> "RowSpace":
         """Rows in the mapping's key order from ``{key: {item: value}}``."""
         column = {item: j for j, item in enumerate(items)}
-        matrix = np.zeros((len(ratings), len(column)))
-        for i, row in enumerate(ratings.values()):
-            for item, value in row.items():
-                matrix[i, column[item]] = float(value)
-        if np.count_nonzero(matrix) != sum(len(r) for r in ratings.values()):
+        if len(column) != len(items):
+            raise InvalidConfig("item ids must be unique")
+        rows = [
+            sorted((column[item], float(value)) for item, value in row.items())
+            for row in ratings.values()
+        ]
+        values = [value for row in rows for _, value in row]
+        if 0.0 in values:
             raise InvalidConfig("a stored rating is 0, which encodes 'unrated'")
-        return cls(ratings, items, matrix)
+        space = cls.__new__(cls)
+        columns = [j for row in rows for j, _ in row]
+        space._store(ratings, items, [len(row) for row in rows], columns, values)
+        return space
+
+    def dense(self, rows: Sequence[int]) -> np.ndarray:
+        """Dense float64 copies of the given rows, in that order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        first = self.starts[rows]
+        counts = self.starts[rows + 1] - first
+        ends = np.cumsum(counts)
+        # positions of the rows' entries in columns/values, row after row
+        take = np.arange(ends[-1] if len(ends) else 0) + np.repeat(first - ends + counts, counts)
+        out = np.zeros((len(rows), len(self.items)))
+        out[np.repeat(np.arange(len(rows)), counts), self.columns[take]] = self.values[take]
+        return out
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The whole space as one read-only dense matrix, built on each access."""
+        matrix = self.dense(np.arange(len(self.keys)))
+        matrix.setflags(write=False)
+        return matrix
 
     def row(self, key: Hashable) -> int:
         if key in self.index:
@@ -165,8 +203,10 @@ class RowSpace:
 
     def ratings_of(self, key: Hashable) -> dict[str, float]:
         """The row's rated items, in item order."""
-        values = self.matrix[self.row(key)]
-        return {self.items[j]: float(values[j]) for j in np.flatnonzero(values)}
+        row = self.row(key)
+        span = slice(self.starts[row], self.starts[row + 1])
+        columns, values = self.columns[span].tolist(), self.values[span].tolist()
+        return {self.items[j]: value for j, value in zip(columns, values)}
 
     def to_json_dict(self) -> dict:
         rows = []
@@ -237,13 +277,25 @@ class UserClusterModel:
     members: tuple[np.ndarray, ...] = field(repr=False, compare=False)
 
 
+# rows made dense at a time while a model is built: about 0.8 MB at 384
+# items, where the whole space at 630 x 400 is about 5 MB
+DENSE_BLOCK = 256
+
+
 def _cluster_model(net: SomNetwork, space: RowSpace) -> UserClusterModel:
-    neurons = np.asarray(assign(net, space.matrix), int)
-    # np.linalg.norm of one row, as cosine_similarity calls it, is
-    # sqrt(row.dot(row)); np.linalg.norm(axis=1) differs in the last bit on
-    # some rows
-    squares = np.fromiter((row.dot(row) for row in space.matrix), np.float64, len(neurons))
-    norms = np.sqrt(squares)
+    if not space.keys:
+        raise EmptySpace("no rows to cluster")
+    neurons: list[int] = []
+    squares: list[float] = []
+    for start in range(0, len(space.keys), DENSE_BLOCK):
+        block = space.dense(np.arange(start, min(start + DENSE_BLOCK, len(space.keys))))
+        neurons += assign(net, block)
+        # np.linalg.norm of one row, as cosine_similarity calls it, is
+        # sqrt(row.dot(row)); np.linalg.norm(axis=1) differs in the last bit
+        # on some rows
+        squares += [row.dot(row) for row in block]
+    neurons = np.asarray(neurons, int)
+    norms = np.sqrt(np.array(squares))
     by_neuron = np.argsort(neurons, kind="stable")
     bounds = np.searchsorted(neurons[by_neuron], np.arange(1, net.neuron_count))
     return UserClusterModel(
@@ -277,11 +329,11 @@ def _score(model: UserClusterModel, space: RowSpace, key) -> tuple[np.ndarray, n
     row = space.row(key)  # raises for unknown keys
     neuron = model.neurons[row]
     prototype = model.som.weights[neuron]
-    own_vec = space.matrix[row]
+    own_vec = space.dense([row])[0]
     peers = model.members[neuron]
     peers = peers[peers != row]
     if len(peers):
-        peer_rows = space.matrix[peers]
+        peer_rows = space.dense(peers)
         denom = model.norms[row] * model.norms[peers]
         dots = np.fromiter(map(own_vec.dot, peer_rows), np.float64, len(peers))
         sims = np.divide(dots, denom, out=np.zeros_like(denom), where=denom != 0.0)
@@ -356,7 +408,7 @@ def recommend(
             raise NoVirtualUsers(f"user {user!r} has no virtual users")
         label = max(
             range(1, clustering.m + 1),
-            key=lambda k: (np.count_nonzero(space.matrix[space.row((user, k))]), -k),
+            key=lambda k: (len(space.ratings_of((user, k))), -k),
         )
     return _ranked(model, space, (user, label), n)
 
@@ -515,7 +567,7 @@ def _load_bundle(directory: str | Path, space_file: str):
         raise CorruptFile(f"{som_path} does not span the items of {space_file}")
     if not np.isfinite(net.weights).all():
         raise CorruptFile(f"{som_path} holds a non-finite weight")
-    stored = space.matrix[space.matrix != 0.0]
+    stored = space.values
     if not np.all((stored >= schema.rating_min) & (stored <= schema.rating_max)):
         raise CorruptFile(f"{space_path} holds a rating outside the schema's range")
     return schema, space, _cluster_model(net, space)

@@ -323,6 +323,12 @@ class TestRowSpace:
         assert again.matrix.tobytes() == space.matrix.tobytes()
         for key in space.keys:
             assert again.ratings_of(key) == space.ratings_of(key) == ratings[key]
+        # the stored entries and dense rows in any order agree with the matrix
+        dense = RowSpace(space.keys, space.items, space.matrix)
+        for name in ("starts", "columns", "values"):
+            assert getattr(dense, name).tobytes() == getattr(space, name).tobytes()
+        backwards = np.arange(len(space.keys))[::-1]
+        assert space.dense(backwards).tobytes() == space.matrix[backwards].tobytes()
 
     def test_ratings_of_in_item_order(self):
         space = RowSpace.from_ratings(ITEMS, {"u1": {"i3": 2.0, "i1": 5.0}})
@@ -343,6 +349,10 @@ class TestRowSpace:
     def test_stored_zero_rejected(self):
         with pytest.raises(InvalidConfig):
             RowSpace.from_ratings(ITEMS, {"u1": {"i1": 0.0}})
+
+    def test_duplicate_items_rejected(self):
+        with pytest.raises(InvalidConfig):
+            RowSpace.from_ratings(("i1", "i1"), {"u1": {"i1": 4.0}})
 
     def test_duplicate_keys_rejected(self):
         with pytest.raises(InvalidConfig):
