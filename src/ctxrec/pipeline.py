@@ -163,16 +163,16 @@ class RowSpace:
         column = {item: j for j, item in enumerate(items)}
         if len(column) != len(items):
             raise InvalidConfig("item ids must be unique")
-        rows = [
-            sorted((column[item], float(value)) for item, value in row.items())
-            for row in ratings.values()
-        ]
-        values = [value for row in rows for _, value in row]
-        if 0.0 in values:
+        rows = list(ratings.values())
+        columns = np.array([column[item] for row in rows for item in row], dtype=np.intp)
+        values = np.array([float(v) for row in rows for v in row.values()], dtype=np.float64)
+        if (values == 0.0).any():
             raise InvalidConfig("a stored rating is 0, which encodes 'unrated'")
+        counts = [len(row) for row in rows]
+        # each row's entries in column order
+        order = np.lexsort((columns, np.repeat(np.arange(len(rows)), counts)))
         space = cls.__new__(cls)
-        columns = [j for row in rows for j, _ in row]
-        space._store(ratings, items, [len(row) for row in rows], columns, values)
+        space._store(ratings, items, counts, columns[order], values[order])
         return space
 
     def dense(self, rows: Sequence[int]) -> np.ndarray:
