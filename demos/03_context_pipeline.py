@@ -25,7 +25,7 @@ def main():
           f"(mean {sum(sizes) / len(sizes):.2f})")
     print(f"phase 2: {len(model.space.keys)} virtual users "
           f"(vs {len(cube.users)} real ones)")
-    occupied = len(set(model.user_model.membership.values()))
+    occupied = len(set(model.user_model.neurons.tolist()))
     print(f"phase 3: virtual users spread over {occupied} neurons")
 
     # pick a user whose situations split into several clusters

@@ -36,8 +36,6 @@ from .pipeline import (
     cluster_virtual_users,
     fit_pipeline,
     load_pipeline,
-    predict_scores,
-    rank_items,
     recommend,
     save_pipeline,
 )
@@ -105,8 +103,6 @@ __all__ = [
     "neuron_sweep",
     "per_cluster_f1",
     "precision_recall",
-    "predict_scores",
-    "rank_items",
     "recommend",
     "save_baseline",
     "save_pipeline",

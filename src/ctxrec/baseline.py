@@ -40,7 +40,6 @@ class BaselineModel:
 
     schema: ContextSchema
     space: RowSpace
-    cfg: SomConfig
     user_model: UserClusterModel
 
     def recommend(self, user: str, n: int) -> list[tuple[str, float]]:
@@ -70,7 +69,7 @@ def fit_baseline(cube: RatingCube, cfg: SomConfig | None = None) -> BaselineMode
         cfg = SomConfig(DEFAULT_BASELINE_NEURONS)
     space = flatten_cube(cube)
     user_model = cluster_virtual_users(space, cfg)
-    return BaselineModel(cube.schema, space, cfg, user_model)
+    return BaselineModel(cube.schema, space, user_model)
 
 
 def save_baseline(model: BaselineModel, directory: str | Path) -> None:
@@ -79,4 +78,4 @@ def save_baseline(model: BaselineModel, directory: str | Path) -> None:
 
 def load_baseline(directory: str | Path) -> BaselineModel:
     schema, space, user_model = _load_bundle(directory, "flat_space.json")
-    return BaselineModel(schema, space, user_model.som.config, user_model)
+    return BaselineModel(schema, space, user_model)

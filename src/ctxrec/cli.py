@@ -238,29 +238,26 @@ def cmd_split(args) -> int:
 
 def cmd_train(args) -> int:
     _check_count("--parallel", args.parallel)
+    run = RunConfig("train", args.seed, args.schema, out=args.out)
+    if args.system == "pipeline":
+        run.phase1 = _som_cfg(args.neurons_phase1, args)
+        run.phase3 = _som_cfg(args.neurons_phase3, args)
+    else:
+        run.baseline = _som_cfg(args.neurons_baseline, args)
     schema = _load_schema_arg(args.schema)
     _check_dimension_names(schema)
     cube = load_ratings(args.ratings, schema)
     out = _out_dir(args)
     if args.system == "pipeline":
-        phase1 = _som_cfg(args.neurons_phase1, args)
-        phase3 = _som_cfg(args.neurons_phase3, args)
-        model = fit_pipeline(cube, phase1, phase3, workers=args.parallel)
+        model = fit_pipeline(cube, run.phase1, run.phase3, workers=args.parallel)
         save_pipeline(model, out)
-        run = RunConfig(
-            "train", args.seed, args.schema, phase1=phase1, phase3=phase3, out=args.out
-        )
         summary = (
             f"trained pipeline on {len(model.clusterings)} users -> "
             f"{len(model.space.keys)} virtual users"
         )
     else:
-        baseline_cfg = _som_cfg(args.neurons_baseline, args)
-        model = fit_baseline(cube, baseline_cfg)
+        model = fit_baseline(cube, run.baseline)
         save_baseline(model, out)
-        run = RunConfig(
-            "train", args.seed, args.schema, baseline=baseline_cfg, out=args.out
-        )
         summary = f"trained baseline on {len(model.space.keys)} users"
     jsonio.write_json(out / "run_config.json", run.to_json_dict())
     print(f"{summary}; model saved under {out}")
@@ -268,8 +265,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model, system = _load_model(args.model)
     eval_cfg = _eval_cfg(args)
+    model, system = _load_model(args.model)
     test_cube = load_ratings(args.ratings, model.schema)
     report = evaluate(model, test_cube, eval_cfg)
     cluster_report = per_cluster_f1(model, test_cube, eval_cfg)
@@ -294,14 +291,14 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     counts = _parse_counts(args.counts)
-    schema = _load_schema_arg(args.schema)
-    cube = load_ratings(args.ratings, schema)
     split_cfg = _split_cfg(args)
     eval_cfg = _eval_cfg(args)
     if args.metric_n not in eval_cfg.top_ns:
         raise UsageError(f"--metric-n {args.metric_n} must be one of --topn")
     phase1 = _som_cfg(args.neurons_phase1, args)
     phase3 = _som_cfg(args.neurons_phase3, args)
+    schema = _load_schema_arg(args.schema)
+    cube = load_ratings(args.ratings, schema)
     train_cube, test_cube = split(cube, split_cfg)
     result = neuron_sweep(
         train_cube,
@@ -376,13 +373,13 @@ def cmd_recommend(args) -> int:
 
 def cmd_compare(args) -> int:
     _check_count("--parallel", args.parallel)
-    schema = _load_schema_arg(args.schema)
-    cube = load_ratings(args.ratings, schema)
     split_cfg = _split_cfg(args)
     eval_cfg = _eval_cfg(args)
     phase1 = _som_cfg(args.neurons_phase1, args)
     phase3 = _som_cfg(args.neurons_phase3, args)
     baseline_cfg = _som_cfg(args.neurons_baseline, args)
+    schema = _load_schema_arg(args.schema)
+    cube = load_ratings(args.ratings, schema)
     train_cube, test_cube = split(cube, split_cfg)
     pipeline_model = fit_pipeline(train_cube, phase1, phase3, workers=args.parallel)
     baseline_model = fit_baseline(train_cube, baseline_cfg)

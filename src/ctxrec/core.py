@@ -39,6 +39,8 @@ class ContextDimension:
     values: tuple[str, ...]
 
     def __post_init__(self):
+        if not isinstance(self.values, (list, tuple)):
+            raise InvalidConfig(f"dimension {self.name!r} values must be a list")
         object.__setattr__(self, "values", tuple(self.values))
         if not isinstance(self.name, str) or not all(isinstance(v, str) for v in self.values):
             raise InvalidConfig("dimension names and values must be strings")
@@ -152,10 +154,7 @@ class ContextSchema:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "ContextSchema":
-        dims = tuple(
-            ContextDimension(d["name"], tuple(d["values"]))
-            for d in data["dimensions"]
-        )
+        dims = tuple(ContextDimension(d["name"], d["values"]) for d in data["dimensions"])
         return cls(dims, int(data["rating_min"]), int(data["rating_max"]))
 
 

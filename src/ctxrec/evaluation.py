@@ -267,7 +267,7 @@ def per_cluster_f1(
         for key, relevant in model.eval_units(user, test, cfg.threshold):
             relevant_of[key] = relevant
     members_by_neuron: dict[int, list] = {}
-    for key, neuron in model.user_model.membership.items():
+    for key, neuron in zip(model.space.keys, model.user_model.neurons.tolist()):
         if key in relevant_of:
             members_by_neuron.setdefault(neuron, []).append(key)
     rows: dict[int, tuple[int, float]] = {}

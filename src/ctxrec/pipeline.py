@@ -132,36 +132,12 @@ class RowSpace:
     same values.
     """
 
-    def __init__(self, keys: Sequence, items: Sequence[str], matrix: np.ndarray):
-        keys, items = tuple(keys), tuple(items)
-        matrix = np.asarray(matrix, dtype=np.float64).reshape(len(keys), len(items))
-        rows, columns = np.nonzero(matrix)
-        counts = np.bincount(rows, minlength=len(keys))
-        self._store(keys, items, counts, columns, matrix[rows, columns])
-
-    def _store(self, keys, items, counts, columns, values) -> None:
-        self.keys = tuple(keys)
-        self.items = tuple(items)
-        self.starts = np.concatenate(([0], np.cumsum(counts, dtype=np.intp)))
-        self.columns = np.asarray(columns, dtype=np.intp)
-        self.values = np.asarray(values, dtype=np.float64)
-        for array in (self.starts, self.columns, self.values):
-            array.setflags(write=False)
-        self.index = {key: i for i, key in enumerate(self.keys)}
-        if len(self.index) != len(self.keys):
-            raise InvalidConfig("row keys must be unique")
-        # each column's place in ascending item-id order, the ranking tie-break
-        by_id = sorted(range(len(self.items)), key=self.items.__getitem__)
-        self.item_rank = np.empty(len(by_id), dtype=np.intp)
-        self.item_rank[by_id] = np.arange(len(by_id))
-
-    @classmethod
-    def from_ratings(
-        cls, items: Sequence[str], ratings: Mapping[Hashable, Mapping[str, float]]
-    ) -> "RowSpace":
+    def __init__(self, items: Sequence[str], ratings: Mapping[Hashable, Mapping[str, float]]):
         """Rows in the mapping's key order from ``{key: {item: value}}``."""
-        column = {item: j for j, item in enumerate(items)}
-        if len(column) != len(items):
+        self.keys = tuple(ratings)
+        self.items = tuple(items)
+        column = {item: j for j, item in enumerate(self.items)}
+        if len(column) != len(self.items):
             raise InvalidConfig("item ids must be unique")
         rows = list(ratings.values())
         columns = np.array([column[item] for row in rows for item in row], dtype=np.intp)
@@ -171,9 +147,15 @@ class RowSpace:
         counts = [len(row) for row in rows]
         # each row's entries in column order
         order = np.lexsort((columns, np.repeat(np.arange(len(rows)), counts)))
-        space = cls.__new__(cls)
-        space._store(ratings, items, counts, columns[order], values[order])
-        return space
+        self.starts = np.concatenate(([0], np.cumsum(counts, dtype=np.intp)))
+        self.columns, self.values = columns[order], values[order]
+        for array in (self.starts, self.columns, self.values):
+            array.setflags(write=False)
+        self.index = {key: i for i, key in enumerate(self.keys)}
+        # each column's place in ascending item-id order, the ranking tie-break
+        by_id = sorted(range(len(self.items)), key=self.items.__getitem__)
+        self.item_rank = np.empty(len(by_id), dtype=np.intp)
+        self.item_rank[by_id] = np.arange(len(by_id))
 
     def dense(self, rows: Sequence[int]) -> np.ndarray:
         """Dense float64 copies of the given rows, in that order."""
@@ -226,7 +208,7 @@ class RowSpace:
         if len(set(keys)) != len(keys):
             raise InvalidConfig("row keys must be unique")
         ratings = {key: r["ratings"] for key, r in zip(keys, rows)}
-        return cls.from_ratings(data["items"], ratings)
+        return cls(data["items"], ratings)
 
 
 def _average_rows(cube: RatingCube, row_key: Callable[[str, int], Hashable]) -> RowSpace:
@@ -245,7 +227,7 @@ def _average_rows(cube: RatingCube, row_key: Callable[[str, int], Hashable]) -> 
         key: {item: aggregate(ratings) for item, ratings in values[key].items()}
         for key in sorted(values)
     }
-    return RowSpace.from_ratings(cube.items, rows)
+    return RowSpace(cube.items, rows)
 
 
 def build_virtual_space(
@@ -264,14 +246,13 @@ def build_virtual_space(
 
 @dataclass
 class UserClusterModel:
-    """Phase-3 SOM over a 2-D space plus each row's neuron, by key and by row.
+    """Phase-3 SOM over a 2-D space plus each row's neuron, by row.
 
     ``norms`` holds each row's Euclidean norm and ``members[k]`` the rows on
     neuron ``k`` in ascending order: the scorer's O(rows) state.
     """
 
     som: SomNetwork
-    membership: dict
     neurons: np.ndarray = field(repr=False, compare=False)
     norms: np.ndarray = field(repr=False, compare=False)
     members: tuple[np.ndarray, ...] = field(repr=False, compare=False)
@@ -298,13 +279,7 @@ def _cluster_model(net: SomNetwork, space: RowSpace) -> UserClusterModel:
     norms = np.sqrt(np.array(squares))
     by_neuron = np.argsort(neurons, kind="stable")
     bounds = np.searchsorted(neurons[by_neuron], np.arange(1, net.neuron_count))
-    return UserClusterModel(
-        net,
-        dict(zip(space.keys, neurons.tolist())),
-        neurons,
-        norms,
-        tuple(np.split(by_neuron, bounds)),
-    )
+    return UserClusterModel(net, neurons, norms, tuple(np.split(by_neuron, bounds)))
 
 
 def cluster_virtual_users(
@@ -321,10 +296,14 @@ def cluster_virtual_users(
 def _score(model: UserClusterModel, space: RowSpace, key) -> tuple[np.ndarray, np.ndarray]:
     """The row's unrated columns, ascending, and their predicted scores.
 
-    Each peer's similarity is ``cosine_similarity`` of the two rows, bit for
-    bit: one ``np.dot`` per peer over the cached norms (a batched product
-    rounds differently).  0 means unrated, so the peers' rows are already the
-    masked ratings of the weighted mean.
+    Peers are the other rows on the same neuron, in row order; each item's
+    score is the cosine-similarity-weighted mean of the peers that rated it.
+    When no peer rated the item (or total similarity is zero), the neuron's
+    weight component stands in.  Each peer's similarity is
+    ``cosine_similarity`` of the two rows, bit for bit: one ``np.dot`` per
+    peer over the cached norms (a batched product rounds differently).  0
+    means unrated, so the peers' rows are already the masked ratings of the
+    weighted mean.
     """
     row = space.row(key)  # raises for unknown keys
     neuron = model.neurons[row]
@@ -347,40 +326,14 @@ def _score(model: UserClusterModel, space: RowSpace, key) -> tuple[np.ndarray, n
     return columns, scored[columns]
 
 
-def predict_scores(model: UserClusterModel, space: RowSpace, key) -> dict[str, float]:
-    """Predicted score per unrated item for one row of the space.
-
-    Peers are the other rows on the same neuron, in row order; each item's
-    score is the cosine-similarity-weighted mean of the peers that rated it.
-    When no peer rated the item (or total similarity is zero), the neuron's
-    weight component stands in.  Items the row already rated are excluded.
-    """
+def _ranked(model: UserClusterModel, space: RowSpace, key, n: int) -> list[tuple[str, float]]:
+    """The n best (item, score) of the row's unrated items: descending score,
+    ties to ascending item id.  Both systems rank through here."""
     columns, scores = _score(model, space, key)
-    return {space.items[j]: score for j, score in zip(columns.tolist(), scores.tolist())}
-
-
-def _top_n(
-    items: Sequence[str], item_rank: np.ndarray, columns: np.ndarray, scores: np.ndarray, n: int
-) -> list[tuple[str, float]]:
-    """The n best (item, score) of the candidate columns: descending score,
-    ties to ascending item id (``item_rank`` is each column's place in it)."""
     if n <= 0:
         return []
-    top = np.lexsort((item_rank[columns], -scores))[:n]
-    return [(items[j], s) for j, s in zip(columns[top].tolist(), scores[top].tolist())]
-
-
-def _ranked(model: UserClusterModel, space: RowSpace, key, n: int) -> list[tuple[str, float]]:
-    """``rank_items(predict_scores(model, space, key), n)`` from arrays."""
-    return _top_n(space.items, space.item_rank, *_score(model, space, key), n)
-
-
-def rank_items(scores: Mapping[str, float], n: int) -> list[tuple[str, float]]:
-    """Top-n by descending score; ties broken by ascending item id."""
-    items = sorted(scores)
-    order = np.arange(len(items))
-    values = np.array([scores[item] for item in items], dtype=np.float64)
-    return _top_n(items, order, order, values, n)
+    top = np.lexsort((space.item_rank[columns], -scores))[:n]
+    return [(space.items[j], s) for j, s in zip(columns[top].tolist(), scores[top].tolist())]
 
 
 def recommend(
@@ -419,7 +372,6 @@ class PipelineModel:
 
     schema: ContextSchema
     phase1_cfg: SomConfig
-    phase3_cfg: SomConfig
     clusterings: dict[str, ContextClustering]
     space: RowSpace
     user_model: UserClusterModel
@@ -528,9 +480,7 @@ def fit_pipeline(
     clusterings = {user: by_user[user] for user in users}
     space = build_virtual_space(train_cube, clusterings)
     user_model = cluster_virtual_users(space, phase3_cfg)
-    return PipelineModel(
-        train_cube.schema, phase1_cfg, phase3_cfg, clusterings, space, user_model
-    )
+    return PipelineModel(train_cube.schema, phase1_cfg, clusterings, space, user_model)
 
 
 def _save_bundle(model, directory: str | Path, space_file: str) -> Path:
@@ -555,8 +505,9 @@ def _read_part(path: Path, parse):
 def _load_bundle(directory: str | Path, space_file: str):
     """Read schema.json, the space file and user_som.json of either system.
 
-    The SOM must span the space's items with finite weights and every stored
-    rating must lie in the schema's range.  Returns (schema, space, user model).
+    The SOM must span the space's items with one finite weight row per
+    neuron of its config, and every stored rating must lie in the schema's
+    range.  Returns (schema, space, user model).
     """
     directory = Path(directory)
     space_path, som_path = directory / space_file, directory / "user_som.json"
@@ -565,6 +516,8 @@ def _load_bundle(directory: str | Path, space_file: str):
     net = _read_part(som_path, som_from_json_dict)
     if net.weights.ndim != 2 or net.p != len(space.items):
         raise CorruptFile(f"{som_path} does not span the items of {space_file}")
+    if net.config.neuron_count != net.neuron_count:
+        raise CorruptFile(f"{som_path} has {net.neuron_count} weight rows for its neuron_count")
     if not np.isfinite(net.weights).all():
         raise CorruptFile(f"{som_path} holds a non-finite weight")
     stored = space.values
@@ -607,7 +560,7 @@ def save_pipeline(model: PipelineModel, directory: str | Path) -> None:
 
 
 def load_pipeline(directory: str | Path) -> PipelineModel:
-    """Load a pipeline bundle; membership is recomputed from the stored SOM.
+    """Load a pipeline bundle; each row's neuron is recomputed from the stored SOM.
 
     Every labelled flat index must lie in the schema, and the space's rows
     must be exactly the virtual users (user, 1..m) of the clusterings, which
@@ -619,6 +572,4 @@ def load_pipeline(directory: str | Path) -> PipelineModel:
     labels = {(user, k) for user, c in clusterings.items() for k in range(1, c.m + 1)}
     if set(space.keys) != labels:
         raise CorruptFile(f"virtual_space.json rows are not the virtual users of {path}")
-    return PipelineModel(
-        schema, phase1_cfg, user_model.som.config, clusterings, space, user_model
-    )
+    return PipelineModel(schema, phase1_cfg, clusterings, space, user_model)

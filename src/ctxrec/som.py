@@ -48,8 +48,8 @@ class SomConfig:
             raise InvalidConfig("epochs must be >= 1")
         if not 0.0 < self.alpha0 <= 1.0:
             raise InvalidConfig("alpha0 must be in (0, 1]")
-        if self.radius0 is not None and self.radius0 < 0:
-            raise InvalidConfig("radius0 must be >= 0")
+        if self.radius0 is not None and not 0 <= self.radius0 < math.inf:
+            raise InvalidConfig("radius0 must be finite and >= 0")
         if self.seed < 0:
             raise InvalidConfig("seed must be a non-negative integer")
 

@@ -12,7 +12,7 @@ from ctxrec.baseline import (
 from ctxrec.core import RatingCube
 from ctxrec.datagen import GenConfig, generate
 from ctxrec.errors import EmptyCube, UnknownUser
-from ctxrec.pipeline import RowSpace, cluster_virtual_users, predict_scores
+from ctxrec.pipeline import RowSpace, _ranked, cluster_virtual_users
 from ctxrec.som import SomConfig
 
 from conftest import make_cube
@@ -85,15 +85,15 @@ class TestFlattenCube:
 class TestSharedCfPath:
     def test_equal_matrices_give_equal_outputs(self):
         # same numbers under pair keys and under str keys -> the same
-        # SOM, the same membership, and the same rankings
+        # SOM, the same neurons, and the same rankings
         ratings = {
             "u1": {"i1": 5.0, "i2": 2.0},
             "u2": {"i1": 4.0, "i3": 3.0},
             "u3": {"i2": 1.0, "i3": 5.0},
         }
         items = ("i1", "i2", "i3", "i4")
-        flat = RowSpace.from_ratings(items, ratings)
-        virtual = RowSpace.from_ratings(items, {(u, 1): ratings[u] for u in ratings})
+        flat = RowSpace(items, ratings)
+        virtual = RowSpace(items, {(u, 1): ratings[u] for u in ratings})
         cfg = SomConfig(2, epochs=15, seed=9)
         flat_model = cluster_virtual_users(flat, cfg)
         virt_model = cluster_virtual_users(virtual, cfg)
@@ -101,17 +101,16 @@ class TestSharedCfPath:
             flat_model.som.weights.tobytes() == virt_model.som.weights.tobytes()
         )
         assert flat_model.neurons.tolist() == virt_model.neurons.tolist()
+        n = len(items) + 1  # every candidate
         for user in ratings:
-            assert predict_scores(flat_model, flat, user) == predict_scores(
-                virt_model, virtual, (user, 1)
-            )
+            assert _ranked(flat_model, flat, user, n) == _ranked(virt_model, virtual, (user, 1), n)
 
 
 class TestBaselineRecommend:
     def test_default_neuron_count(self, flat_model):
         cube, _ = flat_model
         model = fit_baseline(cube)
-        assert model.cfg.neuron_count == DEFAULT_BASELINE_NEURONS == 19
+        assert model.user_model.som.config.neuron_count == DEFAULT_BASELINE_NEURONS == 19
 
     def test_trained_items_excluded(self, flat_model):
         cube, model = flat_model
@@ -183,7 +182,7 @@ class TestBaselinePersistence:
         loaded = load_baseline(tmp_path / "bundle")
         assert loaded.space.keys == model.space.keys
         assert loaded.space.matrix.tobytes() == model.space.matrix.tobytes()
-        assert loaded.user_model.membership == model.user_model.membership
+        assert loaded.user_model.neurons.tolist() == model.user_model.neurons.tolist()
         for user in model.eval_user_pool()[:5]:
             assert loaded.recommend(user, 10) == model.recommend(user, 10)
 

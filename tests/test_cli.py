@@ -161,6 +161,24 @@ class TestTrain:
         names = {p.name for p in baseline_bundle.iterdir()}
         assert {"schema.json", "flat_space.json", "user_som.json"} <= names
 
+    def test_schema_values_given_as_a_string_is_data_error(self, dataset, tmp_path, capsys):
+        schema = default_schema().to_json_dict()
+        schema["dimensions"][0]["values"] = "abc"
+        jsonio.write_json(tmp_path / "schema.json", schema)
+        code = run_cli(
+            "train",
+            "--ratings",
+            dataset / "split" / "train.csv",
+            "--out",
+            tmp_path / "model",
+            "--schema",
+            tmp_path / "schema.json",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ctxrec: error: ") and "values must be a list" in err
+        assert not (tmp_path / "model").exists()
+
     def test_malformed_csv_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("not,a,ratings,header\n1,2,3,4\n")
@@ -499,6 +517,18 @@ class TestCorruptBundle:
         code = self.run_on(command, bundle, dataset, tmp_path, system)
         self.assert_one_error_line(capsys, code, "user_som.json")
 
+    @pytest.mark.parametrize("system", ["pipeline", "baseline"])
+    def test_som_config_disagrees_with_weights(
+        self, request, dataset, tmp_path, capsys, system
+    ):
+        bundle = tmp_path / "model"
+        shutil.copytree(request.getfixturevalue(f"{system}_bundle"), bundle)
+        data = jsonio.read_json(bundle / "user_som.json")
+        data["config"]["neuron_count"] += 1
+        jsonio.write_json(bundle / "user_som.json", data)
+        code = self.run_on("recommend", bundle, dataset, tmp_path, system)
+        self.assert_one_error_line(capsys, code, "user_som.json")
+
     @pytest.mark.parametrize("command", ["recommend", "eval"])
     def test_flat_index_outside_the_schema(
         self, dataset, pipeline_bundle, tmp_path, capsys, command
@@ -695,6 +725,30 @@ class TestCountFlags:
         assert err.startswith("ctxrec: error: ")
         assert "--parallel" in err if flag == "--parallel" else "--num" in err
         assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+
+class TestFlagsBeforeFiles:
+    """A bad flag is a usage error even when an input file is missing too:
+    every config a flag builds is checked before any file is read."""
+
+    @pytest.mark.parametrize(
+        "command, argv",
+        [
+            ("train", ("--ratings", "MISSING", "--epochs", 0)),
+            ("eval", ("--model", "MISSING", "--ratings", "MISSING", "--topn", "x")),
+            ("sweep", ("--ratings", "MISSING", "--role", "phase3", "--counts", 3, "--topn", "x")),
+            ("compare", ("--ratings", "MISSING", "--topn", "x")),
+        ],
+    )
+    def test_bad_flag_with_missing_input_is_usage_error(
+        self, tmp_path, capsys, command, argv
+    ):
+        out = tmp_path / "out"
+        argv = [tmp_path / "missing" if arg == "MISSING" else arg for arg in argv]
+        assert run_cli(command, *argv, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ctxrec: error: ") and len(err.splitlines()) == 1
         assert not out.exists()
 
 

@@ -55,6 +55,12 @@ class TestContextDimension:
         with pytest.raises(InvalidConfig, match="must be strings"):
             ContextDimension(name, values)
 
+    @pytest.mark.parametrize("values", ["abc", 3, None])
+    def test_rejects_values_that_are_not_a_list(self, values):
+        # a string would otherwise read as one value per character
+        with pytest.raises(InvalidConfig, match="values must be a list"):
+            ContextDimension("d", values)
+
 
 class TestContextSchema:
     def test_default_schema_situation_count(self):
@@ -351,3 +357,21 @@ class TestRatingsCsv:
     def test_empty_file_rejected(self, restaurant_schema):
         with pytest.raises(MalformedRow):
             load_ratings(io.StringIO(""), restaurant_schema)
+
+
+def test_export_surface():
+    """``ctxrec.__all__`` names every public function and class bound at the
+    top level, once each, and each name resolves, so ``import *`` works."""
+    import inspect
+
+    import ctxrec
+
+    names = ctxrec.__all__
+    assert len(names) == len(set(names))
+    assert all(hasattr(ctxrec, name) for name in names)
+    bound = {
+        name
+        for name, value in vars(ctxrec).items()
+        if not name.startswith("_") and (inspect.isfunction(value) or inspect.isclass(value))
+    }
+    assert bound <= set(names)

@@ -2,6 +2,7 @@
 
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from ctxrec.baseline import fit_baseline
@@ -31,11 +32,12 @@ from conftest import make_cube
 class StubModel:
     """Minimal evaluation surface with scripted units and rankings."""
 
-    def __init__(self, units_by_user, rankings, membership=None):
+    def __init__(self, units_by_user, rankings, neuron_of=None):
         self._units = units_by_user
         self._rankings = rankings
-        if membership is not None:
-            self.user_model = SimpleNamespace(membership=membership)
+        if neuron_of is not None:
+            self.space = SimpleNamespace(keys=tuple(neuron_of))
+            self.user_model = SimpleNamespace(neurons=np.array(list(neuron_of.values())))
 
     def eval_user_pool(self):
         return sorted(self._units)
@@ -399,7 +401,7 @@ class TestPerClusterF1:
         model = StubModel(
             {"u1": [(("u1", 1), {"a", "b"})]},
             {("u1", 1): ["a", "x", "y", "z", "w"]},
-            membership={("u1", 1): 4},
+            neuron_of={("u1", 1): 4},
         )
         report = per_cluster_f1(model, None, EvalConfig(), n=5)
         # P = 1/5, R = 1/2 -> F1 = 2*(0.1)/(0.7)
@@ -412,13 +414,13 @@ class TestPerClusterF1:
     def test_members_capped_at_ten(self):
         units = {}
         rankings = {}
-        membership = {}
+        neuron_of = {}
         for k in range(15):
             key = (f"u{k:02d}", 1)
             units[key[0]] = [(key, {"a"})]
             rankings[key] = ["a", "b", "c", "d", "e"]
-            membership[key] = 0
-        model = StubModel(units, rankings, membership=membership)
+            neuron_of[key] = 0
+        model = StubModel(units, rankings, neuron_of=neuron_of)
         report = per_cluster_f1(model, None, EvalConfig(), n=5)
         assert report.rows[0][0] == 10
 
@@ -426,7 +428,7 @@ class TestPerClusterF1:
         train, test = toy_split_cubes(schema2x2)
         model = fit_baseline(train, SomConfig(6, epochs=10))
         report = per_cluster_f1(model, test, EvalConfig(), n=5)
-        occupied = set(model.user_model.membership.values())
+        occupied = set(model.user_model.neurons.tolist())
         assert set(report.rows) <= occupied
 
     def test_matches_brute_force_oracle(self, schema2x2):
@@ -447,7 +449,7 @@ class TestPerClusterF1:
                 relevant_of[user] = pooled
         expected = {}
         for user, relevant in relevant_of.items():
-            neuron = model.user_model.membership[user]
+            neuron = model.user_model.neurons[model.space.row(user)]
             top = model.recommend_key(user, 2)
             hits = len(set(top) & relevant)
             p = hits / len(top)

@@ -36,8 +36,6 @@ from ctxrec.pipeline import (
     cluster_virtual_users,
     fit_pipeline,
     load_pipeline,
-    predict_scores,
-    rank_items,
     recommend,
     save_pipeline,
 )
@@ -316,51 +314,54 @@ class TestRowSpace:
     @settings(max_examples=100, deadline=None)
     @given(ratings=ratings_maps())
     def test_json_round_trip_property(self, ratings):
-        space = RowSpace.from_ratings(ITEMS, ratings)
+        space = RowSpace(ITEMS, ratings)
         again = RowSpace.from_json_dict(json.loads(jsonio.dumps(space.to_json_dict())))
         assert again.keys == space.keys == tuple(ratings)
         assert again.items == ITEMS
         assert again.matrix.tobytes() == space.matrix.tobytes()
         for key in space.keys:
             assert again.ratings_of(key) == space.ratings_of(key) == ratings[key]
-        # the stored entries and dense rows in any order agree with the matrix
-        dense = RowSpace(space.keys, space.items, space.matrix)
-        for name in ("starts", "columns", "values"):
-            assert getattr(dense, name).tobytes() == getattr(space, name).tobytes()
+        # the stored entries are the matrix's nonzero ones, row by row in
+        # column order, and dense rows in any order agree with the matrix
+        rows, columns = np.nonzero(space.matrix)
+        assert np.diff(space.starts).tolist() == np.bincount(rows, minlength=len(ratings)).tolist()
+        assert space.columns.tolist() == columns.tolist()
+        assert space.values.tobytes() == space.matrix[rows, columns].tobytes()
         backwards = np.arange(len(space.keys))[::-1]
         assert space.dense(backwards).tobytes() == space.matrix[backwards].tobytes()
 
     def test_ratings_of_in_item_order(self):
-        space = RowSpace.from_ratings(ITEMS, {"u1": {"i3": 2.0, "i1": 5.0}})
+        space = RowSpace(ITEMS, {"u1": {"i3": 2.0, "i1": 5.0}})
         assert list(space.ratings_of("u1").items()) == [("i1", 5.0), ("i3", 2.0)]
         assert space.matrix.tolist() == [[5.0, 0.0, 2.0, 0.0, 0.0]]
 
     def test_rows_carry_a_label_exactly_for_pair_keys(self):
-        pairs = RowSpace.from_ratings(ITEMS, {("u1", 2): {"i1": 1.0}}).to_json_dict()
-        users = RowSpace.from_ratings(ITEMS, {"u1": {"i1": 1.0}}).to_json_dict()
+        pairs = RowSpace(ITEMS, {("u1", 2): {"i1": 1.0}}).to_json_dict()
+        users = RowSpace(ITEMS, {"u1": {"i1": 1.0}}).to_json_dict()
         assert pairs["rows"] == [{"user": "u1", "label": 2, "ratings": {"i1": 1.0}}]
         assert users["rows"] == [{"user": "u1", "ratings": {"i1": 1.0}}]
 
     def test_matrix_is_read_only(self):
-        space = RowSpace.from_ratings(ITEMS, {"u1": {"i1": 4.0}})
+        space = RowSpace(ITEMS, {"u1": {"i1": 4.0}})
         with pytest.raises(ValueError):
             space.matrix[0, 1] = 3.0
 
     def test_stored_zero_rejected(self):
         with pytest.raises(InvalidConfig):
-            RowSpace.from_ratings(ITEMS, {"u1": {"i1": 0.0}})
+            RowSpace(ITEMS, {"u1": {"i1": 0.0}})
 
     def test_duplicate_items_rejected(self):
         with pytest.raises(InvalidConfig):
-            RowSpace.from_ratings(("i1", "i1"), {"u1": {"i1": 4.0}})
+            RowSpace(("i1", "i1"), {"u1": {"i1": 4.0}})
 
     def test_duplicate_keys_rejected(self):
-        with pytest.raises(InvalidConfig):
-            RowSpace(("u1", "u1"), ("i1",), [[1.0], [2.0]])
+        rows = [{"user": "u1", "ratings": {"i1": 1.0}}, {"user": "u1", "ratings": {"i1": 2.0}}]
+        with pytest.raises(InvalidConfig, match="row keys must be unique"):
+            RowSpace.from_json_dict({"items": ["i1"], "rows": rows})
 
     @pytest.mark.parametrize("field, value", [("user", None), ("user", 3), ("item", 1.5)])
     def test_json_ids_must_be_strings(self, field, value):
-        data = RowSpace.from_ratings(ITEMS, {"u1": {"i1": 4.0}}).to_json_dict()
+        data = RowSpace(ITEMS, {"u1": {"i1": 4.0}}).to_json_dict()
         if field == "user":
             data["rows"][0]["user"] = value
         else:
@@ -369,11 +370,11 @@ class TestRowSpace:
             RowSpace.from_json_dict(data)
 
     def test_item_rank_is_the_sorted_order(self):
-        space = RowSpace(("u1",), ("c", "a10", "B", "a2"), [[0.0] * 4])
+        space = RowSpace(("c", "a10", "B", "a2"), {"u1": {}})
         assert space.item_rank.tolist() == [3, 1, 0, 2]
 
     def test_unknown_keys(self):
-        space = RowSpace.from_ratings(ITEMS, {"u1": {"i1": 4.0}})
+        space = RowSpace(ITEMS, {"u1": {"i1": 4.0}})
         with pytest.raises(UnknownUser):
             space.ratings_of("ghost")
         with pytest.raises(UnknownVirtualUser):
@@ -382,7 +383,7 @@ class TestRowSpace:
 
 class TestClusterVirtualUsers:
     def one_row_space(self):
-        return RowSpace.from_ratings(("i1", "i2"), {("u1", 1): {"i1": 4.0}})
+        return RowSpace(("i1", "i2"), {("u1", 1): {"i1": 4.0}})
 
     def test_default_neuron_count(self):
         model = cluster_virtual_users(self.one_row_space())
@@ -390,10 +391,11 @@ class TestClusterVirtualUsers:
 
     def test_single_virtual_user_is_singleton_cluster(self):
         model = cluster_virtual_users(self.one_row_space(), SomConfig(3))
-        assert list(model.membership) == [("u1", 1)]
+        assert len(model.neurons) == 1
+        assert model.members[model.neurons[0]].tolist() == [0]
 
     def test_identical_rows_share_a_neuron(self):
-        space = RowSpace.from_ratings(
+        space = RowSpace(
             ("i1", "i2"),
             {
                 ("u1", 1): {"i1": 4.0, "i2": 2.0},
@@ -401,10 +403,10 @@ class TestClusterVirtualUsers:
             },
         )
         model = cluster_virtual_users(space, SomConfig(4, seed=2))
-        assert model.membership[("u1", 1)] == model.membership[("u2", 1)]
+        assert model.neurons[0] == model.neurons[1]
 
     def test_empty_space_rejected(self):
-        space = RowSpace.from_ratings(("i1",), {})
+        space = RowSpace(("i1",), {})
         with pytest.raises(EmptySpace):
             cluster_virtual_users(space, SomConfig(2))
 
@@ -413,9 +415,6 @@ class TestClusterVirtualUsers:
 
         space = small_model.space
         labels = assign(small_model.user_model.som, space.matrix)
-        assert small_model.user_model.membership == dict(
-            zip(space.keys, labels)
-        )
         assert small_model.user_model.neurons.tolist() == labels
 
     def test_scorer_state_is_norms_and_members(self, small_model):
@@ -428,19 +427,24 @@ class TestClusterVirtualUsers:
             assert rows.tolist() == np.flatnonzero(model.neurons == neuron).tolist()
 
 
+def scores_of(model, space, key) -> dict[str, float]:
+    """Every candidate's score, through the one ranking path."""
+    return dict(pipeline._ranked(model, space, key, len(space.items) + 1))
+
+
 class TestPredictScores:
     def test_singleton_cluster_uses_prototype(self):
-        space = RowSpace.from_ratings(("i1", "i2", "i3"), {("u1", 1): {"i1": 4.0}})
+        space = RowSpace(("i1", "i2", "i3"), {("u1", 1): {"i1": 4.0}})
         model = cluster_virtual_users(space, SomConfig(1, seed=0))
-        scores = predict_scores(model, space, ("u1", 1))
-        prototype = model.som.weights[model.membership[("u1", 1)]]
+        scores = scores_of(model, space, ("u1", 1))
+        prototype = model.som.weights[model.neurons[0]]
         assert set(scores) == {"i2", "i3"}  # i1 is own-rated
         assert scores["i2"] == prototype[1]
         assert scores["i3"] == prototype[2]
 
     def test_unanimous_peers(self):
         # two peers identical to the target but for item i3 rated 5 by both
-        space = RowSpace.from_ratings(
+        space = RowSpace(
             ("i1", "i2", "i3"),
             {
                 ("u1", 1): {"i1": 4.0, "i2": 2.0},
@@ -449,7 +453,7 @@ class TestPredictScores:
             },
         )
         model = cluster_virtual_users(space, SomConfig(1, seed=0))
-        scores = predict_scores(model, space, ("u1", 1))
+        scores = scores_of(model, space, ("u1", 1))
         assert scores["i3"] == pytest.approx(5.0, abs=1e-12)
 
     def test_matches_direct_weighted_mean(self, small_model):
@@ -457,14 +461,14 @@ class TestPredictScores:
         space = small_model.space
         model = small_model.user_model
         for key in space.keys[:10]:
-            neuron = model.membership[key]
+            neuron = model.neurons[space.row(key)]
             own_vec = space.matrix[space.row(key)]
             peers = [
                 k
-                for k in space.keys
-                if k != key and model.membership[k] == neuron
+                for r, k in enumerate(space.keys)
+                if k != key and model.neurons[r] == neuron
             ]
-            scores = predict_scores(model, space, key)
+            scores = scores_of(model, space, key)
             for item, got in scores.items():
                 pairs = [
                     (
@@ -484,32 +488,38 @@ class TestPredictScores:
     def test_own_items_never_scored(self, small_model):
         space = small_model.space
         for key in space.keys:
-            scores = predict_scores(small_model.user_model, space, key)
+            scores = scores_of(small_model.user_model, space, key)
             assert not set(scores) & set(space.ratings_of(key))
 
     def test_unknown_virtual_user(self, small_model):
         with pytest.raises(UnknownVirtualUser):
-            predict_scores(
-                small_model.user_model, small_model.space, ("ghost", 1)
-            )
+            scores_of(small_model.user_model, small_model.space, ("ghost", 1))
+
+
+def prototype_ranking(items, weights, n, rated=None) -> list[tuple[str, float]]:
+    """The ranking of a lone row, so that its scores are the one neuron's
+    ``weights`` on the items it has not ``rated``."""
+    space = RowSpace(items, {("u1", 1): rated or {}})
+    net = SomNetwork(np.array([weights], dtype=np.float64), SomConfig(1))
+    return pipeline._ranked(pipeline._cluster_model(net, space), space, ("u1", 1), n)
 
 
 class TestRankItems:
     def test_descending_scores(self):
-        ranked = rank_items({"a": 1.0, "b": 3.0, "c": 2.0}, 3)
+        ranked = prototype_ranking(("a", "b", "c"), [1.0, 3.0, 2.0], 3)
         assert ranked == [("b", 3.0), ("c", 2.0), ("a", 1.0)]
 
     def test_tie_breaks_by_item_id(self):
-        ranked = rank_items({"b": 2.0, "a": 2.0, "c": 5.0}, 3)
+        ranked = prototype_ranking(("b", "a", "c"), [2.0, 2.0, 5.0], 3)
         assert ranked == [("c", 5.0), ("a", 2.0), ("b", 2.0)]
 
     def test_n_exceeding_candidates_returns_all(self):
-        assert len(rank_items({"a": 1.0, "b": 2.0}, 10)) == 2
+        assert len(prototype_ranking(("a", "b"), [1.0, 2.0], 10)) == 2
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_n_below_one_returns_nothing(self, n):
-        assert rank_items({"a": 1.0}, n) == []
-        assert rank_items({}, 3) == []
+        assert prototype_ranking(("a",), [1.0], n) == []
+        assert prototype_ranking(("a",), [1.0], 3, rated={"a": 4.0}) == []
 
 
 class TestRecommend:
@@ -593,14 +603,12 @@ class TestRecommend:
 def reference_scores(model, space, key) -> dict[str, float]:
     """The scorer written out plainly: one ``cosine_similarity`` per peer, a
     masked weighted mean, the prototype where no peer rated an item.  These
-    are the bits ``predict_scores`` must reproduce."""
+    are the bits the scorer must reproduce."""
     row = space.row(key)
-    neuron = model.membership[key]
+    neuron = model.neurons[row]
     prototype = model.som.weights[neuron]
     own_vec = space.matrix[row]
-    peers = [
-        r for r, k in enumerate(space.keys) if r != row and model.membership[k] == neuron
-    ]
+    peers = [r for r in range(len(space.keys)) if r != row and model.neurons[r] == neuron]
     if peers:
         peer_rows = space.matrix[peers]
         sims = np.asarray([cosine_similarity(own_vec, peer) for peer in peer_rows])
@@ -645,11 +653,10 @@ def assert_matches_reference(model: PipelineModel, flat: BaselineModel) -> None:
     ):
         for key in space.keys:
             expected = reference_scores(user_model, space, key)
-            got = predict_scores(user_model, space, key)
-            assert bits(got.items()) == bits(expected.items())
             for n in ns:
+                # at n = candidates + 1 this holds every candidate's score bits
                 ranked = reference_rank(expected, n)
-                assert bits(rank_items(expected, n)) == bits(ranked)
+                assert bits(pipeline._ranked(user_model, space, key, n)) == bits(ranked)
                 items = [item for item, _ in ranked]
                 if system == "pipeline":
                     assert model.recommend_key(key, n) == items
@@ -667,6 +674,11 @@ def assert_matches_reference(model: PipelineModel, flat: BaselineModel) -> None:
                 assert bits(got) == bits(reference_rank(expected, n))
 
 
+def rows_of(keys, items, matrix) -> dict:
+    """``{key: {item: value}}`` of a dense matrix's nonzero entries."""
+    return {key: {i: v for i, v in zip(items, row) if v} for key, row in zip(keys, matrix)}
+
+
 def scored_systems(schema, items, users_m, flats, matrix, weights):
     """A pipeline and a baseline model sharing one matrix and one SOM.
 
@@ -680,12 +692,12 @@ def scored_systems(schema, items, users_m, flats, matrix, weights):
         for i, m in enumerate(users_m)
     }
     net = SomNetwork(np.asarray(weights, dtype=np.float64), SomConfig(len(weights)))
-    space = RowSpace(keys, items, matrix)
+    space = RowSpace(items, rows_of(keys, items, matrix))
     user_model = pipeline._cluster_model(net, space)
-    model = PipelineModel(schema, SomConfig(2), net.config, clusterings, space, user_model)
-    flat_space = RowSpace([f"f{r}" for r in range(len(keys))], items, matrix)
+    model = PipelineModel(schema, SomConfig(2), clusterings, space, user_model)
+    flat_space = RowSpace(items, rows_of([f"f{r}" for r in range(len(keys))], items, matrix))
     flat_model = pipeline._cluster_model(net, flat_space)
-    return model, BaselineModel(schema, flat_space, net.config, flat_model)
+    return model, BaselineModel(schema, flat_space, flat_model)
 
 
 # item ids whose column order is not their sorted order
@@ -733,8 +745,8 @@ class TestScorerReference:
         schema = tiny_schema()
         model, flat = scored_systems(schema, items, [2, 2, 1], [3, 0, 1, 2], matrix, weights)
         assert model.user_model.neurons.tolist() == [0, 0, 0, 0, 1]
-        scores = predict_scores(model.user_model, model.space, ("u0", 1))
-        assert scores == {"c": 2.0, "a": 2.0}
+        ranked = pipeline._ranked(model.user_model, model.space, ("u0", 1), 5)
+        assert ranked == [("a", 2.0), ("c", 2.0)]
         assert_matches_reference(model, flat)
 
     def test_trained_model(self, small_model, small_cube):
@@ -742,7 +754,6 @@ class TestScorerReference:
         flat = BaselineModel(
             small_cube.schema,
             flat_space,
-            SomConfig(5),
             cluster_virtual_users(flat_space, SomConfig(5, epochs=10)),
         )
         assert_matches_reference(small_model, flat)
@@ -778,7 +789,7 @@ class TestFitPipeline:
             serial.user_model.som.weights.tobytes()
             == parallel.user_model.som.weights.tobytes()
         )
-        assert serial.user_model.membership == parallel.user_model.membership
+        assert serial.user_model.neurons.tolist() == parallel.user_model.neurons.tolist()
 
     @pytest.mark.parametrize("block", [1, 4])
     def test_block_size_does_not_change_result(self, small_cube, monkeypatch, block):
@@ -816,7 +827,7 @@ class TestPipelinePersistence:
         save_pipeline(small_model, tmp_path / "bundle")
         loaded = load_pipeline(tmp_path / "bundle")
         assert loaded.clusterings == small_model.clusterings
-        assert loaded.user_model.membership == small_model.user_model.membership
+        assert loaded.user_model.neurons.tolist() == small_model.user_model.neurons.tolist()
         sit = small_model.schema.situation_from_flat(7)
         for user in small_model.eval_user_pool()[:5]:
             assert loaded.recommend(user, sit, 10) == small_model.recommend(

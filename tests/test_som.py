@@ -51,6 +51,8 @@ class TestSomConfig:
             {"neuron_count": 3, "alpha0": 0.0},
             {"neuron_count": 3, "alpha0": 1.5},
             {"neuron_count": 3, "radius0": -1},
+            {"neuron_count": 5, "radius0": float("nan")},
+            {"neuron_count": 5, "radius0": float("inf")},
             {"neuron_count": 3, "seed": -1},
         ],
     )
