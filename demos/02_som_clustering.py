@@ -12,7 +12,6 @@ from ctxrec.som import (
     SomConfig,
     assign,
     cosine_similarity,
-    find_bmu,
     mean_similarity,
     train,
 )
@@ -37,7 +36,7 @@ def main():
 
     # best-matching unit = highest cosine similarity, ties to the lowest index
     x = inputs[0]
-    bmu = find_bmu(net, x)
+    bmu = assign(net, [x])[0]
     sims = [cosine_similarity(x, w) for w in net.weights]
     print(f"\nfirst input matches neuron {bmu}; similarities "
           f"{[round(s, 3) for s in sims]}")

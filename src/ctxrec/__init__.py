@@ -22,7 +22,6 @@ from .som import (
     SomNetwork,
     assign,
     cosine_similarity,
-    find_bmu,
     mean_similarity,
     train,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "default_schema",
     "evaluate",
     "f1",
-    "find_bmu",
     "fit_baseline",
     "fit_pipeline",
     "flatten_cube",

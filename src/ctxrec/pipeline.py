@@ -34,7 +34,7 @@ from .errors import (
     UnknownVirtualUser,
 )
 from .rng import derive_seed
-from .som import SomConfig, SomNetwork, assign, train, train_many
+from .som import SomConfig, SomNetwork, _cosines, _row_norms, assign, train, train_many
 from .som import som_from_json_dict, som_to_json_dict
 from . import jsonio
 
@@ -258,25 +258,11 @@ class UserClusterModel:
     members: tuple[np.ndarray, ...] = field(repr=False, compare=False)
 
 
-# rows made dense at a time while a model is built: about 0.8 MB at 384
-# items, where the whole space at 630 x 400 is about 5 MB
-DENSE_BLOCK = 256
-
-
-def _cluster_model(net: SomNetwork, space: RowSpace) -> UserClusterModel:
-    if not space.keys:
+def _cluster_model(net: SomNetwork, matrix: np.ndarray) -> UserClusterModel:
+    if not len(matrix):
         raise EmptySpace("no rows to cluster")
-    neurons: list[int] = []
-    squares: list[float] = []
-    for start in range(0, len(space.keys), DENSE_BLOCK):
-        block = space.dense(np.arange(start, min(start + DENSE_BLOCK, len(space.keys))))
-        neurons += assign(net, block)
-        # np.linalg.norm of one row, as cosine_similarity calls it, is
-        # sqrt(row.dot(row)); np.linalg.norm(axis=1) differs in the last bit
-        # on some rows
-        squares += [row.dot(row) for row in block]
-    neurons = np.asarray(neurons, int)
-    norms = np.sqrt(np.array(squares))
+    neurons = np.asarray(assign(net, matrix), int)
+    norms = _row_norms(matrix)
     by_neuron = np.argsort(neurons, kind="stable")
     bounds = np.searchsorted(neurons[by_neuron], np.arange(1, net.neuron_count))
     return UserClusterModel(net, neurons, norms, tuple(np.split(by_neuron, bounds)))
@@ -290,7 +276,8 @@ def cluster_virtual_users(
         cfg = SomConfig(DEFAULT_PHASE3_NEURONS)
     if not space.keys:
         raise EmptySpace("no rows to cluster")
-    return _cluster_model(train(space.matrix, cfg), space)
+    matrix = space.matrix
+    return _cluster_model(train(matrix, cfg), matrix)
 
 
 def _score(model: UserClusterModel, space: RowSpace, key) -> tuple[np.ndarray, np.ndarray]:
@@ -300,28 +287,20 @@ def _score(model: UserClusterModel, space: RowSpace, key) -> tuple[np.ndarray, n
     score is the cosine-similarity-weighted mean of the peers that rated it.
     When no peer rated the item (or total similarity is zero), the neuron's
     weight component stands in.  Each peer's similarity is
-    ``cosine_similarity`` of the two rows, bit for bit: one ``np.dot`` per
-    peer over the cached norms (a batched product rounds differently).  0
-    means unrated, so the peers' rows are already the masked ratings of the
-    weighted mean.
+    ``cosine_similarity`` of the two rows, bit for bit: one (1, p) @ (p, 1)
+    product per peer over the cached norms.  0 means unrated, so the peers'
+    rows are already the masked ratings of the weighted mean.
     """
     row = space.row(key)  # raises for unknown keys
     neuron = model.neurons[row]
-    prototype = model.som.weights[neuron]
     own_vec = space.dense([row])[0]
     peers = model.members[neuron]
     peers = peers[peers != row]
-    if len(peers):
-        peer_rows = space.dense(peers)
-        denom = model.norms[row] * model.norms[peers]
-        dots = np.fromiter(map(own_vec.dot, peer_rows), np.float64, len(peers))
-        sims = np.divide(dots, denom, out=np.zeros_like(denom), where=denom != 0.0)
-        num = sims @ peer_rows
-        den = sims @ (peer_rows > 0.0)
-        with np.errstate(invalid="ignore"):
-            scored = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), prototype)
-    else:
-        scored = prototype
+    peer_rows = space.dense(peers)
+    sims = _cosines(own_vec[None, None], model.norms[[row]], peer_rows, model.norms[peers])[:, 0]
+    den = sims @ (peer_rows > 0.0)
+    prototype = model.som.weights[neuron]
+    scored = np.divide(sims @ peer_rows, den, out=prototype.copy(), where=den > 0.0)
     columns = np.flatnonzero(own_vec == 0.0)
     return columns, scored[columns]
 
@@ -523,7 +502,7 @@ def _load_bundle(directory: str | Path, space_file: str):
     stored = space.values
     if not np.all((stored >= schema.rating_min) & (stored <= schema.rating_max)):
         raise CorruptFile(f"{space_path} holds a rating outside the schema's range")
-    return schema, space, _cluster_model(net, space)
+    return schema, space, _cluster_model(net, space.matrix)
 
 
 def _clusterings_from_json(

@@ -109,9 +109,26 @@ def cosine_similarity(x: Sequence[float], w: Sequence[float]) -> float:
     return float(np.dot(xa, wa)) / denom
 
 
-def find_bmu(net: SomNetwork, x: Sequence[float]) -> int:
-    """Index of the most similar neuron; ties break to the lowest index."""
-    return assign(net, [x])[0]
+def _cosines(weights, weight_norms, x, x_norms) -> np.ndarray:
+    """(k, N) cosine similarities of each input ``x[i]`` (k, p) to the rows of
+    ``weights[i]`` (k, N, p), or of every input to the rows of ``weights[0]``
+    when it is (1, N, p); 0 where the product of the norms is 0.  numpy sends
+    each stacked (N, p) @ (p, 1) product to gemv and each (1, p) @ (p, 1) to
+    dot, as ``W @ x`` and ``np.dot`` of one vector do, so every cosine keeps
+    their bits; ``X @ W.T`` (gemm) and ``einsum`` round differently."""
+    dots = np.matmul(weights, x[:, :, None])[:, :, 0]
+    denom = weight_norms * x_norms[:, None]
+    return np.divide(dots, denom, out=np.zeros_like(denom), where=denom > 0.0)
+
+
+def _row_norms(m: np.ndarray) -> np.ndarray:
+    """Each row's norm, with the bits of ``np.linalg.norm`` of that row alone."""
+    return np.sqrt(np.matmul(m[:, None, :], m[:, :, None])[:, 0, 0])
+
+
+def _weight_norms(w: np.ndarray) -> np.ndarray:
+    """Norms along the last axis, the bits of ``np.linalg.norm(w, axis=-1)``."""
+    return np.sqrt(np.add.reduce(w * w, axis=-1))
 
 
 def initial_weights(cfg: SomConfig, p: int, rng: Xoshiro256 | None = None) -> np.ndarray:
@@ -197,10 +214,9 @@ def train_many(
         weights = weights.reshape(lanes, cfg.neuron_count, p)
         rngs = [lane_rng.lane(i) for i in range(lanes)]
         flat = np.concatenate([matrices[k] for k in by_count])
-    # input norms once and weight-row norms kept current, each exactly as
-    # assign computes it (np.linalg.norm without its conjugate copy)
-    flat_norms = np.array([np.linalg.norm(x) for x in flat])
-    norms = np.sqrt(np.add.reduce(weights * weights, axis=2))
+    # input norms once and weight-row norms kept current, as assign takes them
+    flat_norms = _row_norms(flat)
+    norms = _weight_norms(weights)
     starts = np.cumsum([0] + counts[:-1])
     active = [sum(1 for n in counts if n > k) for k in range(counts[0])]
     radius0 = cfg.effective_radius0
@@ -219,29 +235,25 @@ def train_many(
         for position, n_active in enumerate(active):
             picked = rows[:n_active, position]
             x = flat[picked]
-            denom = norms[:n_active] * flat_norms[picked][:, None]
-            dots = np.matmul(weights[:n_active], x[:, :, None])[:, :, 0]
-            sims = np.divide(dots, denom, out=np.zeros_like(denom), where=denom > 0.0)
+            sims = _cosines(weights[:n_active], norms[:n_active], x, flat_norms[picked])
             bmus = sims.argmax(axis=1)
             if n_active == 1:
                 moved = update_neighborhood(weights[0], int(bmus[0]), x[0], alpha, radius)
-                hood = weights[0, moved]
-                norms[0, moved] = np.sqrt(np.add.reduce(hood * hood, axis=1))
+                norms[0, moved] = _weight_norms(weights[0, moved])
                 continue
             # every lane's neighbourhood rows at once: gather, move, scatter
             neighbours = bmus[:, None] + offsets
             inside = (neighbours >= 0) & (neighbours < cfg.neuron_count)
             lane = np.broadcast_to(np.arange(n_active)[:, None], inside.shape)[inside]
             neuron = neighbours[inside]
-            # in place, so a step allocates two (rows, p) arrays, not five
+            # in place, so a step allocates three (rows, p) arrays, not five
             hood = weights[lane, neuron]
             step = x[lane]
             step -= hood
             step *= alpha
             hood += step
             weights[lane, neuron] = hood
-            hood *= hood
-            norms[lane, neuron] = np.sqrt(np.add.reduce(hood, axis=1))
+            norms[lane, neuron] = _weight_norms(hood)
 
     weights.setflags(write=False)
     nets = [None] * lanes
@@ -256,14 +268,9 @@ def assign(net: SomNetwork, inputs: np.ndarray) -> list[int]:
     matrix = _as_input_matrix(inputs)
     if matrix.shape[1] != net.p:
         raise LengthMismatch(f"input length {matrix.shape[1]} != {net.p}")
-    # one weight-row norm per call; a zero norm gives similarity 0
-    norms = np.linalg.norm(net.weights, axis=1)
-    bmus = []
-    for x in matrix:
-        denom = norms * np.linalg.norm(x)
-        sims = np.divide(net.weights @ x, denom, out=np.zeros_like(denom), where=denom > 0.0)
-        bmus.append(int(np.argmax(sims)))
-    return bmus
+    weights = net.weights[None]
+    sims = _cosines(weights, _weight_norms(weights), matrix, _row_norms(matrix))
+    return sims.argmax(axis=1).tolist()
 
 
 def mean_similarity(net: SomNetwork, inputs: np.ndarray) -> float:

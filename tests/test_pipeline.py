@@ -501,7 +501,7 @@ def prototype_ranking(items, weights, n, rated=None) -> list[tuple[str, float]]:
     ``weights`` on the items it has not ``rated``."""
     space = RowSpace(items, {("u1", 1): rated or {}})
     net = SomNetwork(np.array([weights], dtype=np.float64), SomConfig(1))
-    return pipeline._ranked(pipeline._cluster_model(net, space), space, ("u1", 1), n)
+    return pipeline._ranked(pipeline._cluster_model(net, space.matrix), space, ("u1", 1), n)
 
 
 class TestRankItems:
@@ -693,10 +693,10 @@ def scored_systems(schema, items, users_m, flats, matrix, weights):
     }
     net = SomNetwork(np.asarray(weights, dtype=np.float64), SomConfig(len(weights)))
     space = RowSpace(items, rows_of(keys, items, matrix))
-    user_model = pipeline._cluster_model(net, space)
+    user_model = pipeline._cluster_model(net, space.matrix)
     model = PipelineModel(schema, SomConfig(2), clusterings, space, user_model)
     flat_space = RowSpace(items, rows_of([f"f{r}" for r in range(len(keys))], items, matrix))
-    flat_model = pipeline._cluster_model(net, flat_space)
+    flat_model = pipeline._cluster_model(net, flat_space.matrix)
     return model, BaselineModel(schema, flat_space, flat_model)
 
 

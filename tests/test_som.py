@@ -14,7 +14,6 @@ from ctxrec.som import (
     SomNetwork,
     assign,
     cosine_similarity,
-    find_bmu,
     initial_weights,
     mean_similarity,
     som_from_json_dict,
@@ -97,17 +96,17 @@ class TestCosineSimilarity:
 class TestFindBmu:
     def test_matching_row_wins(self):
         net = net_from_rows([[0.2, 0.9], [3.0, 1.0], [0.9, 0.2]])
-        assert find_bmu(net, np.array([3.0, 1.0])) == 1
+        assert assign(net, [np.array([3.0, 1.0])])[0] == 1
 
     def test_tie_breaks_to_lowest_index(self):
         # sims (0, 1, 0, 1): neurons 1 and 3 tie exactly
         net = net_from_rows([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0], [2.0, 0.0]])
-        assert find_bmu(net, np.array([1.0, 0.0])) == 1
+        assert assign(net, [np.array([1.0, 0.0])])[0] == 1
 
     def test_hand_computed_bmu(self):
         # sims: 0 vs 0.6
         net = net_from_rows([[0.0, 1.0], [0.6, 0.8]])
-        assert find_bmu(net, np.array([1.0, 0.0])) == 1
+        assert assign(net, [np.array([1.0, 0.0])])[0] == 1
 
     def test_scaling_input_never_changes_bmu(self):
         rng = np.random.default_rng(11)
@@ -115,9 +114,9 @@ class TestFindBmu:
         net = net_from_rows(weights)
         for _ in range(30):
             x = rng.uniform(0.0, 5.0, 4)
-            b = find_bmu(net, x)
-            assert find_bmu(net, 7.5 * x) == b
-            assert find_bmu(net, 0.001 * x) == b
+            b = assign(net, [x])[0]
+            assert assign(net, [7.5 * x])[0] == b
+            assert assign(net, [0.001 * x])[0] == b
 
 
 class TestTrain:
@@ -376,7 +375,7 @@ class TestAssign:
             expected.append(int(np.argmax(sims)))
         assert assign(net, inputs) == expected
         assert assign(net, list(inputs)) == expected
-        assert [find_bmu(net, x) for x in inputs] == expected
+        assert [assign(net, [x])[0] for x in inputs] == expected
 
     def test_bad_input_shapes_rejected(self):
         net = net_from_rows([[1.0, 0.0], [0.0, 1.0]])
@@ -389,7 +388,7 @@ class TestAssign:
         with pytest.raises(LengthMismatch):
             assign(net, np.ones(2))
         with pytest.raises(LengthMismatch):
-            find_bmu(net, np.ones(3))
+            assign(net, [np.ones(3)])
 
 
 class TestMeanSimilarity:
