@@ -185,7 +185,7 @@ def default_schema() -> ContextSchema:
 
 
 def load_schema(path: str | Path) -> ContextSchema:
-    return ContextSchema.from_json_dict(jsonio.read_json(path))
+    return jsonio.read_parsed(path, ContextSchema.from_json_dict)
 
 
 class RatingCube:
@@ -310,7 +310,10 @@ def load_ratings(source: str | Path | IO[str], schema: ContextSchema) -> RatingC
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as handle:
-            return load_ratings(handle, schema)
+            try:
+                return load_ratings(handle, schema)
+            except UnicodeDecodeError as exc:
+                raise MalformedRow(f"{source} is not UTF-8 text: {exc}") from None
     reader = csv.reader(source)
     expected = _expected_header(schema)
     try:

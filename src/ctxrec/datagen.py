@@ -21,6 +21,7 @@ leave situation vectors with almost no overlap to cluster on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -58,12 +59,16 @@ class GenConfig:
             raise InvalidConfig(f"density must be in (0, 1], got {self.density}")
         if self.ratings_per_active_situation < 1:
             raise InvalidConfig("ratings_per_active_situation must be positive")
-        if self.noise_sd < 0.0:
-            raise InvalidConfig("noise_sd must be >= 0")
+        if not 0.0 <= self.noise_sd < math.inf:
+            raise InvalidConfig(f"noise_sd must be finite and >= 0, got {self.noise_sd}")
         if self.archetypes_per_user < 1:
             raise InvalidConfig("archetypes_per_user must be positive")
-        if self.exposure_sharpness < 0.0:
-            raise InvalidConfig("exposure_sharpness must be >= 0")
+        if not 0.0 <= self.exposure_sharpness < math.inf:
+            raise InvalidConfig(
+                f"exposure_sharpness must be finite and >= 0, got {self.exposure_sharpness}"
+            )
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
 
     def to_json_dict(self) -> dict:
         return {

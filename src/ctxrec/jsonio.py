@@ -11,7 +11,7 @@ import json
 import math
 from pathlib import Path
 
-from .errors import CorruptFile
+from .errors import CorruptFile, CtxRecError
 
 
 def format_float(x: float) -> str:
@@ -75,3 +75,14 @@ def read_json(path: str | Path):
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CorruptFile(f"{path} is not valid JSON: {exc}") from None
+
+
+def read_parsed(path: str | Path, parse):
+    """``parse`` of a JSON file; undecodable contents and a wrong shape or
+    value (any error ``parse`` raises on it) raise ``CorruptFile`` naming
+    the file."""
+    data = read_json(path)
+    try:
+        return parse(data)
+    except (CtxRecError, AttributeError, LookupError, TypeError, ValueError) as exc:
+        raise CorruptFile(f"{path} has the wrong shape or values: {exc!r}") from None

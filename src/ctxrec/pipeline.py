@@ -23,7 +23,6 @@ import numpy as np
 from .core import ContextSchema, ContextSituation, RatingCube
 from .errors import (
     CorruptFile,
-    CtxRecError,
     EmptyList,
     EmptySpace,
     InvalidConfig,
@@ -472,15 +471,6 @@ def _save_bundle(model, directory: str | Path, space_file: str) -> Path:
     return directory
 
 
-def _read_part(path: Path, parse):
-    """Parse one bundle file; a wrong shape raises ``CorruptFile`` naming it."""
-    data = jsonio.read_json(path)
-    try:
-        return parse(data)
-    except (CtxRecError, AttributeError, LookupError, TypeError, ValueError) as exc:
-        raise CorruptFile(f"{path} is not a valid bundle file: {exc!r}") from None
-
-
 def _load_bundle(directory: str | Path, space_file: str):
     """Read schema.json, the space file and user_som.json of either system.
 
@@ -490,9 +480,9 @@ def _load_bundle(directory: str | Path, space_file: str):
     """
     directory = Path(directory)
     space_path, som_path = directory / space_file, directory / "user_som.json"
-    schema = _read_part(directory / "schema.json", ContextSchema.from_json_dict)
-    space = _read_part(space_path, RowSpace.from_json_dict)
-    net = _read_part(som_path, som_from_json_dict)
+    schema = jsonio.read_parsed(directory / "schema.json", ContextSchema.from_json_dict)
+    space = jsonio.read_parsed(space_path, RowSpace.from_json_dict)
+    net = jsonio.read_parsed(som_path, som_from_json_dict)
     if net.weights.ndim != 2 or net.p != len(space.items):
         raise CorruptFile(f"{som_path} does not span the items of {space_file}")
     if net.config.neuron_count != net.neuron_count:
@@ -547,7 +537,7 @@ def load_pipeline(directory: str | Path) -> PipelineModel:
     """
     schema, space, user_model = _load_bundle(directory, "virtual_space.json")
     path = Path(directory) / "clusterings.json"
-    phase1_cfg, clusterings = _read_part(path, lambda d: _clusterings_from_json(d, schema))
+    phase1_cfg, clusterings = jsonio.read_parsed(path, lambda d: _clusterings_from_json(d, schema))
     labels = {(user, k) for user, c in clusterings.items() for k in range(1, c.m + 1)}
     if set(space.keys) != labels:
         raise CorruptFile(f"virtual_space.json rows are not the virtual users of {path}")

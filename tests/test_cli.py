@@ -119,11 +119,23 @@ class TestGen:
         cube = load_ratings(dataset / "data" / "ratings.csv", default_schema())
         assert cube.n_ratings > 0
 
-    def test_invalid_gamma_is_usage_error(self, tmp_path):
-        assert (
-            run_cli("gen", "--gamma", 1.5, "--out", tmp_path / "x", *GEN_SMALL)
-            == 1
-        )
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--gamma", 1.5),
+            ("--seed", -1),
+            ("--noise-sd", "nan"),
+            ("--noise-sd", "inf"),
+            ("--exposure-sharpness", "nan"),
+            ("--exposure-sharpness", "inf"),
+        ],
+    )
+    def test_invalid_value_is_usage_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x"
+        assert run_cli("gen", flag, value, "--out", out, *GEN_SMALL) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ctxrec: error: ") and len(err.splitlines()) == 1
+        assert not out.exists()
 
 
 class TestSplit:
@@ -146,6 +158,11 @@ class TestSplit:
         assert code == 2
 
 
+# a schema whose first dimension lists its values as one string
+STRING_VALUES_SCHEMA = default_schema().to_json_dict()
+STRING_VALUES_SCHEMA["dimensions"][0]["values"] = "abc"
+
+
 class TestTrain:
     def test_pipeline_bundle_files(self, pipeline_bundle):
         names = {p.name for p in pipeline_bundle.iterdir()}
@@ -161,30 +178,46 @@ class TestTrain:
         names = {p.name for p in baseline_bundle.iterdir()}
         assert {"schema.json", "flat_space.json", "user_som.json"} <= names
 
-    def test_schema_values_given_as_a_string_is_data_error(self, dataset, tmp_path, capsys):
-        schema = default_schema().to_json_dict()
-        schema["dimensions"][0]["values"] = "abc"
-        jsonio.write_json(tmp_path / "schema.json", schema)
-        code = run_cli(
-            "train",
-            "--ratings",
-            dataset / "split" / "train.csv",
-            "--out",
-            tmp_path / "model",
-            "--schema",
-            tmp_path / "schema.json",
-        )
+    @pytest.mark.parametrize("command", ["gen", "train"])
+    @pytest.mark.parametrize(
+        "schema, message",
+        [
+            (STRING_VALUES_SCHEMA, "values must be a list"),
+            ({}, "KeyError('dimensions')"),
+            ([], "TypeError"),
+            ({"rating_min": 1, "rating_max": 5}, "KeyError('dimensions')"),
+        ],
+        ids=["string-values", "empty-object", "empty-list", "missing-key"],
+    )
+    def test_schema_of_wrong_shape_is_data_error(
+        self, dataset, tmp_path, capsys, command, schema, message
+    ):
+        path = tmp_path / "schema.json"
+        jsonio.write_json(path, schema)
+        inputs = GEN_SMALL if command == "gen" else ("--ratings", dataset / "split" / "train.csv")
+        code = run_cli(command, *inputs, "--out", tmp_path / "model", "--schema", path)
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("ctxrec: error: ") and "values must be a list" in err
+        assert err.startswith(f"ctxrec: error: {path} ") and len(err.splitlines()) == 1
+        assert message in err
         assert not (tmp_path / "model").exists()
 
-    def test_malformed_csv_is_data_error(self, tmp_path):
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"not,a,ratings,header\n1,2,3,4\n",
+            b"user_id,item_id,day,time,companion,weather,rating\n"
+            b"u\xff,i1,Weekday,Morning,Alone,Others,3\n",
+        ],
+        ids=["bad-header", "not-utf8"],
+    )
+    def test_malformed_csv_is_data_error(self, tmp_path, capsys, content):
         bad = tmp_path / "bad.csv"
-        bad.write_text("not,a,ratings,header\n1,2,3,4\n")
-        assert (
-            run_cli("train", "--ratings", bad, "--out", tmp_path / "m") == 2
-        )
+        bad.write_bytes(content)
+        assert run_cli("train", "--ratings", bad, "--out", tmp_path / "m") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ctxrec: error: ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "m").exists()
 
 
 class TestEval:
@@ -796,22 +829,34 @@ def replaced(data, path, value):
 
 
 @st.composite
-def csv_mutations(draw, text: str) -> str:
-    """The CSV with one line cut short or one field swapped."""
+def csv_mutations(draw, text: str) -> bytes:
+    """The CSV with one line cut short, one field swapped or one byte
+    overwritten."""
+    kind = draw(st.sampled_from(["cut", "field", "byte"]))
+    if kind == "byte":
+        data = bytearray(text.encode())
+        data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+        return bytes(data)
     lines = text.splitlines()
     k = draw(st.integers(0, len(lines) - 1))
-    if draw(st.booleans()):
+    if kind == "cut":
         lines[k] = lines[k][: draw(st.integers(0, len(lines[k]) - 1))]
     else:
         fields = lines[k].split(",")
         fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(FIELD_SWAPS))
         lines[k] = ",".join(fields)
-    return "\n".join(lines) + "\n"
+    return ("\n".join(lines) + "\n").encode()
+
+
+def json_mutation(data, doc) -> str:
+    """The JSON document with one value, or the whole document, swapped."""
+    path = data.draw(st.sampled_from(list(json_paths(doc))))
+    return json.dumps(replaced(doc, path, data.draw(st.sampled_from(VALUE_SWAPS))))
 
 
 class TestFuzz:
-    """Mutated CSVs and bundles: the exit code stays 0, 1 or 2, and stderr
-    never shows a traceback or a warning."""
+    """Mutated CSVs, schema files and bundles: the exit code stays 0, 1 or 2,
+    and stderr never shows a traceback or a warning."""
 
     def assert_clean(self, *argv):
         code, err = run_captured(*argv)
@@ -828,22 +873,28 @@ class TestFuzz:
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             test_csv = dataset / "split" / "test.csv"
-            if data.draw(st.booleans(), label="mutate a CSV"):
+            train = (
+                "--out", tmp / "m", "--system", system, "--epochs", 2, "--neurons-baseline", 5,
+            )
+            mutated = data.draw(st.sampled_from(["csv", "schema", "bundle"]), label="mutate")
+            if mutated == "csv":
                 text = (dataset / "split" / "train.csv").read_text()
                 test_csv = tmp / "ratings.csv"
-                test_csv.write_text(data.draw(csv_mutations(text)))
+                test_csv.write_bytes(data.draw(csv_mutations(text)))
+                self.assert_clean("train", "--ratings", test_csv, *train)
+            elif mutated == "schema":
+                schema = tmp / "schema.json"
+                schema.write_text(json_mutation(data, default_schema().to_json_dict()))
                 self.assert_clean(
-                    "train", "--ratings", test_csv, "--out", tmp / "m",
-                    "--system", system, "--epochs", 2, "--neurons-baseline", 5,
+                    "train", "--ratings", dataset / "split" / "train.csv", "--schema", schema,
+                    *train,
                 )
             else:
                 model = tmp / "model"
                 shutil.copytree(bundle, model)
                 name = data.draw(st.sampled_from(sorted(p.name for p in bundle.iterdir())))
                 doc = json.loads((model / name).read_text())
-                path = data.draw(st.sampled_from(list(json_paths(doc))))
-                value = data.draw(st.sampled_from(VALUE_SWAPS))
-                (model / name).write_text(json.dumps(replaced(doc, path, value)))
+                (model / name).write_text(json_mutation(data, doc))
                 bundle = model
                 self.assert_clean("recommend", "--model", bundle, "--user", "u001", *context)
             self.assert_clean(

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctxrec.errors import EmptyInput, InvalidConfig, LengthMismatch
 from ctxrec.rng import Xoshiro256
@@ -323,7 +325,50 @@ class TestUpdateNeighborhood:
         assert np.all(weights != 0.0)
 
 
+def reference_similarities(weights, x) -> np.ndarray:
+    """One input's similarities to every weight row, one input at a time."""
+    denom = np.linalg.norm(weights, axis=1) * np.linalg.norm(x)
+    return np.divide(weights @ x, denom, out=np.zeros_like(denom), where=denom > 0.0)
+
+
+@st.composite
+def assign_cases(draw):
+    """(N, p) weights and (n, p) inputs of random shape; some rows of either
+    are all zero, and the last weight row may tie the first exactly.  Inputs
+    hold ratings or, as virtual users do, non-integer means of ratings."""
+    n, neurons, p = draw(st.integers(1, 30)), draw(st.integers(1, 35)), draw(st.integers(1, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = rng.uniform(0.0, 1.0, (neurons, p))
+    density = draw(st.floats(0.01, 1.0))
+    values = rng.uniform(1.0, 5.0, (n, p)) if draw(st.booleans()) else rng.integers(1, 6, (n, p))
+    inputs = np.where(rng.random((n, p)) < density, values, 0.0)
+    weights[sorted(draw(st.sets(st.integers(0, neurons - 1))))] = 0.0
+    inputs[sorted(draw(st.sets(st.integers(0, n - 1))))] = 0.0
+    if draw(st.booleans()):
+        weights[-1] = weights[0]
+    return weights, inputs
+
+
 class TestAssign:
+    @settings(max_examples=200, deadline=None)
+    @given(case=assign_cases())
+    def test_one_call_has_the_bits_of_the_per_row_loop(self, case):
+        weights, inputs = case
+        stacked = weights[None]
+        norms = som._row_norms(inputs)
+        assert norms.tolist() == [np.linalg.norm(x) for x in inputs]
+        sims = som._cosines(stacked, som._weight_norms(stacked), inputs, norms)
+        expected = [reference_similarities(weights, x) for x in inputs]
+        assert np.array_equal(sims, expected)
+        labels = [int(np.argmax(row)) for row in expected]
+        net = net_from_rows(weights)
+        assert assign(net, inputs) == labels
+        assert [assign(net, [x])[0] for x in inputs] == labels
+        # the scorer's peer similarities: one (1, p) @ (p, 1) product each
+        own = inputs[0]
+        peers = som._cosines(own[None, None], norms[:1], inputs, norms)[:, 0]
+        assert peers.tolist() == [cosine_similarity(own, y) for y in inputs]
+
     def test_duplicate_inputs_share_labels(self):
         x = np.array([2.0, 3.0, 1.0])
         y = np.array([0.5, 0.1, 4.0])
