@@ -78,9 +78,9 @@ def read_json(path: str | Path):
 
 
 def read_parsed(path: str | Path, parse):
-    """``parse`` of a JSON file; undecodable contents and a wrong shape or
-    value (any error ``parse`` raises on it) raise ``CorruptFile`` naming
-    the file."""
+    """A JSON file turned into an object by ``parse``; undecodable contents,
+    and any error ``parse`` raises on a wrong shape or value, raise
+    ``CorruptFile`` naming the file."""
     data = read_json(path)
     try:
         return parse(data)

@@ -203,20 +203,24 @@ class TestTrain:
         assert not (tmp_path / "model").exists()
 
     @pytest.mark.parametrize(
-        "content",
+        "content, message",
         [
-            b"not,a,ratings,header\n1,2,3,4\n",
-            b"user_id,item_id,day,time,companion,weather,rating\n"
-            b"u\xff,i1,Weekday,Morning,Alone,Others,3\n",
+            (b"not,a,ratings,header\n1,2,3,4\n", "bad header"),
+            (
+                b"user_id,item_id,day,time,companion,weather,rating\n"
+                b"u\xff,i1,Weekday,Morning,Alone,Others,3\n",
+                "bad.csv is not UTF-8 text",
+            ),
         ],
         ids=["bad-header", "not-utf8"],
     )
-    def test_malformed_csv_is_data_error(self, tmp_path, capsys, content):
+    def test_malformed_csv_is_data_error(self, tmp_path, capsys, content, message):
         bad = tmp_path / "bad.csv"
         bad.write_bytes(content)
         assert run_cli("train", "--ratings", bad, "--out", tmp_path / "m") == 2
         err = capsys.readouterr().err
         assert err.startswith("ctxrec: error: ") and len(err.splitlines()) == 1
+        assert message in err
         assert not (tmp_path / "m").exists()
 
 
