@@ -3,10 +3,13 @@
 ``ctxrec compare --seed 0`` on the 60 x 50 users x items dataset of
 ``GenConfig(seed=0)`` must produce exactly these bytes, serially and with
 ``--parallel 2``.  ``ctxrec sweep --seed 0`` over two phase-1 and two
-phase-3 neuron counts must write exactly these reports.  ``ctxrec train --seed 0`` on the same dataset must write
-bundles with these canonical contents, and the loaded models must rank
-exactly these items.  A change that moves them changes behaviour; it has to
-say why in CHANGES.md and update the digests here.
+phase-3 neuron counts must write exactly these reports.  ``ctxrec train
+--seed 0`` on the same dataset must write bundles with these canonical
+contents, and the loaded models must rank exactly these items.  ``ctxrec
+split --seed 0``, ``train`` on its train half and ``eval`` on its test half
+must write exactly these reports and run configs, and so must ``ctxrec gen``.
+A change that moves them changes behaviour; it has to say why in CHANGES.md
+and update the digests here.
 """
 
 import hashlib
@@ -51,6 +54,27 @@ SWEEP_SHA256 = {
         "8df4fb58e2e9c43bad011c2c00dce2bc38d7388ac29dbc6eca4d611de17cc436",
     ),
 }
+# (eval_report.csv, cluster_f1.csv, eval_report.json with the output
+# directory replaced by ``OUT``) of each system trained on the seed-0 split
+EVAL_SHA256 = {
+    "pipeline": (
+        "c4d3d92640612d61518223659a595bf4c11272eadbcebead5e144b72e6cb4014",
+        "079a3e9c4f5e97e20f11daa6126ba9294ed3f0262b8ac8a16ba5f3263adb66d8",
+        "6d6cd1cab702e3daa999b1c6622512d5f5c81242d84ddad96c0d4f427a629834",
+    ),
+    "baseline": (
+        "e67a36b38dac5702141ff99cc661b8136cb0cb4c2d67f6e3c366225367470efb",
+        "1188d0d074e02e31203529da406e51b9000ed4cd451e4eeb98fd955d00716e57",
+        "979ac4a1fbf03f38d576decef6c465786d99c21ce2abcef47917d7865b296f15",
+    ),
+}
+# run_config.json, or split.json, with the output directory replaced by ``OUT``
+RUN_CONFIG_SHA256 = {
+    "gen": "705e41a18288c7c2cc26346eca8d123486d674898078a675b5071038e3f4723d",
+    "split": "d705d6ebf024be22307d9627f70377a6cebf5adb8cd6919eb4747dc2a98b728a",
+    "pipeline": "46e56cfe0a1aea27ae187040a12dd4663514484bb433b1b2d9c2f473aebfa882",
+    "baseline": "f8a22bcace9114b7cb086c739e2dae92555e1f58c5ef525757743805601a6c40",
+}
 
 
 @pytest.fixture(scope="module")
@@ -69,10 +93,26 @@ def bundles(ratings, tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def held_out(ratings, tmp_path_factory):
+    """The seed-0 split of the dataset and both systems trained on its train half."""
+    root = tmp_path_factory.mktemp("golden_split")
+    argv = ["split", "--ratings", str(ratings), "--out", str(root), "--seed", "0"]
+    assert cli_main(argv) == 0
+    for system in ("pipeline", "baseline"):
+        argv = ["train", "--ratings", str(root / "train.csv"), "--out", str(root / system)]
+        assert cli_main(argv + ["--seed", "0", "--system", system]) == 0
+    return root
+
+
 def canonical_sha256(path) -> str:
     data = json.loads(path.read_text(encoding="utf-8"))
     text = json.dumps(data, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def masked_sha256(path, out) -> str:
+    return hashlib.sha256(path.read_bytes().replace(str(out).encode(), b"OUT")).hexdigest()
 
 
 def digest(lists) -> str:
@@ -129,3 +169,31 @@ def test_baseline_rankings_fingerprint(bundles):
     model = load_baseline(bundles / "baseline")
     lists = [[user, model.recommend(user, 10)] for user in model.space.keys]
     assert digest(lists) == BASELINE_RANKINGS_SHA256
+
+
+@pytest.mark.parametrize("system", sorted(EVAL_SHA256))
+def test_eval_fingerprint(held_out, tmp_path, system):
+    out = tmp_path / "out"
+    argv = ["eval", "--model", str(held_out / system), "--ratings", str(held_out / "test.csv")]
+    assert cli_main(argv + ["--out", str(out), "--seed", "0"]) == 0
+    expected_csv, expected_clusters, expected_json = EVAL_SHA256[system]
+    assert hashlib.sha256((out / "eval_report.csv").read_bytes()).hexdigest() == expected_csv
+    assert hashlib.sha256((out / "cluster_f1.csv").read_bytes()).hexdigest() == expected_clusters
+    assert masked_sha256(out / "eval_report.json", out) == expected_json
+
+
+def test_split_fingerprint(held_out):
+    assert masked_sha256(held_out / "split.json", held_out) == RUN_CONFIG_SHA256["split"]
+
+
+@pytest.mark.parametrize("system", ["pipeline", "baseline"])
+def test_train_run_config_fingerprint(held_out, system):
+    out = held_out / system
+    assert masked_sha256(out / "run_config.json", out) == RUN_CONFIG_SHA256[system]
+
+
+def test_gen_run_config_fingerprint(tmp_path):
+    out = tmp_path / "out"
+    argv = ["gen", "--out", str(out), "--users", "60", "--items", "50", "--seed", "0"]
+    assert cli_main(argv) == 0
+    assert masked_sha256(out / "run_config.json", out) == RUN_CONFIG_SHA256["gen"]
