@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .baseline import (
@@ -22,7 +21,6 @@ from .core import ContextSchema, default_schema, load_ratings, load_schema, writ
 from .datagen import GenConfig, write_dataset
 from .errors import CtxRecError, InvalidConfig
 from .evaluation import (
-    DEFAULT_TOP_NS,
     EvalConfig,
     SplitConfig,
     evaluate,
@@ -51,44 +49,27 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-@dataclass
-class RunConfig:
-    """Everything a command resolved from flags, embedded in its reports."""
+def _run_config(command: str, args, schema_path: str | None = None, **configs) -> dict:
+    """Everything a command resolved from flags, embedded in its reports;
+    ``configs`` come in report order: phase1, phase3, baseline, split, eval, gen."""
+    run = {"command": command, "seed": args.seed, "schema_path": schema_path, "out": args.out}
+    for name, config in configs.items():
+        run[name] = jsonio.config_dict(config)
+    return run
 
-    command: str
-    seed: int
-    schema_path: str | None
-    phase1: SomConfig | None = None
-    phase3: SomConfig | None = None
-    baseline: SomConfig | None = None
-    split: SplitConfig | None = None
-    eval: EvalConfig | None = None
-    gen: GenConfig | None = None
-    out: str | None = None
 
-    def to_json_dict(self) -> dict:
-        data: dict = {
-            "command": self.command,
-            "seed": self.seed,
-            "schema_path": self.schema_path,
-            "out": self.out,
-        }
-        if self.phase1 is not None:
-            data["phase1"] = self.phase1.to_json_dict()
-        if self.phase3 is not None:
-            data["phase3"] = self.phase3.to_json_dict()
-        if self.baseline is not None:
-            data["baseline"] = self.baseline.to_json_dict()
-        if self.split is not None:
-            data["split"] = {
-                "train_fraction": self.split.train_fraction,
-                "seed": self.split.seed,
-            }
-        if self.eval is not None:
-            data["eval"] = self.eval.to_json_dict()
-        if self.gen is not None:
-            data["gen"] = self.gen.to_json_dict()
-        return data
+# gen flag -> GenConfig field; the flag's type and default are the field's
+_GEN_FLAGS = {
+    "--users": "n_users",
+    "--items": "n_items",
+    "--archetypes": "n_archetypes",
+    "--gamma": "gamma",
+    "--density": "density",
+    "--ratings-per-situation": "ratings_per_active_situation",
+    "--noise-sd": "noise_sd",
+    "--archetypes-per-user": "archetypes_per_user",
+    "--exposure-sharpness": "exposure_sharpness",
+}
 
 
 def _usage_guard(build, *args, **kwargs):
@@ -190,24 +171,11 @@ def _out_dir(args) -> Path:
 
 def cmd_gen(args) -> int:
     schema = _load_schema_arg(args.schema)
-    cfg = _usage_guard(
-        GenConfig,
-        n_users=args.users,
-        n_items=args.items,
-        schema=schema,
-        n_archetypes=args.archetypes,
-        gamma=args.gamma,
-        density=args.density,
-        ratings_per_active_situation=args.ratings_per_situation,
-        noise_sd=args.noise_sd,
-        seed=args.seed,
-        archetypes_per_user=args.archetypes_per_user,
-        exposure_sharpness=args.exposure_sharpness,
-    )
+    values = {name: getattr(args, flag[2:].replace("-", "_")) for flag, name in _GEN_FLAGS.items()}
+    cfg = _usage_guard(GenConfig, schema=schema, seed=args.seed, **values)
     out = _out_dir(args)
     ratings_path, truth_path = write_dataset(cfg, out)
-    run = RunConfig("gen", args.seed, args.schema, gen=cfg, out=args.out)
-    jsonio.write_json(out / "run_config.json", run.to_json_dict())
+    jsonio.write_json(out / "run_config.json", _run_config("gen", args, args.schema, gen=cfg))
     print(f"wrote {ratings_path} and {truth_path}")
     return 0
 
@@ -220,11 +188,10 @@ def cmd_split(args) -> int:
     out = _out_dir(args)
     write_ratings(train_cube, out / "train.csv")
     write_ratings(test_cube, out / "test.csv")
-    run = RunConfig("split", args.seed, args.schema, split=split_cfg, out=args.out)
     jsonio.write_json(
         out / "split.json",
         {
-            "run_config": run.to_json_dict(),
+            "run_config": _run_config("split", args, args.schema, split=split_cfg),
             "n_train": train_cube.n_ratings,
             "n_test": test_cube.n_ratings,
         },
@@ -238,28 +205,29 @@ def cmd_split(args) -> int:
 
 def cmd_train(args) -> int:
     _check_count("--parallel", args.parallel)
-    run = RunConfig("train", args.seed, args.schema, out=args.out)
     if args.system == "pipeline":
-        run.phase1 = _som_cfg(args.neurons_phase1, args)
-        run.phase3 = _som_cfg(args.neurons_phase3, args)
+        configs = {
+            "phase1": _som_cfg(args.neurons_phase1, args),
+            "phase3": _som_cfg(args.neurons_phase3, args),
+        }
     else:
-        run.baseline = _som_cfg(args.neurons_baseline, args)
+        configs = {"baseline": _som_cfg(args.neurons_baseline, args)}
     schema = _load_schema_arg(args.schema)
     _check_dimension_names(schema)
     cube = load_ratings(args.ratings, schema)
     out = _out_dir(args)
     if args.system == "pipeline":
-        model = fit_pipeline(cube, run.phase1, run.phase3, workers=args.parallel)
+        model = fit_pipeline(cube, configs["phase1"], configs["phase3"], workers=args.parallel)
         save_pipeline(model, out)
         summary = (
             f"trained pipeline on {len(model.clusterings)} users -> "
             f"{len(model.space.keys)} virtual users"
         )
     else:
-        model = fit_baseline(cube, run.baseline)
+        model = fit_baseline(cube, configs["baseline"])
         save_baseline(model, out)
         summary = f"trained baseline on {len(model.space.keys)} users"
-    jsonio.write_json(out / "run_config.json", run.to_json_dict())
+    jsonio.write_json(out / "run_config.json", _run_config("train", args, args.schema, **configs))
     print(f"{summary}; model saved under {out}")
     return 0
 
@@ -270,12 +238,15 @@ def cmd_eval(args) -> int:
     test_cube = load_ratings(args.ratings, model.schema)
     report = evaluate(model, test_cube, eval_cfg)
     cluster_report = per_cluster_f1(model, test_cube, eval_cfg)
-    report.per_cluster = cluster_report.to_json_dict()["clusters"]
     out = _out_dir(args)
-    run = RunConfig("eval", args.seed, None, eval=eval_cfg, out=args.out)
     jsonio.write_json(
         out / "eval_report.json",
-        {"run_config": run.to_json_dict(), "system": system, **report.to_json_dict()},
+        {
+            "run_config": _run_config("eval", args, eval=eval_cfg),
+            "system": system,
+            **report.to_json_dict(),
+            "per_cluster": cluster_report.to_json_dict()["clusters"],
+        },
     )
     (out / "eval_report.csv").write_text(report.csv_text())
     (out / "cluster_f1.csv").write_text(cluster_report.csv_text())
@@ -311,20 +282,10 @@ def cmd_sweep(args) -> int:
         metric_n=args.metric_n,
     )
     out = _out_dir(args)
-    run = RunConfig(
-        "sweep",
-        args.seed,
-        args.schema,
-        phase1=phase1,
-        phase3=phase3,
-        split=split_cfg,
-        eval=eval_cfg,
-        out=args.out,
+    run = _run_config(
+        "sweep", args, args.schema, phase1=phase1, phase3=phase3, split=split_cfg, eval=eval_cfg
     )
-    jsonio.write_json(
-        out / "sweep.json",
-        {"run_config": run.to_json_dict(), **result.to_json_dict()},
-    )
+    jsonio.write_json(out / "sweep.json", {"run_config": run, **result.to_json_dict()})
     (out / "sweep.csv").write_text(result.csv_text())
     print(
         f"swept {args.role} over {counts[0]}..{counts[-1]}: "
@@ -390,34 +351,25 @@ def cmd_compare(args) -> int:
         for n in eval_cfg.top_ns
     }
     out = _out_dir(args)
-    run = RunConfig(
-        "compare",
-        args.seed,
-        args.schema,
-        phase1=phase1,
-        phase3=phase3,
-        baseline=baseline_cfg,
-        split=split_cfg,
-        eval=eval_cfg,
-        out=args.out,
+    run = _run_config(
+        "compare", args, args.schema, phase1=phase1, phase3=phase3, baseline=baseline_cfg,
+        split=split_cfg, eval=eval_cfg,
     )
     jsonio.write_json(
         out / "compare.json",
         {
-            "run_config": run.to_json_dict(),
+            "run_config": run,
             "pipeline": pipeline_report.to_json_dict(),
             "baseline": baseline_report.to_json_dict(),
             "difference": {str(n): diff[n] for n in eval_cfg.top_ns},
         },
     )
-    lines = ["n,pipeline_f1,baseline_f1,difference"]
-    for n in eval_cfg.top_ns:
-        lines.append(
-            f"{n},{jsonio.format_float(pipeline_report.mean_f1[n])}"
-            f",{jsonio.format_float(baseline_report.mean_f1[n])}"
-            f",{jsonio.format_float(diff[n])}"
-        )
-    (out / "compare.csv").write_text("\n".join(lines) + "\n")
+    rows = [
+        (n, pipeline_report.mean_f1[n], baseline_report.mean_f1[n], diff[n])
+        for n in eval_cfg.top_ns
+    ]
+    header = ("n", "pipeline_f1", "baseline_f1", "difference")
+    (out / "compare.csv").write_text(jsonio.csv_text(header, rows))
     print("  n  pipeline  baseline      diff")
     for n in eval_cfg.top_ns:
         print(
@@ -437,38 +389,42 @@ def _add_som_flags(p, roles=("phase1", "phase3", "baseline")) -> None:
     if "phase1" in roles:
         p.add_argument(
             "--neurons-phase1", type=int, default=DEFAULT_PHASE1_NEURONS,
-            help=f"context-clustering SOM size (default {DEFAULT_PHASE1_NEURONS})",
+            help="context-clustering SOM size (default %(default)s)",
         )
     if "phase3" in roles:
         p.add_argument(
             "--neurons-phase3", type=int, default=DEFAULT_PHASE3_NEURONS,
-            help=f"virtual-user SOM size (default {DEFAULT_PHASE3_NEURONS})",
+            help="virtual-user SOM size (default %(default)s)",
         )
     if "baseline" in roles:
         p.add_argument(
             "--neurons-baseline", type=int, default=DEFAULT_BASELINE_NEURONS,
-            help=f"flat-user SOM size (default {DEFAULT_BASELINE_NEURONS})",
+            help="flat-user SOM size (default %(default)s)",
         )
-    p.add_argument("--epochs", type=int, default=50, help="SOM epochs (default 50)")
     p.add_argument(
-        "--alpha0", type=float, default=0.5, help="initial learning rate (default 0.5)"
+        "--epochs", type=int, default=SomConfig.epochs, help="SOM epochs (default %(default)s)"
+    )
+    p.add_argument(
+        "--alpha0", type=float, default=SomConfig.alpha0,
+        help="initial learning rate (default %(default)s)",
     )
 
 
 def _add_eval_flags(p) -> None:
     p.add_argument(
         "--topn",
-        default=",".join(str(n) for n in DEFAULT_TOP_NS),
-        help="comma-separated cutoffs (default 5,10,15,20,25,30)",
+        default=",".join(str(n) for n in EvalConfig.top_ns),
+        help="comma-separated cutoffs (default %(default)s)",
     )
     p.add_argument(
-        "--threshold", type=int, default=4,
-        help="minimum rating that counts as relevant (default 4)",
+        "--threshold", type=int, default=EvalConfig.threshold,
+        help="minimum rating that counts as relevant (default %(default)s)",
     )
     p.add_argument(
-        "--sample-users", type=int, default=200,
-        help="users sampled for evaluation (default 200)",
+        "--sample-users", type=int, default=EvalConfig.sample_users,
+        help="users sampled for evaluation (default %(default)s)",
     )
+
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -478,22 +434,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a synthetic ratings CSV")
     _add_schema_seed(p)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--users", type=int, default=630)
-    p.add_argument("--items", type=int, default=400)
-    p.add_argument("--archetypes", type=int, default=6)
-    p.add_argument("--gamma", type=float, default=0.9)
-    p.add_argument("--density", type=float, default=0.00744)
-    p.add_argument("--ratings-per-situation", type=int, default=12)
-    p.add_argument("--noise-sd", type=float, default=0.3)
-    p.add_argument("--archetypes-per-user", type=int, default=2)
-    p.add_argument("--exposure-sharpness", type=float, default=3.5)
+    for flag, name in _GEN_FLAGS.items():
+        default = getattr(GenConfig, name)
+        p.add_argument(flag, type=type(default), default=default, help="(default %(default)s)")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("split", help="split a ratings CSV into train/test")
     _add_schema_seed(p)
     p.add_argument("--ratings", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--train-frac", type=float, default=0.8)
+    p.add_argument("--train-frac", type=float, default=SplitConfig.train_fraction)
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("train", help="fit and persist a recommender")
@@ -519,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--role", choices=("phase1", "phase3", "baseline"), required=True)
     p.add_argument("--counts", required=True, help="e.g. 2-15 or 5,10,15")
-    p.add_argument("--train-frac", type=float, default=0.8)
+    p.add_argument("--train-frac", type=float, default=SplitConfig.train_fraction)
     p.add_argument("--metric-n", type=int, default=10)
     _add_som_flags(p, roles=("phase1", "phase3"))
     _add_eval_flags(p)
@@ -542,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_schema_seed(p)
     p.add_argument("--ratings", required=True, help="full ratings CSV (split inside)")
     p.add_argument("--out", required=True)
-    p.add_argument("--train-frac", type=float, default=0.8)
+    p.add_argument("--train-frac", type=float, default=SplitConfig.train_fraction)
     _add_som_flags(p)
     _add_eval_flags(p)
     p.add_argument("--parallel", type=int, default=1, help="worker processes")

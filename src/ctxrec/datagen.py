@@ -70,27 +70,6 @@ class GenConfig:
         if self.seed < 0:
             raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n_users": self.n_users,
-            "n_items": self.n_items,
-            "schema": self.schema.to_json_dict(),
-            "n_archetypes": self.n_archetypes,
-            "gamma": self.gamma,
-            "density": self.density,
-            "ratings_per_active_situation": self.ratings_per_active_situation,
-            "noise_sd": self.noise_sd,
-            "seed": self.seed,
-            "archetypes_per_user": self.archetypes_per_user,
-            "exposure_sharpness": self.exposure_sharpness,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data) -> "GenConfig":
-        data = dict(data)
-        data["schema"] = ContextSchema.from_json_dict(data["schema"])
-        return cls(**data)
-
 
 def _ids(prefix: str, count: int) -> list[str]:
     width = max(3, len(str(count)))
@@ -170,7 +149,7 @@ def write_dataset(cfg: GenConfig, directory: str | Path) -> tuple[Path, Path]:
         truth_path,
         {
             "situation_archetypes": {str(flat): arch for flat, arch in truth.items()},
-            "config": cfg.to_json_dict(),
+            "config": jsonio.config_dict(cfg),
         },
     )
     return ratings_path, truth_path

@@ -58,14 +58,6 @@ class EvalConfig:
         if self.sample_users <= 0:
             raise InvalidConfig("sample_users must be positive")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "top_ns": list(self.top_ns),
-            "threshold": self.threshold,
-            "sample_users": self.sample_users,
-            "seed": self.seed,
-        }
-
 
 def split(cube: RatingCube, cfg: SplitConfig) -> tuple[RatingCube, RatingCube]:
     """Shuffle the ratings (canonical order first) and cut at ceil(f*N).
@@ -116,7 +108,6 @@ class EvalReport:
     skipped_no_relevant: int
     skipped_no_candidates: int
     config: dict = field(default_factory=dict)
-    per_cluster: dict | None = None
 
     def to_json_dict(self) -> dict:
         # metrics are absent (not zero) when no user could be evaluated
@@ -132,7 +123,7 @@ class EvalReport:
             if self.n_users_evaluated
             else {}
         )
-        data = {
+        return {
             "config": self.config,
             "per_n": per_n,
             "n_users_evaluated": self.n_users_evaluated,
@@ -140,19 +131,15 @@ class EvalReport:
             "skipped_no_relevant": self.skipped_no_relevant,
             "skipped_no_candidates": self.skipped_no_candidates,
         }
-        if self.per_cluster is not None:
-            data["per_cluster"] = self.per_cluster
-        return data
 
     def csv_text(self) -> str:
-        lines = ["n,mean_f1,mean_precision,mean_recall"]
-        for n in self.top_ns:
-            lines.append(
-                f"{n},{jsonio.format_float(self.mean_f1[n])}"
-                f",{jsonio.format_float(self.mean_precision[n])}"
-                f",{jsonio.format_float(self.mean_recall[n])}"
-            )
-        return "\n".join(lines) + "\n"
+        return jsonio.csv_text(
+            ("n", "mean_f1", "mean_precision", "mean_recall"),
+            (
+                (n, self.mean_f1[n], self.mean_precision[n], self.mean_recall[n])
+                for n in self.top_ns
+            ),
+        )
 
 
 def sample_eval_users(pool: Sequence[str], cfg: EvalConfig) -> list[str]:
@@ -179,10 +166,8 @@ def evaluate(model, test: RatingCube, cfg: EvalConfig | None = None) -> EvalRepo
     users = sample_eval_users(pool, cfg)
     n_max = max(cfg.top_ns)
 
-    per_user_f1: dict[int, list[float]] = {n: [] for n in cfg.top_ns}
-    per_user_p: dict[int, list[float]] = {n: [] for n in cfg.top_ns}
-    per_user_r: dict[int, list[float]] = {n: [] for n in cfg.top_ns}
-    n_units = 0
+    # per evaluated user, per scored unit: (precision, recall) at each cutoff
+    user_scores: list[list[list[tuple[float, float]]]] = []
     skipped_no_relevant = 0
     skipped_no_candidates = 0
     for user in users:
@@ -190,39 +175,33 @@ def evaluate(model, test: RatingCube, cfg: EvalConfig | None = None) -> EvalRepo
         if not units:
             skipped_no_relevant += 1
             continue
-        unit_f1: dict[int, list[float]] = {n: [] for n in cfg.top_ns}
-        unit_p: dict[int, list[float]] = {n: [] for n in cfg.top_ns}
-        unit_r: dict[int, list[float]] = {n: [] for n in cfg.top_ns}
+        unit_scores = []
         for key, relevant in units:
             ranking = model.recommend_key(key, n_max)
             if not ranking:
                 skipped_no_candidates += 1
                 continue
-            n_units += 1
-            for n in cfg.top_ns:
-                p, r = precision_recall(ranking[:n], relevant)
-                unit_f1[n].append(f1(p, r))
-                unit_p[n].append(p)
-                unit_r[n].append(r)
-        if not unit_f1[cfg.top_ns[0]]:
-            continue
-        for n in cfg.top_ns:
-            per_user_f1[n].append(sum(unit_f1[n]) / len(unit_f1[n]))
-            per_user_p[n].append(sum(unit_p[n]) / len(unit_p[n]))
-            per_user_r[n].append(sum(unit_r[n]) / len(unit_r[n]))
+            unit_scores.append([precision_recall(ranking[:n], relevant) for n in cfg.top_ns])
+        if unit_scores:
+            user_scores.append(unit_scores)
 
-    n_users = len(per_user_f1[cfg.top_ns[0]])
-    mean = lambda xs: sum(xs) / len(xs) if xs else 0.0
+    def mean(values: list[float]) -> float:
+        return sum(values) / len(values) if values else 0.0
+
+    def user_mean(k: int, metric) -> float:
+        """Mean over users of each user's mean over units, at cutoff k."""
+        return mean([mean([metric(*unit[k]) for unit in units]) for units in user_scores])
+
     return EvalReport(
         top_ns=cfg.top_ns,
-        mean_f1={n: mean(per_user_f1[n]) for n in cfg.top_ns},
-        mean_precision={n: mean(per_user_p[n]) for n in cfg.top_ns},
-        mean_recall={n: mean(per_user_r[n]) for n in cfg.top_ns},
-        n_users_evaluated=n_users,
-        n_units_evaluated=n_units,
+        mean_f1={n: user_mean(k, f1) for k, n in enumerate(cfg.top_ns)},
+        mean_precision={n: user_mean(k, lambda p, r: p) for k, n in enumerate(cfg.top_ns)},
+        mean_recall={n: user_mean(k, lambda p, r: r) for k, n in enumerate(cfg.top_ns)},
+        n_users_evaluated=len(user_scores),
+        n_units_evaluated=sum(map(len, user_scores)),
         skipped_no_relevant=skipped_no_relevant,
         skipped_no_candidates=skipped_no_candidates,
-        config=cfg.to_json_dict(),
+        config=jsonio.config_dict(cfg),
     )
 
 
@@ -243,10 +222,10 @@ class PerClusterReport:
         }
 
     def csv_text(self) -> str:
-        lines = ["cluster,mean_f1"]
-        for neuron in sorted(self.rows):
-            lines.append(f"{neuron},{jsonio.format_float(self.rows[neuron][1])}")
-        return "\n".join(lines) + "\n"
+        return jsonio.csv_text(
+            ("cluster", "mean_f1"),
+            ((neuron, score) for neuron, (_, score) in sorted(self.rows.items())),
+        )
 
 
 def per_cluster_f1(
@@ -310,10 +289,7 @@ class SweepResult:
         }
 
     def csv_text(self) -> str:
-        lines = ["neuron_count,mean_f1"]
-        for c, s in zip(self.neuron_counts, self.scores):
-            lines.append(f"{c},{jsonio.format_float(s)}")
-        return "\n".join(lines) + "\n"
+        return jsonio.csv_text(("neuron_count", "mean_f1"), zip(self.neuron_counts, self.scores))
 
 
 def neuron_sweep(

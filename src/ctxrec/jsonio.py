@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
+from typing import Iterable, Sequence
 
 from .errors import CorruptFile, CtxRecError
 
@@ -63,6 +65,26 @@ def _write(obj, parts: list[str], indent: int, level: int) -> None:
         parts.append(end_pad + "]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def config_dict(config) -> dict:
+    """A config dataclass's fields in declaration order; a nested object is
+    written with its own ``to_json_dict``."""
+    data = {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        data[f.name] = value.to_json_dict() if hasattr(value, "to_json_dict") else value
+    return data
+
+
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """A header line, then one line per row; floats through ``format_float``."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(
+            ",".join(format_float(v) if isinstance(v, float) else str(v) for v in row)
+        )
+    return "\n".join(lines) + "\n"
 
 
 def write_json(path: str | Path, obj, indent: int = 2) -> None:

@@ -524,7 +524,7 @@ def save_pipeline(model: PipelineModel, directory: str | Path) -> None:
     }
     jsonio.write_json(
         directory / "clusterings.json",
-        {"phase1_config": model.phase1_cfg.to_json_dict(), "users": users},
+        {"phase1_config": jsonio.config_dict(model.phase1_cfg), "users": users},
     )
 
 

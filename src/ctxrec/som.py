@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import EmptyInput, InvalidConfig, LengthMismatch
 from .rng import Xoshiro256, XoshiroLanes
+from . import jsonio
 
 
 @dataclass(frozen=True)
@@ -56,15 +57,6 @@ class SomConfig:
     @property
     def effective_radius0(self) -> float:
         return float(self.neuron_count // 4) if self.radius0 is None else float(self.radius0)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "neuron_count": self.neuron_count,
-            "epochs": self.epochs,
-            "alpha0": self.alpha0,
-            "radius0": self.radius0,
-            "seed": self.seed,
-        }
 
     @classmethod
     def from_json_dict(cls, data) -> "SomConfig":
@@ -282,7 +274,7 @@ def mean_similarity(net: SomNetwork, inputs: np.ndarray) -> float:
 
 def som_to_json_dict(net: SomNetwork) -> dict:
     return {
-        "config": net.config.to_json_dict(),
+        "config": jsonio.config_dict(net.config),
         "weights": [[float(v) for v in row] for row in net.weights],
     }
 

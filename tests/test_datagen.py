@@ -1,9 +1,11 @@
 """Synthetic cube generator: determinism, the context knob, sidecar files."""
 
+import json
+
 import pytest
 
 from ctxrec.baseline import flatten_cube
-from ctxrec.core import default_schema, load_ratings
+from ctxrec.core import ContextSchema, default_schema, load_ratings
 from ctxrec.datagen import (
     GenConfig,
     generate,
@@ -13,6 +15,11 @@ from ctxrec.datagen import (
 )
 from ctxrec.errors import InvalidConfig
 from ctxrec import jsonio
+
+
+def rebuilt(data) -> GenConfig:
+    """The GenConfig a written config dict describes."""
+    return GenConfig(**{**data, "schema": ContextSchema.from_json_dict(data["schema"])})
 
 
 class TestGenConfig:
@@ -43,7 +50,7 @@ class TestGenConfig:
 
     def test_json_round_trip(self):
         cfg = GenConfig(n_users=9, n_items=11, gamma=0.25, seed=4)
-        assert GenConfig.from_json_dict(cfg.to_json_dict()) == cfg
+        assert rebuilt(json.loads(jsonio.dumps(jsonio.config_dict(cfg)))) == cfg
 
     def test_scaled_config_keeps_other_knobs(self):
         cfg = GenConfig(gamma=0.33, seed=12)
@@ -157,7 +164,7 @@ class TestWriteDataset:
         data = jsonio.read_json(truth_path)
         assert set(data) == {"situation_archetypes", "config"}
         assert len(data["situation_archetypes"]) == cfg.schema.situation_count
-        assert GenConfig.from_json_dict(data["config"]) == cfg
+        assert rebuilt(data["config"]) == cfg
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         cfg = GenConfig(n_users=6, n_items=12, density=0.01, seed=8)
