@@ -15,11 +15,13 @@ sorted id order), so runs are reproducible bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
+from .baseline import fit_baseline
 from .core import RatingCube
 from .errors import EmptyRelevantSet, InvalidConfig, UntrainedSystem
+from .pipeline import DEFAULT_PHASE1_NEURONS, DEFAULT_PHASE3_NEURONS, fit_pipeline
 from .rng import Xoshiro256, derive_seed
 from .som import SomConfig
 from . import jsonio
@@ -39,6 +41,8 @@ class SplitConfig:
             raise InvalidConfig(
                 f"train_fraction must be in (0, 1], got {self.train_fraction}"
             )
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -57,6 +61,8 @@ class EvalConfig:
             raise InvalidConfig("top_ns must be strictly increasing")
         if self.sample_users <= 0:
             raise InvalidConfig("sample_users must be positive")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
 
 
 def split(cube: RatingCube, cfg: SplitConfig) -> tuple[RatingCube, RatingCube]:
@@ -307,10 +313,6 @@ def neuron_sweep(
     ``role`` is "phase1" or "phase3" (pipeline SOMs) or "baseline" (flat
     user SOM).  Ties go to the smaller count.
     """
-    from .baseline import fit_baseline
-    from .pipeline import DEFAULT_PHASE1_NEURONS, DEFAULT_PHASE3_NEURONS, fit_pipeline
-    from dataclasses import replace
-
     if role not in ("phase1", "phase3", "baseline"):
         raise InvalidConfig(f"unknown sweep role {role!r}")
     counts = tuple(neuron_counts)

@@ -106,5 +106,5 @@ def read_parsed(path: str | Path, parse):
     data = read_json(path)
     try:
         return parse(data)
-    except (CtxRecError, AttributeError, LookupError, TypeError, ValueError) as exc:
+    except (CtxRecError, AttributeError, LookupError, OverflowError, TypeError, ValueError) as exc:
         raise CorruptFile(f"{path} has the wrong shape or values: {exc!r}") from None

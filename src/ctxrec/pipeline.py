@@ -59,8 +59,7 @@ class ContextClustering:
     m: int
 
     def __post_init__(self):
-        used = set(self.labels.values())
-        if self.labels and used != set(range(1, self.m + 1)):
+        if self.m < 0 or set(self.labels.values()) != set(range(1, self.m + 1)):
             raise InvalidConfig(
                 f"labels for user {self.user_id!r} are not compacted to 1..{self.m}"
             )

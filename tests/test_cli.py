@@ -161,6 +161,8 @@ class TestSplit:
 # a schema whose first dimension lists its values as one string
 STRING_VALUES_SCHEMA = default_schema().to_json_dict()
 STRING_VALUES_SCHEMA["dimensions"][0]["values"] = "abc"
+# a schema whose integer rating bound is Infinity (the json module writes it)
+INFINITE_BOUND_SCHEMA = {**default_schema().to_json_dict(), "rating_min": float("inf")}
 
 
 class TestTrain:
@@ -186,14 +188,15 @@ class TestTrain:
             ({}, "KeyError('dimensions')"),
             ([], "TypeError"),
             ({"rating_min": 1, "rating_max": 5}, "KeyError('dimensions')"),
+            (INFINITE_BOUND_SCHEMA, "OverflowError"),
         ],
-        ids=["string-values", "empty-object", "empty-list", "missing-key"],
+        ids=["string-values", "empty-object", "empty-list", "missing-key", "infinite-bound"],
     )
     def test_schema_of_wrong_shape_is_data_error(
         self, dataset, tmp_path, capsys, command, schema, message
     ):
         path = tmp_path / "schema.json"
-        jsonio.write_json(path, schema)
+        path.write_text(json.dumps(schema))
         inputs = GEN_SMALL if command == "gen" else ("--ratings", dataset / "split" / "train.csv")
         code = run_cli(command, *inputs, "--out", tmp_path / "model", "--schema", path)
         assert code == 2
@@ -579,6 +582,40 @@ class TestCorruptBundle:
         code = self.run_on(command, bundle, dataset, tmp_path)
         self.assert_one_error_line(capsys, code, "clusterings.json")
 
+    @pytest.mark.parametrize("command", ["recommend", "eval"])
+    @pytest.mark.parametrize(
+        "name, path",
+        [
+            ("user_som.json", ("config", "neuron_count")),
+            ("schema.json", ("rating_min",)),
+            ("clusterings.json", ("users", "u001", "m")),
+        ],
+        ids=["neuron-count", "rating-min", "label-count"],
+    )
+    def test_infinity_where_an_integer_belongs(
+        self, dataset, pipeline_bundle, tmp_path, capsys, name, path, command
+    ):
+        bundle = tmp_path / "model"
+        shutil.copytree(pipeline_bundle, bundle)
+        data = replaced(jsonio.read_json(bundle / name), path, float("inf"))
+        (bundle / name).write_text(json.dumps(data))
+        code = self.run_on(command, bundle, dataset, tmp_path)
+        self.assert_one_error_line(capsys, code, name)
+
+    @pytest.mark.parametrize("command", ["recommend", "eval"])
+    def test_negative_label_count(self, dataset, pipeline_bundle, tmp_path, capsys, command):
+        bundle = tmp_path / "model"
+        shutil.copytree(pipeline_bundle, bundle)
+        data = jsonio.read_json(bundle / "clusterings.json")
+        data["users"]["u999"] = {"m": -1, "labels": {}}
+        jsonio.write_json(bundle / "clusterings.json", data)
+        if command == "recommend":
+            context = TestRecommend.CONTEXT
+            code = run_cli("recommend", "--model", bundle, "--user", "u999", *context)
+        else:
+            code = self.run_on(command, bundle, dataset, tmp_path)
+        self.assert_one_error_line(capsys, code, "clusterings.json")
+
 
 class TestSweep:
     def test_explicit_counts(self, dataset, tmp_path):
@@ -776,6 +813,8 @@ class TestFlagsBeforeFiles:
             ("eval", ("--model", "MISSING", "--ratings", "MISSING", "--topn", "x")),
             ("sweep", ("--ratings", "MISSING", "--role", "phase3", "--counts", 3, "--topn", "x")),
             ("compare", ("--ratings", "MISSING", "--topn", "x")),
+            ("split", ("--ratings", "MISSING", "--seed", -1)),
+            ("eval", ("--model", "MISSING", "--ratings", "MISSING", "--seed", -1)),
         ],
     )
     def test_bad_flag_with_missing_input_is_usage_error(
@@ -791,7 +830,7 @@ class TestFlagsBeforeFiles:
 
 # what the fuzz test writes over one CSV field or one bundle JSON value
 FIELD_SWAPS = ("", "x", "NaN", "-1")
-VALUE_SWAPS = ({}, [], None, float("nan"))
+VALUE_SWAPS = ({}, [], None, float("nan"), float("inf"))
 
 
 def run_captured(*argv) -> tuple[object, str]:

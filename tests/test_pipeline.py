@@ -84,6 +84,11 @@ class TestContextClustering:
         c = ContextClustering("u1", {0: 1, 5: 2, 9: 1}, m=2)
         assert c.m == 2
 
+    @pytest.mark.parametrize("m", [-1, 2])
+    def test_no_labels_means_no_clusters(self, m):
+        with pytest.raises(InvalidConfig):
+            ContextClustering("u1", {}, m=m)
+
 
 class TestClusterUserContexts:
     def test_single_situation_single_cluster(self, schema2x2):
