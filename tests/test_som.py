@@ -298,6 +298,109 @@ class TestTrainMany:
             train_many([[np.ones(3)], []], SomConfig(neuron_count=2), [1, 2])
 
 
+# Fixed before any comparison: at p <= 6 the rounding of a cosine is below
+# 1e-15 in any summation order, so a BMU whose cosine leads the runner-up by
+# more than this is the BMU however the products are computed.  Weights reached
+# through the same BMUs differ by at most that kind of rounding.
+SEPARATION = 1e-9
+
+
+def py_bmu(weights, x) -> tuple[int, float]:
+    """The best-matching unit in plain Python floats (cosine, 0 for a zero
+    norm, ties to the lowest index) and its lead over the runner-up.  An
+    all-zero input ties every neuron at exactly 0, so its lead is infinite."""
+    x_norm = math.sqrt(sum(v * v for v in x))
+    sims = []
+    for row in weights:
+        denom = math.sqrt(sum(w * w for w in row)) * x_norm
+        sims.append(sum(w * v for w, v in zip(row, x)) / denom if denom > 0.0 else 0.0)
+    best = sims.index(max(sims))
+    if x_norm == 0.0:
+        return best, math.inf
+    return best, sims[best] - max((s for k, s in enumerate(sims) if k != best), default=-1.0)
+
+
+def py_train(rows, cfg: SomConfig) -> tuple[list[list[float]], float]:
+    """``train`` step by step in plain Python: xoshiro weights row by row,
+    then per epoch a Fisher-Yates shuffle on the same stream, linear alpha
+    decay, a half-up rounded radius and the clipped rectangular
+    neighbourhood.  Returns the weights and the smallest BMU lead met."""
+    rng = Xoshiro256(cfg.seed)
+    weights = [[rng.uniform(0.01, 1.0) for _ in rows[0]] for _ in range(cfg.neuron_count)]
+    lead = math.inf
+    for epoch in range(cfg.epochs):
+        alpha = cfg.alpha0 * (1.0 - epoch / cfg.epochs)
+        radius = math.floor(cfg.effective_radius0 * (1.0 - epoch / cfg.epochs) + 0.5)
+        order = list(range(len(rows)))
+        for j in range(len(order) - 1, 0, -1):
+            k = rng.below(j + 1)
+            order[j], order[k] = order[k], order[j]
+        for i in order:
+            bmu, gap = py_bmu(weights, rows[i])
+            lead = min(lead, gap)
+            for k in range(max(0, bmu - radius), min(cfg.neuron_count - 1, bmu + radius) + 1):
+                weights[k] = [w + alpha * (v - w) for w, v in zip(weights[k], rows[i])]
+    return weights, lead
+
+
+def small_cases(count: int, seed: int, width=None) -> list[tuple[list[list[float]], SomConfig]]:
+    """Up to 8 rows of ``width`` (default up to 6) ratings, some sparse and
+    now and then an all-zero row, and up to 7 neurons, with random epochs,
+    alpha0 and radius."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(count):
+        n, p = int(rng.integers(1, 9)), width or int(rng.integers(1, 7))
+        rows = np.where(rng.random((n, p)) < rng.uniform(0.3, 1.0), rng.integers(1, 6, (n, p)), 0)
+        if rng.random() < 0.2:
+            rows[rng.integers(n)] = 0
+        cfg = SomConfig(
+            neuron_count=int(rng.integers(1, 8)),
+            epochs=int(rng.integers(1, 7)),
+            alpha0=float(rng.uniform(0.05, 1.0)),
+            radius0=None if rng.random() < 0.5 else float(rng.uniform(0.0, 4.0)),
+            seed=int(rng.integers(0, 2**63)),
+        )
+        cases.append((rows.astype(float).tolist(), cfg))
+    return cases
+
+
+def assert_matches_reference(net: SomNetwork, rows, expected) -> None:
+    assert np.allclose(net.weights, expected, rtol=0.0, atol=SEPARATION)
+    labels = [py_bmu(expected, x) for x in rows]
+    if min(gap for _, gap in labels) > SEPARATION:
+        assert assign(net, np.asarray(rows)) == [bmu for bmu, _ in labels]
+
+
+class TestPlainPythonReference:
+    """``train``, ``train_many`` and ``assign`` against a plain-Python trainer
+    that shares no arithmetic with them, on inputs whose every BMU is clear
+    by more than ``SEPARATION``."""
+
+    def test_train_and_assign(self):
+        checked = 0
+        for rows, cfg in small_cases(60, seed=11):
+            expected, lead = py_train(rows, cfg)
+            if lead > SEPARATION:
+                assert_matches_reference(train(np.asarray(rows), cfg), rows, expected)
+                checked += 1
+        assert checked >= 40
+
+    def test_each_lane_of_one_block(self):
+        cases = small_cases(12, seed=12, width=4)
+        cfg = SomConfig(neuron_count=5, epochs=4, alpha0=0.7)
+        seeds = [case_cfg.seed for _, case_cfg in cases]
+        nets = train_many([np.asarray(rows) for rows, _ in cases], cfg, seeds)
+        assert len({len(rows) for rows, _ in cases}) > 2
+        checked = 0
+        for (rows, _), seed, net in zip(cases, seeds, nets):
+            expected, lead = py_train(rows, replace(cfg, seed=seed))
+            if lead > SEPARATION:
+                assert_matches_reference(net, rows, expected)
+                checked += 1
+        assert checked >= 9
+
+
 class TestUpdateNeighborhood:
     def test_contraction_per_step(self):
         # constant alpha, single neuron: each presentation scales the
