@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .core import ContextSchema, RatingCube
-from .errors import EmptyCube
+from .errors import EmptyInput
 from .pipeline import (
     RowSpace,
     UserClusterModel,
@@ -30,7 +30,7 @@ DEFAULT_BASELINE_NEURONS = 19
 def flatten_cube(cube: RatingCube) -> RowSpace:
     """Average away the situation axis, keeping users with >= 1 rating."""
     if not cube.n_ratings:
-        raise EmptyCube("cube has no ratings to flatten")
+        raise EmptyInput("cube has no ratings to flatten")
     return _average_rows(cube, lambda user, flat: user)
 
 

@@ -513,10 +513,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"ctxrec: error: {exc}", file=sys.stderr)
         return 1
-    except CtxRecError as exc:
-        print(f"ctxrec: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CtxRecError, OSError) as exc:
         print(f"ctxrec: error: {exc}", file=sys.stderr)
         return 2
 

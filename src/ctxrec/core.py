@@ -20,14 +20,7 @@ from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    DuplicateCell,
-    InvalidConfig,
-    MalformedRow,
-    RatingOutOfRange,
-    UnknownContextValue,
-    UnknownUser,
-)
+from .errors import InvalidConfig, MalformedRow, UnknownContextValue, UnknownUser
 from . import jsonio
 
 
@@ -223,7 +216,7 @@ class RatingCube:
             if not 0 <= flat < schema.situation_count:
                 raise InvalidConfig(f"cell situation {flat} out of range")
             if not schema.rating_min <= rating <= schema.rating_max:
-                raise RatingOutOfRange(
+                raise MalformedRow(
                     f"rating {rating} outside "
                     f"[{schema.rating_min}, {schema.rating_max}]"
                 )
@@ -349,13 +342,13 @@ def load_ratings(source: str | Path | IO[str], schema: ContextSchema) -> RatingC
                 f"line {line_no}: rating {row[2 + n_dims]!r} is not an integer"
             ) from None
         if not schema.rating_min <= rating <= schema.rating_max:
-            raise RatingOutOfRange(
+            raise MalformedRow(
                 f"line {line_no}: rating {rating} outside "
                 f"[{schema.rating_min}, {schema.rating_max}]"
             )
         key = (user_id, situation.flat_index, item_id)
         if key in cells:
-            raise DuplicateCell(
+            raise MalformedRow(
                 f"line {line_no}: duplicate rating for user {user_id!r}, "
                 f"item {item_id!r}, situation {situation.flat_index}"
             )

@@ -14,27 +14,17 @@ class CorruptFile(CtxRecError):
 
 
 class MalformedRow(CtxRecError):
-    """A ratings CSV row cannot be parsed."""
+    """A ratings row cannot be parsed, lies outside the rating range or
+    repeats a (user, situation, item) cell."""
 
 
 class UnknownContextValue(CtxRecError):
     """A context value does not exist in the schema dimension."""
 
 
-class RatingOutOfRange(CtxRecError):
-    """A rating lies outside the schema's [rating_min, rating_max]."""
-
-
-class DuplicateCell(CtxRecError):
-    """Two ratings target the same (user, situation, item) cell."""
-
-
 class UnknownUser(CtxRecError):
-    """A user id is not part of the data structure."""
-
-
-class UnknownVirtualUser(CtxRecError):
-    """A (user, cluster-label) key is not part of the virtual-user space."""
+    """A user id, or a (user, cluster-label) key, is not part of the data
+    structure, or the user has no context clustering."""
 
 
 class LengthMismatch(CtxRecError):
@@ -42,36 +32,5 @@ class LengthMismatch(CtxRecError):
 
 
 class EmptyInput(CtxRecError):
-    """A non-empty input collection was required."""
-
-
-class EmptyList(CtxRecError):
-    """An aggregation was asked for zero values."""
-
-
-class NoRatings(CtxRecError):
-    """The user has no ratings to work from."""
-
-
-class MissingClustering(CtxRecError):
-    """A user with ratings has no context clustering."""
-
-
-class EmptySpace(CtxRecError):
-    """A 2-D recommendation space contains no rows."""
-
-
-class NoVirtualUsers(CtxRecError):
-    """A user owns no virtual users in the collapsed space."""
-
-
-class EmptyCube(CtxRecError):
-    """The rating cube contains no cells."""
-
-
-class EmptyRelevantSet(CtxRecError):
-    """Recall is undefined: the relevant set is empty (skip this user)."""
-
-
-class UntrainedSystem(CtxRecError):
-    """Evaluation was given a system that is not a trained model."""
+    """An input that must be non-empty is empty: no input vectors, ratings,
+    rows, virtual users, relevant items or users to evaluate."""

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 from .baseline import fit_baseline
 from .core import RatingCube
-from .errors import EmptyRelevantSet, InvalidConfig, UntrainedSystem
+from .errors import EmptyInput, InvalidConfig
 from .pipeline import DEFAULT_PHASE1_NEURONS, DEFAULT_PHASE3_NEURONS, fit_pipeline
 from .rng import Xoshiro256, derive_seed
 from .som import SomConfig
@@ -87,7 +87,7 @@ def precision_recall(
     user"; an empty recommendation list simply scores (0, 0).
     """
     if not relevant:
-        raise EmptyRelevantSet("relevant set is empty")
+        raise EmptyInput("relevant set is empty")
     if not recommended:
         return 0.0, 0.0
     hits = len(set(recommended) & relevant)
@@ -168,7 +168,7 @@ def evaluate(model, test: RatingCube, cfg: EvalConfig | None = None) -> EvalRepo
         cfg = EvalConfig()
     pool = model.eval_user_pool()
     if not pool:
-        raise UntrainedSystem("model has no users to evaluate")
+        raise EmptyInput("model has no users to evaluate")
     users = sample_eval_users(pool, cfg)
     n_max = max(cfg.top_ns)
 

@@ -21,17 +21,7 @@ from typing import Callable, Hashable, Mapping, Sequence
 import numpy as np
 
 from .core import ContextSchema, ContextSituation, RatingCube
-from .errors import (
-    CorruptFile,
-    EmptyList,
-    EmptySpace,
-    InvalidConfig,
-    MissingClustering,
-    NoRatings,
-    NoVirtualUsers,
-    UnknownUser,
-    UnknownVirtualUser,
-)
+from .errors import CorruptFile, EmptyInput, InvalidConfig, UnknownUser
 from .rng import derive_seed
 from .som import SomConfig, SomNetwork, _cosines, _row_norms, assign, train, train_many
 from .som import som_from_json_dict, som_to_json_dict
@@ -46,7 +36,7 @@ VirtualUserId = tuple[str, int]
 def aggregate(values: Sequence[float]) -> float:
     """Arithmetic mean of rating values (the built-in aggregator)."""
     if len(values) == 0:
-        raise EmptyList("cannot aggregate zero ratings")
+        raise EmptyInput("cannot aggregate zero ratings")
     return sum(float(v) for v in values) / len(values)
 
 
@@ -114,7 +104,7 @@ def _phase1_seed(cfg: SomConfig, user: str) -> int:
 def _usage_matrix(cube: RatingCube, user: str) -> tuple[list[int], np.ndarray]:
     flats, matrix = cube.usage_matrix(user)  # raises UnknownUser
     if not flats:
-        raise NoRatings(f"user {user!r} has no ratings")
+        raise EmptyInput(f"user {user!r} has no ratings")
     return flats, matrix
 
 
@@ -177,9 +167,8 @@ class RowSpace:
     def row(self, key: Hashable) -> int:
         if key in self.index:
             return self.index[key]
-        if isinstance(key, tuple):
-            raise UnknownVirtualUser(f"unknown virtual user {key!r}")
-        raise UnknownUser(f"unknown user {key!r}")
+        kind = "virtual user" if isinstance(key, tuple) else "user"
+        raise UnknownUser(f"unknown {kind} {key!r}")
 
     def ratings_of(self, key: Hashable) -> dict[str, float]:
         """The row's rated items, in item order."""
@@ -238,7 +227,7 @@ def build_virtual_space(
     """
     for user in cube.users:
         if user not in clusterings and cube.user_ratings(user):
-            raise MissingClustering(f"no clustering for user {user!r}")
+            raise UnknownUser(f"no clustering for user {user!r}")
     return _average_rows(cube, lambda user, flat: (user, clusterings[user].labels[flat]))
 
 
@@ -258,7 +247,7 @@ class UserClusterModel:
 
 def _cluster_model(net: SomNetwork, matrix: np.ndarray) -> UserClusterModel:
     if not len(matrix):
-        raise EmptySpace("no rows to cluster")
+        raise EmptyInput("no rows to cluster")
     neurons = np.asarray(assign(net, matrix), int)
     norms = _row_norms(matrix)
     by_neuron = np.argsort(neurons, kind="stable")
@@ -273,7 +262,7 @@ def cluster_virtual_users(
     if cfg is None:
         cfg = SomConfig(DEFAULT_PHASE3_NEURONS)
     if not space.keys:
-        raise EmptySpace("no rows to cluster")
+        raise EmptyInput("no rows to cluster")
     matrix = space.matrix
     return _cluster_model(train(matrix, cfg), matrix)
 
@@ -335,7 +324,7 @@ def recommend(
     label = clustering.labels.get(online_context.flat_index)
     if label is None:
         if clustering.m == 0:
-            raise NoVirtualUsers(f"user {user!r} has no virtual users")
+            raise EmptyInput(f"user {user!r} has no virtual users")
         label = max(
             range(1, clustering.m + 1),
             key=lambda k: (len(space.ratings_of((user, k))), -k),
@@ -438,7 +427,7 @@ def fit_pipeline(
         phase3_cfg = SomConfig(DEFAULT_PHASE3_NEURONS)
     users = [u for u in sorted(train_cube.users) if train_cube.user_ratings(u)]
     if not users:
-        raise EmptySpace("training cube has no ratings")
+        raise EmptyInput("training cube has no ratings")
     blocks = _phase1_blocks(train_cube, users, max(1, workers))
     by_user: dict[str, ContextClustering] = {}
     if workers > 1 and len(blocks) > 1:

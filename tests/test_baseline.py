@@ -11,7 +11,7 @@ from ctxrec.baseline import (
 )
 from ctxrec.core import RatingCube
 from ctxrec.datagen import GenConfig, generate
-from ctxrec.errors import EmptyCube, UnknownUser
+from ctxrec.errors import EmptyInput, UnknownUser
 from ctxrec.pipeline import RowSpace, _ranked, cluster_virtual_users
 from ctxrec.som import SomConfig
 
@@ -50,7 +50,7 @@ class TestFlattenCube:
         assert flatten_cube(cube).keys == ("u1",)
 
     def test_empty_cube_rejected(self, schema2x2):
-        with pytest.raises(EmptyCube):
+        with pytest.raises(EmptyInput, match="cube has no ratings to flatten"):
             flatten_cube(RatingCube(schema2x2, ("u1",), ("i1",), {}))
 
     def test_idempotent_on_single_situation_data(self, schema2x2):

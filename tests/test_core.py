@@ -15,14 +15,7 @@ from ctxrec.core import (
     write_ratings,
 )
 from ctxrec import jsonio
-from ctxrec.errors import (
-    DuplicateCell,
-    InvalidConfig,
-    MalformedRow,
-    RatingOutOfRange,
-    UnknownContextValue,
-    UnknownUser,
-)
+from ctxrec.errors import InvalidConfig, MalformedRow, UnknownContextValue, UnknownUser
 
 from conftest import make_cube, tiny_schema
 
@@ -180,7 +173,7 @@ class TestRatingCube:
         assert cube.user_ratings("u1")[flat_ax] == {"i1": 5, "i2": 3}
 
     def test_rating_out_of_range(self, schema2x2):
-        with pytest.raises(RatingOutOfRange):
+        with pytest.raises(MalformedRow, match=r"rating 7 outside \[1, 5\]"):
             make_cube(schema2x2, [("u1", "i1", ("a", "x"), 7)])
 
     def test_same_pair_in_two_situations_is_fine(self, schema2x2):
@@ -325,12 +318,12 @@ class TestRatingsCsv:
             "user_id,item_id,day,time,companion,weather,rating\n"
             "u1,i1,Weekday,Noon,Family,Cold/Sunny,7\n"
         )
-        with pytest.raises(RatingOutOfRange):
+        with pytest.raises(MalformedRow, match=r"line 2: rating 7 outside \[1, 5\]"):
             load_ratings(io.StringIO(text), restaurant_schema)
 
     def test_duplicate_row_rejected(self, restaurant_schema):
         text = self.CSV + "u1,i1,Weekday,Noon,Family,Cold/Sunny,4\n"
-        with pytest.raises(DuplicateCell):
+        with pytest.raises(MalformedRow, match="duplicate rating for user 'u1', item 'i1'"):
             load_ratings(io.StringIO(text), restaurant_schema)
 
     def test_wrong_header_rejected(self, restaurant_schema):

@@ -7,11 +7,7 @@ import pytest
 
 from ctxrec.baseline import fit_baseline
 from ctxrec.datagen import GenConfig, generate
-from ctxrec.errors import (
-    EmptyRelevantSet,
-    InvalidConfig,
-    UntrainedSystem,
-)
+from ctxrec.errors import EmptyInput, InvalidConfig
 from ctxrec.evaluation import (
     EvalConfig,
     SplitConfig,
@@ -177,7 +173,7 @@ class TestPrecisionRecall:
         assert precision_recall([], {"a"}) == (0.0, 0.0)
 
     def test_empty_relevant_set_signals_skip(self):
-        with pytest.raises(EmptyRelevantSet):
+        with pytest.raises(EmptyInput, match="relevant set is empty"):
             precision_recall(["a"], set())
 
 
@@ -270,7 +266,7 @@ class TestEvaluate:
         assert report.skipped_no_candidates == 1
 
     def test_untrained_system_rejected(self):
-        with pytest.raises(UntrainedSystem):
+        with pytest.raises(EmptyInput, match="model has no users to evaluate"):
             evaluate(StubModel({}, {}), None, EvalConfig())
 
     def test_shorter_cutoffs_are_prefixes(self):

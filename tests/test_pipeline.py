@@ -11,17 +11,7 @@ from ctxrec.baseline import BaselineModel, flatten_cube
 from ctxrec.core import default_schema
 from ctxrec.datagen import GenConfig, generate
 from ctxrec import jsonio
-from ctxrec.errors import (
-    CorruptFile,
-    EmptyList,
-    EmptySpace,
-    InvalidConfig,
-    MissingClustering,
-    NoRatings,
-    NoVirtualUsers,
-    UnknownUser,
-    UnknownVirtualUser,
-)
+from ctxrec.errors import CorruptFile, EmptyInput, InvalidConfig, UnknownUser
 from ctxrec import pipeline
 from ctxrec.pipeline import (
     DEFAULT_PHASE1_NEURONS,
@@ -71,7 +61,7 @@ class TestAggregate:
         assert aggregate([1, 2, 2]) == pytest.approx(5.0 / 3.0, abs=1e-15)
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyList):
+        with pytest.raises(EmptyInput, match="cannot aggregate zero ratings"):
             aggregate([])
 
 
@@ -144,7 +134,7 @@ class TestClusterUserContexts:
             users=("u1", "u2"),
             items=("i1",),
         )
-        with pytest.raises(NoRatings):
+        with pytest.raises(EmptyInput, match="'u2' has no ratings"):
             cluster_user_contexts(cube, "u2")
 
     def test_result_independent_of_other_users(self, schema2x2):
@@ -229,7 +219,7 @@ class TestBuildVirtualSpace:
 
     def test_missing_clustering_rejected(self, schema2x2):
         cube = make_cube(schema2x2, [("u1", "i1", ("a", "x"), 4)])
-        with pytest.raises(MissingClustering):
+        with pytest.raises(UnknownUser, match="no clustering for user 'u1'"):
             build_virtual_space(cube, {})
 
     def test_unknown_virtual_user_lookup(self, schema2x2):
@@ -238,7 +228,7 @@ class TestBuildVirtualSpace:
         space = build_virtual_space(
             cube, {"u1": ContextClustering("u1", {flat: 1}, 1)}
         )
-        with pytest.raises(UnknownVirtualUser):
+        with pytest.raises(UnknownUser, match=r"unknown virtual user \('u1', 2\)"):
             space.ratings_of(("u1", 2))
 
     def test_every_rating_lands_in_exactly_one_cell(self, small_cube):
@@ -380,9 +370,9 @@ class TestRowSpace:
 
     def test_unknown_keys(self):
         space = RowSpace(ITEMS, {"u1": {"i1": 4.0}})
-        with pytest.raises(UnknownUser):
+        with pytest.raises(UnknownUser, match="unknown user 'ghost'"):
             space.ratings_of("ghost")
-        with pytest.raises(UnknownVirtualUser):
+        with pytest.raises(UnknownUser, match=r"unknown virtual user \('u1', 1\)"):
             space.ratings_of(("u1", 1))
 
 
@@ -412,7 +402,7 @@ class TestClusterVirtualUsers:
 
     def test_empty_space_rejected(self):
         space = RowSpace(("i1",), {})
-        with pytest.raises(EmptySpace):
+        with pytest.raises(EmptyInput, match="no rows to cluster"):
             cluster_virtual_users(space, SomConfig(2))
 
     def test_membership_matches_som_assignment(self, small_model):
@@ -497,7 +487,7 @@ class TestPredictScores:
             assert not set(scores) & set(space.ratings_of(key))
 
     def test_unknown_virtual_user(self, small_model):
-        with pytest.raises(UnknownVirtualUser):
+        with pytest.raises(UnknownUser, match=r"unknown virtual user \('ghost', 1\)"):
             scores_of(small_model.user_model, small_model.space, ("ghost", 1))
 
 
@@ -601,7 +591,7 @@ class TestRecommend:
         schema, clusterings, space, model = self.two_cluster_setup()
         clusterings = {**clusterings, "u3": ContextClustering("u3", {}, 0)}
         sit = schema.situation_from_names(("a", "x"))
-        with pytest.raises(NoVirtualUsers, match="'u3' has no virtual users"):
+        with pytest.raises(EmptyInput, match="'u3' has no virtual users"):
             recommend(model, space, clusterings, "u3", sit, 5)
 
 
@@ -823,7 +813,7 @@ class TestFitPipeline:
         from ctxrec.core import RatingCube
 
         cube = RatingCube(schema2x2, ("u1",), ("i1",), {})
-        with pytest.raises(EmptySpace):
+        with pytest.raises(EmptyInput, match="training cube has no ratings"):
             fit_pipeline(cube)
 
 
