@@ -22,6 +22,7 @@ leave situation vectors with almost no overlap to cluster on.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -66,6 +67,14 @@ class GenConfig:
         if not 0.0 <= self.exposure_sharpness < math.inf:
             raise InvalidConfig(
                 f"exposure_sharpness must be finite and >= 0, got {self.exposure_sharpness}"
+            )
+        # exp(sharpness * rating) summed over the items must stay a finite float
+        limit = (math.log(sys.float_info.max) - math.log(self.n_items)) / self.schema.rating_max
+        if self.exposure_sharpness > limit:
+            raise InvalidConfig(
+                f"exposure_sharpness {self.exposure_sharpness} overflows the exposure weights "
+                f"of {self.n_items} items rated up to {self.schema.rating_max} "
+                f"(the limit is about {limit:.6g})"
             )
         if self.seed < 0:
             raise InvalidConfig(f"seed must be >= 0, got {self.seed}")

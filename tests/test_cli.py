@@ -128,6 +128,7 @@ class TestGen:
             ("--noise-sd", "inf"),
             ("--exposure-sharpness", "nan"),
             ("--exposure-sharpness", "inf"),
+            ("--exposure-sharpness", 143),
         ],
     )
     def test_invalid_value_is_usage_error(self, tmp_path, capsys, flag, value):
@@ -136,6 +137,29 @@ class TestGen:
         err = capsys.readouterr().err
         assert err.startswith("ctxrec: error: ") and len(err.splitlines()) == 1
         assert not out.exists()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        floats=st.fixed_dictionaries(
+            {
+                flag: st.floats(0.0, 1.0)
+                | st.floats(0.0, allow_infinity=False)
+                | st.floats(allow_nan=False, allow_infinity=False)
+                for flag in ("--gamma", "--density", "--noise-sd", "--exposure-sharpness")
+            }
+        ),
+        counts=st.fixed_dictionaries(
+            {flag: st.integers(0, 6) for flag in ("--users", "--items", "--archetypes")}
+        ),
+    )
+    def test_any_finite_values_exit_cleanly(self, floats, counts):
+        with tempfile.TemporaryDirectory() as tmp:
+            # --flag=value, so argparse reads "-1e+16" as a value, not a flag
+            flags = [f"{flag}={value}" for flag, value in {**floats, **counts}.items()]
+            code, err = run_captured("gen", "--out", Path(tmp) / "x", *flags)
+        assert code == 0 and not err or (
+            code == 1 and err.startswith("ctxrec: error: ") and len(err.splitlines()) == 1
+        ), err
 
 
 class TestSplit:
