@@ -22,49 +22,34 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def dumps(obj, indent: int = 0) -> str:
-    """Serialize like ``json.dumps`` but with 17-significant-digit floats."""
-    parts: list[str] = []
-    _write(obj, parts, indent, 0)
-    return "".join(parts)
+def dumps(obj) -> str:
+    """Serialize like ``json.dumps(obj, indent=2)`` but with 17-significant-digit
+    floats."""
+    return _dumps(obj, "")
 
 
-def _write(obj, parts: list[str], indent: int, level: int) -> None:
-    pad = " " * (indent * (level + 1)) if indent else ""
-    end_pad = " " * (indent * level) if indent else ""
-    nl = "\n" if indent else ""
-    sep = "," + nl
-    colon = ": " if indent else ":"
+def _dumps(obj, pad: str) -> str:
     if obj is None or isinstance(obj, (bool, str)):
-        parts.append(json.dumps(obj))
-    elif isinstance(obj, float):
-        parts.append(format_float(obj))
-    elif isinstance(obj, int):
-        parts.append(str(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            parts.append("{}")
-            return
-        parts.append("{" + nl)
-        for i, (key, value) in enumerate(obj.items()):
+        return json.dumps(obj)
+    if isinstance(obj, float):
+        return format_float(obj)
+    if isinstance(obj, int):
+        return str(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        for key in obj:
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be str, got {key!r}")
-            parts.append(pad + json.dumps(key) + colon)
-            _write(value, parts, indent, level + 1)
-            parts.append(sep if i < len(obj) - 1 else nl)
-        parts.append(end_pad + "}")
+        body = [inner + json.dumps(key) + ": " + _dumps(value, inner) for key, value in obj.items()]
+        brackets = "{}"
     elif isinstance(obj, (list, tuple)):
-        if not len(obj):
-            parts.append("[]")
-            return
-        parts.append("[" + nl)
-        for i, value in enumerate(obj):
-            parts.append(pad)
-            _write(value, parts, indent, level + 1)
-            parts.append(sep if i < len(obj) - 1 else nl)
-        parts.append(end_pad + "]")
+        body = [inner + _dumps(value, inner) for value in obj]
+        brackets = "[]"
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
+    if not body:
+        return brackets
+    return brackets[0] + "\n" + ",\n".join(body) + "\n" + pad + brackets[1]
 
 
 def config_dict(config) -> dict:
@@ -87,8 +72,8 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_json(path: str | Path, obj, indent: int = 2) -> None:
-    Path(path).write_text(dumps(obj, indent=indent) + "\n", encoding="utf-8")
+def write_json(path: str | Path, obj) -> None:
+    Path(path).write_text(dumps(obj) + "\n", encoding="utf-8")
 
 
 def read_json(path: str | Path):
