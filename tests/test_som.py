@@ -298,6 +298,56 @@ class TestTrainMany:
             train_many([[np.ones(3)], []], SomConfig(neuron_count=2), [1, 2])
 
 
+def rating_rows(draw, n: int, p: int) -> np.ndarray:
+    """(n, p) ratings, sparse or dense, with some rows all zero."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.floats(0.05, 1.0))
+    rows = np.where(rng.random((n, p)) < density, rng.integers(1, 6, (n, p)), 0).astype(float)
+    rows[sorted(draw(st.sets(st.integers(0, n - 1))))] = 0.0
+    return rows
+
+
+@st.composite
+def lean_step_cases(draw):
+    """A config of up to 8 neurons and 5 epochs, and up to 12 rows of up to 30
+    ratings.  At alpha0 = 1 an all-zero row moves a weight row to exactly
+    zero, so later steps meet a zero weight norm."""
+    neurons = draw(st.integers(1, 8))
+    cfg = SomConfig(
+        neuron_count=neurons,
+        epochs=draw(st.integers(1, 5)),
+        alpha0=draw(st.sampled_from((0.5, 0.9, 1.0))),
+        radius0=float(draw(st.integers(0, neurons))),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+    p = draw(st.integers(1, 30))
+    return cfg, p, rating_rows(draw, draw(st.integers(1, 12)), p)
+
+
+class TestLeanStep:
+    """Each step at which one network alone presents an input (all of a
+    one-network ``train``, the tail of a ``train_many`` block) has the bytes
+    of ``reference_train``."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=lean_step_cases())
+    def test_train_equals_reference(self, case):
+        cfg, _, rows = case
+        assert train(rows, cfg).weights.tobytes() == reference_train(rows, cfg).tobytes()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(case=lean_step_cases(), data=st.data())
+    def test_long_lane_tail_equals_reference(self, case, data):
+        cfg, p, _ = case
+        short = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+        counts = short + [data.draw(st.integers(8, 12))]
+        sets = [rating_rows(data.draw, n, p) for n in counts]
+        seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=len(sets), max_size=len(sets)))
+        for rows, seed, net in zip(sets, seeds, train_many(sets, cfg, seeds)):
+            expected = reference_train(rows, replace(cfg, seed=seed))
+            assert net.weights.tobytes() == expected.tobytes()
+
+
 # Fixed before any comparison: at p <= 6 the rounding of a cosine is below
 # 1e-15 in any summation order, so a BMU whose cosine leads the runner-up by
 # more than this is the BMU however the products are computed.  Weights reached
