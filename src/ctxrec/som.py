@@ -118,9 +118,10 @@ def _row_norms(m: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(m[:, None, :], m[:, :, None])[:, 0, 0])
 
 
-def _weight_norms(w: np.ndarray) -> np.ndarray:
-    """Norms along the last axis, the bits of ``np.linalg.norm(w, axis=-1)``."""
-    return np.sqrt(np.add.reduce(w * w, axis=-1))
+def _weight_norms(w: np.ndarray, squares: np.ndarray | None = None) -> np.ndarray:
+    """Norms along the last axis, the bits of ``np.linalg.norm(w, axis=-1)``;
+    the squares go to ``squares``, a dead array of w's shape, if given."""
+    return np.sqrt(np.add.reduce(np.multiply(w, w, out=squares), axis=-1))
 
 
 def initial_weights(cfg: SomConfig, p: int, rng: Xoshiro256 | None = None) -> np.ndarray:
@@ -210,8 +211,13 @@ def train_many(
     flat_norms = _row_norms(flat)
     norms = _weight_norms(weights)
     starts = np.cumsum([0] + counts[:-1])
-    active = [sum(1 for n in counts if n > k) for k in range(counts[0])]
+    # positions at which two or more lanes present an input; after them
+    # lane 0 (which starts at flat row 0) goes on alone
+    shared = counts[1] if lanes > 1 else 0
+    active = [sum(1 for n in counts if n > k) for k in range(shared)]
     radius0 = cfg.effective_radius0
+    lone, lone_norms = weights[0], norms[0]
+    scratch = np.empty_like(lone)
 
     for epoch in range(cfg.epochs):
         decay = 1.0 - epoch / cfg.epochs
@@ -229,23 +235,38 @@ def train_many(
             x = flat[picked]
             sims = _cosines(weights[:n_active], norms[:n_active], x, flat_norms[picked])
             bmus = sims.argmax(axis=1)
-            if n_active == 1:
-                moved = update_neighborhood(weights[0], int(bmus[0]), x[0], alpha, radius)
-                norms[0, moved] = _weight_norms(weights[0, moved])
-                continue
             # every lane's neighbourhood rows at once: gather, move, scatter
             neighbours = bmus[:, None] + offsets
             inside = (neighbours >= 0) & (neighbours < cfg.neuron_count)
             lane = np.broadcast_to(np.arange(n_active)[:, None], inside.shape)[inside]
             neuron = neighbours[inside]
-            # in place, so a step allocates three (rows, p) arrays, not five
+            # in place, so a step allocates two (rows, p) arrays, not five
             hood = weights[lane, neuron]
             step = x[lane]
             step -= hood
             step *= alpha
             hood += step
             weights[lane, neuron] = hood
-            norms[lane, neuron] = _weight_norms(hood)
+            norms[lane, neuron] = _weight_norms(hood, step)
+        # lane 0 alone: the same arithmetic on views, with no gathers; W @ x
+        # is the gemv that _cosines reaches, and the neighbourhood moves in
+        # place through the scratch rows
+        for i in rows[0, shared:].tolist():
+            x = flat[i]
+            sims = lone @ x
+            denom = lone_norms * flat_norms[i]
+            if denom.min() > 0.0:  # (denom > 0.0).all(), a NaN included
+                sims /= denom
+            else:
+                sims = np.divide(sims, denom, out=np.zeros_like(denom), where=denom > 0.0)
+            bmu = int(sims.argmax())
+            lo, hi = max(0, bmu - radius), min(cfg.neuron_count, bmu + radius + 1)
+            hood, step = lone[lo:hi], scratch[: hi - lo]
+            step[...] = x
+            step -= hood
+            step *= alpha
+            hood += step
+            lone_norms[lo:hi] = _weight_norms(hood, step)
 
     weights.setflags(write=False)
     nets = [None] * lanes
