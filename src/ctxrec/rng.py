@@ -96,10 +96,22 @@ class Xoshiro256:
         return self.next_u64() % n
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
+        """In-place Fisher-Yates shuffle: ``j = below(i + 1)`` from the last
+        index down, with ``next_u64`` written out on local state words."""
+        s0, s1, s2, s3 = self._s
         for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
+            r = (s1 * 5) & _MASK64
+            result = ((((r << 7) | (r >> 57)) & _MASK64) * 9) & _MASK64
+            t = (s1 << 17) & _MASK64
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
+            j = result % (i + 1)
             items[i], items[j] = items[j], items[i]
+        self._s = [s0, s1, s2, s3]
 
 
 def _rotl_lanes(x: np.ndarray, k: int) -> np.ndarray:

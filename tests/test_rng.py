@@ -66,6 +66,17 @@ class TestXoshiro256:
         Xoshiro256(3).shuffle(b)
         assert a == b
 
+    @pytest.mark.parametrize("length", [0, 1, 2, 1000])
+    @pytest.mark.parametrize("seed", [0, 1, 42, (1 << 64) - 1])
+    def test_shuffle_is_fisher_yates_on_below(self, length, seed):
+        rng, reference = Xoshiro256(seed), Xoshiro256(seed)
+        items, expected = list(range(length)), list(range(length))
+        rng.shuffle(items)
+        for i in range(length - 1, 0, -1):
+            j = reference.below(i + 1)
+            expected[i], expected[j] = expected[j], expected[i]
+        assert items == expected
+        assert rng.state == reference.state
 
     def test_from_state_continues_the_stream(self):
         rng = Xoshiro256(11)
