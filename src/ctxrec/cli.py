@@ -8,6 +8,7 @@ error (bad flags), 2 data error (bad files, unknown ids).
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -44,9 +45,16 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse default exits 2; we reserve 2 for data
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+    """argparse that reads ``-1e-3`` as a value, as it reads ``-1`` and
+    ``-0.5``, and reports a bad flag in one ``ctxrec: error:`` line with exit
+    1 (argparse prints its usage block and exits 2, which is for data)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+    def error(self, message):
+        self.exit(1, f"ctxrec: error: {message}\n")
 
 
 def _run_config(command: str, args, schema_path: str | None = None, **configs) -> dict:

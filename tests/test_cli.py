@@ -138,6 +138,20 @@ class TestGen:
         assert err.startswith("ctxrec: error: ") and len(err.splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--users", "abc", "argument --users: invalid int value: 'abc'"),
+            # a negative value in scientific notation reaches GenConfig's check
+            ("--gamma", "-1e-3", "gamma must be in [0, 1], got -0.001"),
+        ],
+    )
+    def test_flag_error_is_one_line(self, tmp_path, flag, value, message):
+        out = tmp_path / "x"
+        code, err = run_captured("gen", "--out", out, *GEN_SMALL, flag, value)
+        assert (code, err) == (1, f"ctxrec: error: {message}\n")
+        assert not out.exists()
+
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(
         floats=st.fixed_dictionaries(
@@ -154,8 +168,7 @@ class TestGen:
     )
     def test_any_finite_values_exit_cleanly(self, floats, counts):
         with tempfile.TemporaryDirectory() as tmp:
-            # --flag=value, so argparse reads "-1e+16" as a value, not a flag
-            flags = [f"{flag}={value}" for flag, value in {**floats, **counts}.items()]
+            flags = [arg for item in {**floats, **counts}.items() for arg in item]
             code, err = run_captured("gen", "--out", Path(tmp) / "x", *flags)
         assert code == 0 and not err or (
             code == 1 and err.startswith("ctxrec: error: ") and len(err.splitlines()) == 1
