@@ -248,14 +248,13 @@ def train_many(
             hood += step
             weights[lane, neuron] = hood
             norms[lane, neuron] = _weight_norms(hood, step)
-        # lane 0 alone: the same arithmetic on views, with no gathers; W @ x
-        # is the gemv that _cosines reaches, and the neighbourhood moves in
-        # place through the scratch rows
+        # lane 0 alone: the same arithmetic on views, no gathers; W @ x is the
+        # gemv _cosines reaches, and the neighbourhood moves through scratch
         for i in rows[0, shared:].tolist():
             x = flat[i]
             sims = lone @ x
             denom = lone_norms * flat_norms[i]
-            if denom.min() > 0.0:  # (denom > 0.0).all(), a NaN included
+            if denom.min() > 0.0:  # as (denom > 0.0).all(), NaN included
                 sims /= denom
             else:
                 sims = np.divide(sims, denom, out=np.zeros_like(denom), where=denom > 0.0)
