@@ -64,9 +64,9 @@ class BaselineModel:
         return [(user, relevant)] if relevant else []
 
 
-def fit_baseline(cube: RatingCube, cfg: SomConfig | None = None) -> BaselineModel:
-    if cfg is None:
-        cfg = SomConfig(DEFAULT_BASELINE_NEURONS)
+def fit_baseline(
+    cube: RatingCube, cfg: SomConfig = SomConfig(DEFAULT_BASELINE_NEURONS)
+) -> BaselineModel:
     space = flatten_cube(cube)
     user_model = cluster_virtual_users(space, cfg)
     return BaselineModel(cube.schema, space, user_model)

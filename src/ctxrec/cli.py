@@ -460,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="model bundle directory")
     p.add_argument("--system", choices=("pipeline", "baseline"), default="pipeline")
     _add_som_flags(p)
-    p.add_argument("--parallel", type=int, default=1, help="worker processes")
+    p.add_argument("--parallel", type=int, default=1, help="worker processes, one per CPU at most")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a model bundle against held-out ratings")
@@ -503,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-frac", type=float, default=SplitConfig.train_fraction)
     _add_som_flags(p)
     _add_eval_flags(p)
-    p.add_argument("--parallel", type=int, default=1, help="worker processes")
+    p.add_argument("--parallel", type=int, default=1, help="worker processes, one per CPU at most")
     p.set_defaults(func=cmd_compare)
 
     return parser

@@ -156,7 +156,7 @@ def sample_eval_users(pool: Sequence[str], cfg: EvalConfig) -> list[str]:
     return sorted(ordered[: cfg.sample_users])
 
 
-def evaluate(model, test: RatingCube, cfg: EvalConfig | None = None) -> EvalReport:
+def evaluate(model, test: RatingCube, cfg: EvalConfig = EvalConfig()) -> EvalReport:
     """Score a trained model against held-out ratings.
 
     For every sampled user, each of the model's evaluation units gets one
@@ -164,8 +164,6 @@ def evaluate(model, test: RatingCube, cfg: EvalConfig | None = None) -> EvalRepo
     prefixes of it.  Users with no relevant held-out items are skipped and
     counted, as are units for which the model can produce no candidates.
     """
-    if cfg is None:
-        cfg = EvalConfig()
     pool = model.eval_user_pool()
     if not pool:
         raise EmptyInput("model has no users to evaluate")
@@ -237,7 +235,7 @@ class PerClusterReport:
 def per_cluster_f1(
     model,
     test: RatingCube,
-    cfg: EvalConfig | None = None,
+    cfg: EvalConfig = EvalConfig(),
     n: int = 5,
     members_per_cluster: int = 10,
 ) -> PerClusterReport:
@@ -245,8 +243,6 @@ def per_cluster_f1(
 
     Neurons whose members have no relevant held-out items are left out.
     """
-    if cfg is None:
-        cfg = EvalConfig()
     relevant_of: dict = {}
     for user in model.eval_user_pool():
         for key, relevant in model.eval_units(user, test, cfg.threshold):
@@ -303,9 +299,9 @@ def neuron_sweep(
     test: RatingCube,
     role: str,
     neuron_counts: Sequence[int],
-    phase1_cfg: SomConfig | None = None,
-    phase3_cfg: SomConfig | None = None,
-    eval_cfg: EvalConfig | None = None,
+    phase1_cfg: SomConfig = SomConfig(DEFAULT_PHASE1_NEURONS),
+    phase3_cfg: SomConfig = SomConfig(DEFAULT_PHASE3_NEURONS),
+    eval_cfg: EvalConfig = EvalConfig(),
     metric_n: int = 10,
 ) -> SweepResult:
     """Try neuron counts for one SOM role; best = highest mean F1@metric_n.
@@ -318,14 +314,8 @@ def neuron_sweep(
     counts = tuple(neuron_counts)
     if not counts or any(c < 1 for c in counts) or sorted(set(counts)) != list(counts):
         raise InvalidConfig("neuron_counts must be distinct, positive, ascending")
-    if eval_cfg is None:
-        eval_cfg = EvalConfig()
     if metric_n not in eval_cfg.top_ns:
         raise InvalidConfig(f"metric_n {metric_n} is not in top_ns {eval_cfg.top_ns}")
-    if phase1_cfg is None:
-        phase1_cfg = SomConfig(DEFAULT_PHASE1_NEURONS)
-    if phase3_cfg is None:
-        phase3_cfg = SomConfig(DEFAULT_PHASE3_NEURONS)
 
     scores = []
     for count in counts:

@@ -14,6 +14,7 @@ two systems differ only in how the 2-D space is built.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Hashable, Mapping, Sequence
@@ -58,7 +59,7 @@ class ContextClustering:
 def cluster_user_contexts(
     cube: RatingCube,
     user: str,
-    cfg: SomConfig | None = None,
+    cfg: SomConfig = SomConfig(DEFAULT_PHASE1_NEURONS),
     net: SomNetwork | None = None,
 ) -> ContextClustering:
     """Cluster one user's rated situations by usage pattern.
@@ -68,8 +69,6 @@ def cluster_user_contexts(
     is the user's SOM when it was already trained with a block of users
     (``cluster_users``); otherwise it is trained here.
     """
-    if cfg is None:
-        cfg = SomConfig(DEFAULT_PHASE1_NEURONS)
     flats, matrix = _usage_matrix(cube, user)
     if net is None:
         net = train(matrix, replace(cfg, seed=_phase1_seed(cfg, user)))
@@ -81,15 +80,13 @@ def cluster_user_contexts(
 
 
 def cluster_users(
-    cube: RatingCube, users: Sequence[str], cfg: SomConfig | None = None
+    cube: RatingCube, users: Sequence[str], cfg: SomConfig = SomConfig(DEFAULT_PHASE1_NEURONS)
 ) -> dict[str, ContextClustering]:
     """Phase 1 for a block of users, their SOMs trained in lockstep.
 
     Each user's clustering is exactly ``cluster_user_contexts(cube, user,
     cfg)``: the networks of one ``train_many`` call do not interact.
     """
-    if cfg is None:
-        cfg = SomConfig(DEFAULT_PHASE1_NEURONS)
     inputs = [_usage_matrix(cube, user)[1] for user in users]
     nets = train_many(inputs, cfg, [_phase1_seed(cfg, user) for user in users])
     return {
@@ -256,11 +253,9 @@ def _cluster_model(net: SomNetwork, matrix: np.ndarray) -> UserClusterModel:
 
 
 def cluster_virtual_users(
-    space: RowSpace, cfg: SomConfig | None = None
+    space: RowSpace, cfg: SomConfig = SomConfig(DEFAULT_PHASE3_NEURONS)
 ) -> UserClusterModel:
     """Cluster the rows of a 2-D space (virtual users or plain users)."""
-    if cfg is None:
-        cfg = SomConfig(DEFAULT_PHASE3_NEURONS)
     if not space.keys:
         raise EmptyInput("no rows to cluster")
     matrix = space.matrix
@@ -410,27 +405,27 @@ def _phase1_blocks(cube: RatingCube, users: list[str], workers: int) -> list[lis
 
 def fit_pipeline(
     train_cube: RatingCube,
-    phase1_cfg: SomConfig | None = None,
-    phase3_cfg: SomConfig | None = None,
+    phase1_cfg: SomConfig = SomConfig(DEFAULT_PHASE1_NEURONS),
+    phase3_cfg: SomConfig = SomConfig(DEFAULT_PHASE3_NEURONS),
     workers: int = 1,
 ) -> PipelineModel:
     """Run phases 1-3 on a training cube.
 
     Phase 1 trains the users' SOMs in lockstep blocks; ``workers`` > 1
-    spreads the blocks over processes.  Every user's SOM seed is derived
-    from the user id and networks in a block do not interact, so the result
-    is identical for any block grouping, worker count or scheduling.
+    spreads the blocks over at most ``os.cpu_count()`` processes, one per
+    block at most.  Every user's SOM seed is derived from the user id and
+    networks in a block do not interact, so the result is identical for any
+    block grouping, worker count or scheduling.
     """
-    if phase1_cfg is None:
-        phase1_cfg = SomConfig(DEFAULT_PHASE1_NEURONS)
-    if phase3_cfg is None:
-        phase3_cfg = SomConfig(DEFAULT_PHASE3_NEURONS)
+    # the pool forks all its workers at once, so never ask for more than run
+    workers = max(1, min(workers, os.cpu_count() or 1))
     users = [u for u in sorted(train_cube.users) if train_cube.user_ratings(u)]
     if not users:
         raise EmptyInput("training cube has no ratings")
-    blocks = _phase1_blocks(train_cube, users, max(1, workers))
+    blocks = _phase1_blocks(train_cube, users, workers)
+    workers = min(workers, len(blocks))
     by_user: dict[str, ContextClustering] = {}
-    if workers > 1 and len(blocks) > 1:
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(

@@ -109,7 +109,17 @@ def _cosines(weights, weight_norms, x, x_norms) -> np.ndarray:
     dot, as ``W @ x`` and ``np.dot`` of one vector do, so every cosine keeps
     their bits; ``X @ W.T`` (gemm) and ``einsum`` round differently."""
     dots = np.matmul(weights, x[:, :, None])[:, :, 0]
-    denom = weight_norms * x_norms[:, None]
+    return _divide(dots, weight_norms * x_norms[:, None])
+
+
+def _divide(dots: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """``dots / denom``, 0 where ``denom`` is not positive (or NaN): the
+    zero-norm rule of every cosine.  In place when every ``denom`` is
+    positive; ``initial`` lets an empty ``denom`` (a query with no peers)
+    take that path, where ``denom.min()`` would raise."""
+    if np.minimum.reduce(denom, axis=None, initial=np.inf) > 0.0:
+        dots /= denom
+        return dots
     return np.divide(dots, denom, out=np.zeros_like(denom), where=denom > 0.0)
 
 
@@ -133,16 +143,6 @@ def initial_weights(cfg: SomConfig, p: int, rng: Xoshiro256 | None = None) -> np
         for j in range(p):
             weights[i, j] = rng.uniform(0.01, 1.0)
     return weights
-
-
-def update_neighborhood(
-    weights: np.ndarray, bmu: int, x: np.ndarray, alpha: float, radius: int
-) -> slice:
-    """Move the BMU and neurons within line distance ``radius`` toward x;
-    returns the slice of rows that moved."""
-    moved = slice(max(0, bmu - radius), min(weights.shape[0] - 1, bmu + radius) + 1)
-    weights[moved] += alpha * (x - weights[moved])
-    return moved
 
 
 def _as_input_matrix(inputs: np.ndarray) -> np.ndarray:
@@ -182,7 +182,8 @@ def train_many(
     as one ``(lanes, neurons, p)`` tensor, ordered by descending input
     count, so the lanes that still present an input at step ``k`` of an
     epoch are a prefix.  One lane draws its weights from the scalar
-    generator, which is far cheaper than a one-lane vector.
+    generator, which is far cheaper than a one-lane vector.  Raises
+    ``InvalidConfig`` when numpy cannot create the weight array.
     """
     if len(inputs_per_net) != len(seeds):
         raise LengthMismatch(f"{len(inputs_per_net)} input sets but {len(seeds)} seeds")
@@ -197,16 +198,20 @@ def train_many(
     counts = [matrices[k].shape[0] for k in by_count]
     lanes = len(by_count)
 
-    if lanes == 1:
-        rngs = [Xoshiro256(seeds[0])]
-        weights = initial_weights(configs[0], p, rngs[0])[None]
-        flat = matrices[0]
-    else:
-        lane_rng = XoshiroLanes([seeds[k] for k in by_count])
-        weights = lane_rng.uniform(0.01, 1.0, cfg.neuron_count * p)
-        weights = weights.reshape(lanes, cfg.neuron_count, p)
-        rngs = [lane_rng.lane(i) for i in range(lanes)]
-        flat = np.concatenate([matrices[k] for k in by_count])
+    try:
+        if lanes == 1:
+            rngs = [Xoshiro256(seeds[0])]
+            weights = initial_weights(configs[0], p, rngs[0])[None]
+        else:
+            lane_rng = XoshiroLanes([seeds[k] for k in by_count])
+            weights = lane_rng.uniform(0.01, 1.0, cfg.neuron_count * p)
+            weights = weights.reshape(lanes, cfg.neuron_count, p)
+            rngs = [lane_rng.lane(i) for i in range(lanes)]
+    except (ValueError, MemoryError):  # numpy cannot create the weight array
+        raise InvalidConfig(
+            f"cannot allocate SOM weights for {cfg.neuron_count} neurons of input length {p}"
+        ) from None
+    flat = matrices[0] if lanes == 1 else np.concatenate([matrices[k] for k in by_count])
     # input norms once and weight-row norms kept current, as assign takes them
     flat_norms = _row_norms(flat)
     norms = _weight_norms(weights)
@@ -249,16 +254,11 @@ def train_many(
             weights[lane, neuron] = hood
             norms[lane, neuron] = _weight_norms(hood, step)
         # lane 0 alone: the same arithmetic on views, no gathers; W @ x is the
-        # gemv _cosines reaches, and the neighbourhood moves through scratch
+        # gemv _cosines reaches, divided by its _divide, and the neighbourhood
+        # moves through scratch
         for i in rows[0, shared:].tolist():
             x = flat[i]
-            sims = lone @ x
-            denom = lone_norms * flat_norms[i]
-            if denom.min() > 0.0:  # as (denom > 0.0).all(), NaN included
-                sims /= denom
-            else:
-                sims = np.divide(sims, denom, out=np.zeros_like(denom), where=denom > 0.0)
-            bmu = int(sims.argmax())
+            bmu = int(_divide(lone @ x, lone_norms * flat_norms[i]).argmax())
             lo, hi = max(0, bmu - radius), min(cfg.neuron_count, bmu + radius + 1)
             hood, step = lone[lo:hi], scratch[: hi - lo]
             step[...] = x

@@ -27,7 +27,7 @@ from ctxrec.evaluation import (
     split,
 )
 from ctxrec.pipeline import aggregate, fit_pipeline
-from ctxrec.som import SomConfig, cosine_similarity, initial_weights, update_neighborhood
+from ctxrec.som import SomConfig, cosine_similarity, initial_weights, train
 
 from conftest import make_cube, tiny_schema
 
@@ -243,13 +243,14 @@ class TestCriterion1FormulaOracles:
 class TestCriterion2SomContraction:
     def test_criterion_2_som_contraction(self):
         start = time.monotonic()
-        cfg = SomConfig(neuron_count=1, alpha0=0.5, radius0=0, seed=123)
+        cfg = SomConfig(neuron_count=1, epochs=1, alpha0=0.5, radius0=0, seed=123)
         x = np.array([4.0, 1.0, 3.0, 2.0])
-        weights = initial_weights(cfg, len(x)).copy()
+        weights = initial_weights(cfg, len(x))
         dist = float(np.linalg.norm(weights[0] - x))
         steps_to_tiny = None
         for step in range(1, 41):
-            update_neighborhood(weights, 0, x, 0.5, 0)
+            # one epoch over `step` copies of x: `step` presentations at 0.5
+            weights = train(np.tile(x, (step, 1)), cfg).weights
             new_dist = float(np.linalg.norm(weights[0] - x))
             assert abs(new_dist - 0.5 * dist) < TOL, f"step {step}"
             dist = new_dist
@@ -333,6 +334,7 @@ class TestCriterion4EvaluationOracle:
 
 
 class TestCriterion5ContextGain:
+    @pytest.mark.slow
     def test_criterion_5_context_gain(self):
         start = time.monotonic()
         margins = {}
@@ -354,6 +356,7 @@ class TestCriterion5ContextGain:
 
 
 class TestCriterion6NullContextControl:
+    @pytest.mark.slow
     def test_criterion_6_null_context_control(self):
         start = time.monotonic()
         margins = {}
@@ -373,6 +376,7 @@ class TestCriterion6NullContextControl:
 
 
 class TestCriterion7SweepProtocol:
+    @pytest.mark.slow
     def test_criterion_7_sweep_protocol(self):
         start = time.monotonic()
         train, test = experiment_split(0, gamma=0.9)

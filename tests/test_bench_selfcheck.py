@@ -9,9 +9,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
+@pytest.mark.slow
 def test_bench_selfcheck_passes():
     proc = subprocess.run(
         [sys.executable, "bench/selfcheck.py"],

@@ -839,6 +839,32 @@ class TestCountFlags:
         assert not out.exists()
 
 
+class TestUnallocatableSom:
+    """A neuron count whose weights numpy cannot create is found while
+    fitting: a data error, not a traceback."""
+
+    COUNT = 10**18
+
+    @pytest.mark.parametrize(
+        "command, argv",
+        [
+            ("train", ("--neurons-phase1", COUNT)),
+            ("train", ("--neurons-phase3", COUNT)),
+            ("train", ("--system", "baseline", "--neurons-baseline", COUNT)),
+            ("compare", ("--neurons-phase3", COUNT)),
+            ("sweep", ("--role", "phase3", "--counts", f"3,{COUNT}")),
+        ],
+    )
+    def test_is_data_error(self, dataset, tmp_path, command, argv):
+        ratings = dataset / ("split/train.csv" if command == "train" else "data/ratings.csv")
+        code, err = run_captured(
+            command, "--ratings", ratings, "--out", tmp_path / "out", "--epochs", 5, *argv
+        )
+        assert code == 2
+        assert err.startswith(f"ctxrec: error: cannot allocate SOM weights for {self.COUNT} ")
+        assert len(err.splitlines()) == 1
+
+
 class TestFlagsBeforeFiles:
     """A bad flag is a usage error even when an input file is missing too:
     every config a flag builds is checked before any file is read."""

@@ -809,6 +809,42 @@ class TestFitPipeline:
         # with more workers than full blocks, every worker gets a block
         assert len(pipeline._phase1_blocks(small_cube, users[:6], workers=3)) == 3
 
+    @pytest.mark.parametrize("cpus", [1, 2, 64])
+    def test_workers_capped_at_cpus_and_blocks(self, small_cube, monkeypatch, cpus):
+        """The pool starts all its workers at once, so it is asked for at most
+        one per CPU and one per block; a fake pool maps in this process."""
+        import concurrent.futures
+
+        asked = []
+
+        class InProcessPool:
+            def __init__(self, max_workers, initializer, initargs):
+                asked.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, blocks):
+                return map(fn, blocks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(pipeline.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(pipeline, "_worker_cube", None)
+        monkeypatch.setattr(pipeline, "_worker_cfg", None)
+        cfg1 = SomConfig(DEFAULT_PHASE1_NEURONS, epochs=10)
+        cfg3 = SomConfig(6, epochs=10)
+        pooled = fit_pipeline(small_cube, cfg1, cfg3, workers=10_000)
+        # one-user blocks once the workers outnumber the users
+        users = sum(1 for u in small_cube.users if small_cube.user_ratings(u))
+        assert 2 < users < 64
+        assert asked == ([] if cpus == 1 else [min(cpus, users)])
+        serial = fit_pipeline(small_cube, cfg1, cfg3)
+        assert pooled.space.to_json_dict() == serial.space.to_json_dict()
+
     def test_empty_cube_rejected(self, schema2x2):
         from ctxrec.core import RatingCube
 

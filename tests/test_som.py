@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctxrec.errors import EmptyInput, InvalidConfig, LengthMismatch
-from ctxrec.rng import Xoshiro256
+from ctxrec.rng import Xoshiro256, XoshiroLanes
 from ctxrec import jsonio, som
 from ctxrec.som import (
     SomConfig,
@@ -22,7 +22,6 @@ from ctxrec.som import (
     som_to_json_dict,
     train,
     train_many,
-    update_neighborhood,
 )
 
 
@@ -297,6 +296,27 @@ class TestTrainMany:
         with pytest.raises(EmptyInput):
             train_many([[np.ones(3)], []], SomConfig(neuron_count=2), [1, 2])
 
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_unallocatable_weights_are_invalid_config(self, lanes):
+        cfg = SomConfig(neuron_count=10**18)
+        message = "cannot allocate SOM weights for 1000000000000000000 neurons of input length 3"
+        with pytest.raises(InvalidConfig, match=message):
+            train_many([np.ones((2, 3))] * lanes, cfg, list(range(lanes)))
+        if lanes == 1:
+            with pytest.raises(InvalidConfig, match=message):
+                train(np.ones((2, 3)), cfg)
+
+    def test_out_of_memory_is_invalid_config(self, monkeypatch):
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate")
+
+        monkeypatch.setattr(som, "initial_weights", no_memory)
+        monkeypatch.setattr(XoshiroLanes, "uniform", no_memory)
+        cfg = SomConfig(neuron_count=7)
+        for lanes in (1, 2):
+            with pytest.raises(InvalidConfig, match="7 neurons of input length 3"):
+                train_many([np.ones((2, 3))] * lanes, cfg, list(range(lanes)))
+
 
 def rating_rows(draw, n: int, p: int) -> np.ndarray:
     """(n, p) ratings, sparse or dense, with some rows all zero."""
@@ -451,31 +471,43 @@ class TestPlainPythonReference:
         assert checked >= 9
 
 
+def one_step(cfg: SomConfig, bmu: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(initial weights, input, trained weights) of one training step whose
+    input is twice the initial weight row ``bmu``, so that row is its BMU."""
+    start = initial_weights(cfg, 6)
+    x = 2.0 * start[bmu]
+    assert assign(SomNetwork(start, cfg), [x]) == [bmu]
+    return start, x, train([x], cfg).weights
+
+
 class TestUpdateNeighborhood:
+    """The update rule through ``train``: one epoch keeps alpha and the
+    radius at ``alpha0`` and ``radius0`` for every step."""
+
     def test_contraction_per_step(self):
         # constant alpha, single neuron: each presentation scales the
         # distance to the input by exactly (1 - alpha)
-        weights = np.array([[0.3, 0.7, 0.1]])
+        cfg = SomConfig(neuron_count=1, epochs=1, alpha0=0.3, radius0=0, seed=4)
         x = np.array([5.0, 1.0, 2.0])
-        alpha = 0.3
-        dist = float(np.linalg.norm(weights[0] - x))
-        for _ in range(25):
-            update_neighborhood(weights, 0, x, alpha, 0)
+        dist = float(np.linalg.norm(initial_weights(cfg, len(x))[0] - x))
+        for steps in range(1, 26):
+            weights = train(np.tile(x, (steps, 1)), cfg).weights
             new_dist = float(np.linalg.norm(weights[0] - x))
-            assert new_dist == pytest.approx((1 - alpha) * dist, abs=1e-12)
+            assert new_dist == pytest.approx((1 - 0.3) * dist, abs=1e-12)
             dist = new_dist
 
     def test_radius_limits_updated_rows(self):
-        weights = np.zeros((5, 2))
-        x = np.array([1.0, 1.0])
-        assert update_neighborhood(weights, 2, x, 0.5, 1) == slice(1, 4)
-        touched = [bool(np.any(weights[i] != 0.0)) for i in range(5)]
+        cfg = SomConfig(neuron_count=5, epochs=1, alpha0=0.5, radius0=1, seed=4)
+        start, x, weights = one_step(cfg, 2)
+        touched = [bool(np.any(weights[i] != start[i])) for i in range(5)]
         assert touched == [False, True, True, True, False]
+        assert np.array_equal(weights[1:4], start[1:4] + 0.5 * (x - start[1:4]))
 
     def test_radius_clips_at_line_ends(self):
-        weights = np.zeros((3, 2))
-        update_neighborhood(weights, 0, np.array([1.0, 1.0]), 0.5, 5)
-        assert np.all(weights != 0.0)
+        cfg = SomConfig(neuron_count=3, epochs=1, alpha0=0.5, radius0=5, seed=4)
+        for bmu in (0, 2):
+            start, x, weights = one_step(cfg, bmu)
+            assert np.array_equal(weights, start + 0.5 * (x - start))
 
 
 def reference_similarities(weights, x) -> np.ndarray:
@@ -500,6 +532,32 @@ def assign_cases(draw):
     if draw(st.booleans()):
         weights[-1] = weights[0]
     return weights, inputs
+
+
+@st.composite
+def divide_cases(draw):
+    """(dots, denom) of one shape, 1-D or 2-D and possibly empty; the
+    denominators are all positive or hold some zeros or NaNs."""
+    shape = tuple(draw(st.lists(st.integers(0, 5), min_size=1, max_size=2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dots = rng.uniform(0.0, 5.0, shape)
+    denom = rng.uniform(0.01, 5.0, shape)
+    hole = draw(st.sampled_from([None, 0.0, -0.0, float("nan")]))
+    if hole is not None and denom.size:
+        flat = denom.reshape(-1)
+        flat[sorted(draw(st.sets(st.integers(0, flat.size - 1), min_size=1)))] = hole
+    return dots, denom
+
+
+class TestDivide:
+    @settings(max_examples=300, deadline=None)
+    @given(case=divide_cases())
+    def test_bits_of_the_where_divide(self, case):
+        dots, denom = case
+        expected = np.divide(dots, denom, out=np.zeros_like(denom), where=denom > 0.0)
+        got = som._divide(dots.copy(), denom)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestAssign:
