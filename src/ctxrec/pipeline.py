@@ -417,7 +417,7 @@ def fit_pipeline(
     networks in a block do not interact, so the result is identical for any
     block grouping, worker count or scheduling.
     """
-    # the pool forks all its workers at once, so never ask for more than run
+    # the pool starts every worker at its first task: ask for no more than can run
     workers = max(1, min(workers, os.cpu_count() or 1))
     users = [u for u in sorted(train_cube.users) if train_cube.user_ratings(u)]
     if not users:
