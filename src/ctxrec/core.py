@@ -320,6 +320,7 @@ def load_ratings(source: str | Path | IO[str], schema: ContextSchema) -> RatingC
     n_dims = len(schema.dimensions)
     cells: dict[tuple[str, int, str], int] = {}
     ids: dict[str, str] = {}
+    flats: dict[tuple[str, ...], int] = {}  # value names -> flat index, parsed once
     for line_no, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -331,10 +332,13 @@ def load_ratings(source: str | Path | IO[str], schema: ContextSchema) -> RatingC
         user_id, item_id = ids.setdefault(row[0], row[0]), ids.setdefault(row[1], row[1])
         if not user_id or not item_id:
             raise MalformedRow(f"line {line_no}: empty user or item id")
-        try:
-            situation = schema.situation_from_names(row[2 : 2 + n_dims])
-        except UnknownContextValue as exc:
-            raise UnknownContextValue(f"line {line_no}: {exc}") from None
+        names = tuple(row[2 : 2 + n_dims])
+        flat = flats.get(names)
+        if flat is None:
+            try:
+                flat = flats[names] = schema.situation_from_names(names).flat_index
+            except UnknownContextValue as exc:
+                raise UnknownContextValue(f"line {line_no}: {exc}") from None
         try:
             rating = int(row[2 + n_dims])
         except ValueError:
@@ -346,11 +350,11 @@ def load_ratings(source: str | Path | IO[str], schema: ContextSchema) -> RatingC
                 f"line {line_no}: rating {rating} outside "
                 f"[{schema.rating_min}, {schema.rating_max}]"
             )
-        key = (user_id, situation.flat_index, item_id)
+        key = (user_id, flat, item_id)
         if key in cells:
             raise MalformedRow(
                 f"line {line_no}: duplicate rating for user {user_id!r}, "
-                f"item {item_id!r}, situation {situation.flat_index}"
+                f"item {item_id!r}, situation {flat}"
             )
         cells[key] = rating
     users = sorted({user for user, _, _ in cells})

@@ -61,15 +61,21 @@ def cluster_user_contexts(
     user: str,
     cfg: SomConfig = SomConfig(DEFAULT_PHASE1_NEURONS),
     net: SomNetwork | None = None,
+    *,
+    _usage: tuple[list[int], np.ndarray] | None = None,
 ) -> ContextClustering:
     """Cluster one user's rated situations by usage pattern.
 
     The SOM seed is derived from ``cfg.seed`` and the user id, so per-user
     networks are independent of the order users are processed in.  ``net``
     is the user's SOM when it was already trained with a block of users
-    (``cluster_users``); otherwise it is trained here.
+    (``cluster_users``, which also passes the usage matrix it built);
+    otherwise it is trained here.  A user who rated in one situation gets
+    label 1 without a SOM, the label any SOM gives one input.
     """
-    flats, matrix = _usage_matrix(cube, user)
+    flats, matrix = _usage_matrix(cube, user) if _usage is None else _usage
+    if len(flats) == 1:
+        return ContextClustering(user, {flats[0]: 1}, 1)
     if net is None:
         net = train(matrix, replace(cfg, seed=_phase1_seed(cfg, user)))
     raw = assign(net, matrix)
@@ -82,15 +88,19 @@ def cluster_user_contexts(
 def cluster_users(
     cube: RatingCube, users: Sequence[str], cfg: SomConfig = SomConfig(DEFAULT_PHASE1_NEURONS)
 ) -> dict[str, ContextClustering]:
-    """Phase 1 for a block of users, their SOMs trained in lockstep.
+    """Phase 1 for a block of users, the SOMs of those who rated in two or
+    more situations trained in lockstep.
 
     Each user's clustering is exactly ``cluster_user_contexts(cube, user,
     cfg)``: the networks of one ``train_many`` call do not interact.
     """
-    inputs = [_usage_matrix(cube, user)[1] for user in users]
-    nets = train_many(inputs, cfg, [_phase1_seed(cfg, user) for user in users])
+    usages = [_usage_matrix(cube, user) for user in users]
+    split = [k for k, (flats, _) in enumerate(usages) if len(flats) > 1]
+    seeds = [_phase1_seed(cfg, users[k]) for k in split]
+    nets = dict(zip(split, train_many([usages[k][1] for k in split], cfg, seeds))) if split else {}
     return {
-        user: cluster_user_contexts(cube, user, cfg, net) for user, net in zip(users, nets)
+        user: cluster_user_contexts(cube, user, cfg, nets.get(k), _usage=usages[k])
+        for k, user in enumerate(users)
     }
 
 

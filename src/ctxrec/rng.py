@@ -43,10 +43,6 @@ def _splitmix64_stream(seed: int, count: int) -> list[int]:
     return out
 
 
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
-
-
 class Xoshiro256:
     """xoshiro256** seeded via splitmix64."""
 
@@ -70,17 +66,25 @@ class Xoshiro256:
         return tuple(self._s)
 
     def next_u64(self) -> int:
+        return self._outputs(1)[0]
+
+    def _outputs(self, count: int) -> list[int]:
+        """The next ``count`` outputs, with the step written out on local
+        state words: about half the time of as many ``next_u64`` calls."""
         s0, s1, s2, s3 = self._s
-        result = (_rotl((s1 * 5) & _MASK64, 7) * 9) & _MASK64
-        t = (s1 << 17) & _MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = _rotl(s3, 45)
+        out = []
+        for _ in range(count):
+            r = (s1 * 5) & _MASK64
+            out.append(((((r << 7) | (r >> 57)) & _MASK64) * 9) & _MASK64)
+            t = (s1 << 17) & _MASK64
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
         self._s = [s0, s1, s2, s3]
-        return result
+        return out
 
     def random(self) -> float:
         """Uniform float in [0, 1) with 53 bits of precision."""
@@ -88,6 +92,11 @@ class Xoshiro256:
 
     def uniform(self, low: float, high: float) -> float:
         return low + (high - low) * self.random()
+
+    def uniforms(self, low: float, high: float, count: int) -> list[float]:
+        """``count`` draws of ``uniform(low, high)``."""
+        span = high - low
+        return [low + span * ((u >> 11) * (2.0 ** -53)) for u in self._outputs(count)]
 
     def below(self, n: int) -> int:
         """Integer in [0, n). Modulo mapping, documented for portability."""
@@ -97,21 +106,11 @@ class Xoshiro256:
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle: ``j = below(i + 1)`` from the last
-        index down, with ``next_u64`` written out on local state words."""
-        s0, s1, s2, s3 = self._s
-        for i in range(len(items) - 1, 0, -1):
-            r = (s1 * 5) & _MASK64
-            result = ((((r << 7) | (r >> 57)) & _MASK64) * 9) & _MASK64
-            t = (s1 << 17) & _MASK64
-            s2 ^= s0
-            s3 ^= s1
-            s1 ^= s2
-            s0 ^= s3
-            s2 ^= t
-            s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
-            j = result % (i + 1)
+        index down."""
+        n = len(items)
+        for i, u in zip(range(n - 1, 0, -1), self._outputs(n - 1)):
+            j = u % (i + 1)
             items[i], items[j] = items[j], items[i]
-        self._s = [s0, s1, s2, s3]
 
 
 def _rotl_lanes(x: np.ndarray, k: int) -> np.ndarray:

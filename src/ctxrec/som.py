@@ -139,9 +139,7 @@ def initial_weights(cfg: SomConfig, p: int, rng: Xoshiro256 | None = None) -> np
     if rng is None:
         rng = Xoshiro256(cfg.seed)
     weights = np.empty((cfg.neuron_count, p), dtype=np.float64)
-    for i in range(cfg.neuron_count):
-        for j in range(p):
-            weights[i, j] = rng.uniform(0.01, 1.0)
+    weights.reshape(-1)[:] = rng.uniforms(0.01, 1.0, weights.size)
     return weights
 
 
@@ -223,6 +221,8 @@ def train_many(
     radius0 = cfg.effective_radius0
     lone, lone_norms = weights[0], norms[0]
     scratch = np.empty_like(lone)
+    dots, denom = np.empty(cfg.neuron_count), np.empty(cfg.neuron_count)
+    x_norms = flat_norms.tolist()
 
     for epoch in range(cfg.epochs):
         decay = 1.0 - epoch / cfg.epochs
@@ -253,19 +253,30 @@ def train_many(
             hood += step
             weights[lane, neuron] = hood
             norms[lane, neuron] = _weight_norms(hood, step)
-        # lane 0 alone: the same arithmetic on views, no gathers; W @ x is the
-        # gemv _cosines reaches, divided by its _divide, and the neighbourhood
-        # moves through scratch
-        for i in rows[0, shared:].tolist():
-            x = flat[i]
-            bmu = int(_divide(lone @ x, lone_norms * flat_norms[i]).argmax())
+        # lane 0 alone: the same arithmetic on views and fixed buffers.  The
+        # divide is raw, so a zero norm product gives -inf, +inf or NaN where
+        # _divide gives 0; a winner in (0, inf) rules out NaN and +inf, and a
+        # -inf loses as a 0 would, so only other winners go through _divide.
+        # np.dot(lone, x) is _cosines' gemv; views are built once an epoch.
+        views = []
+        for bmu in range(cfg.neuron_count):
             lo, hi = max(0, bmu - radius), min(cfg.neuron_count, bmu + radius + 1)
-            hood, step = lone[lo:hi], scratch[: hi - lo]
-            step[...] = x
-            step -= hood
-            step *= alpha
-            hood += step
-            lone_norms[lo:hi] = _weight_norms(hood, step)
+            views.append((lone[lo:hi], scratch[: hi - lo], lone_norms[lo:hi]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for i in rows[0, shared:].tolist():
+                x = flat[i]
+                np.dot(lone, x, out=dots)
+                np.divide(dots, np.multiply(lone_norms, x_norms[i], out=denom), out=dots)
+                bmu = dots.argmax()
+                if not 0.0 < dots[bmu] < math.inf:
+                    bmu = _divide(lone @ x, denom).argmax()
+                hood, step, hood_norms = views[bmu]
+                step[...] = x
+                step -= hood
+                step *= alpha
+                hood += step
+                squares = np.multiply(hood, hood, out=step)
+                np.sqrt(np.add.reduce(squares, axis=1, out=hood_norms), out=hood_norms)
 
     weights.setflags(write=False)
     nets = [None] * lanes

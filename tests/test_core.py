@@ -313,6 +313,18 @@ class TestRatingsCsv:
         with pytest.raises(UnknownContextValue):
             load_ratings(io.StringIO(text), restaurant_schema)
 
+    def test_repeated_situations_and_late_errors(self, restaurant_schema):
+        """A situation met again maps to the same flat index, and an unknown
+        value after known rows of the same names names its own line."""
+        again = "u2,i2,Weekday,Noon,Family,Cold/Sunny,3\n"
+        cube = load_ratings(io.StringIO(self.CSV + again), restaurant_schema)
+        flat = restaurant_schema.situation_from_names(("Weekday", "Noon", "Family", "Cold/Sunny"))
+        assert cube.user_ratings("u1")[flat.flat_index] == {"i1": 4}
+        assert cube.user_ratings("u2")[flat.flat_index] == {"i2": 3}
+        bad = "u3,i1,Weekday,Noon,Robot,Cold/Sunny,4\n"
+        with pytest.raises(UnknownContextValue, match="^line 6: value 'Robot' not in dimension"):
+            load_ratings(io.StringIO(self.CSV + again + bad), restaurant_schema)
+
     def test_rating_out_of_range(self, restaurant_schema):
         text = (
             "user_id,item_id,day,time,companion,weather,rating\n"

@@ -1,6 +1,7 @@
 """Three-phase pipeline: context clustering, virtual users, cluster CF."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +30,8 @@ from ctxrec.pipeline import (
     recommend,
     save_pipeline,
 )
-from ctxrec.som import SomConfig, SomNetwork, cosine_similarity
+from ctxrec.rng import derive_seed
+from ctxrec.som import SomConfig, SomNetwork, assign, cosine_similarity, train
 
 from conftest import make_cube, tiny_schema
 
@@ -155,7 +157,42 @@ class TestClusterUserContexts:
         )
 
 
+def trained_clustering(cube, user: str, cfg: SomConfig) -> ContextClustering:
+    """Phase 1 for one user through a SOM trained on its usage matrix and its
+    compacted BMUs, whatever the number of situations."""
+    flats, matrix = cube.usage_matrix(user)
+    net = train(matrix, replace(cfg, seed=derive_seed(cfg.seed, "phase1", user)))
+    raw = assign(net, matrix)
+    occupied = sorted(set(raw))
+    labels = {flat: occupied.index(neuron) + 1 for flat, neuron in zip(flats, raw)}
+    return ContextClustering(user, labels, len(occupied))
+
+
 class TestClusterUsers:
+    CFG = SomConfig(DEFAULT_PHASE1_NEURONS, epochs=15, seed=4)
+
+    def test_one_situation_users_train_no_som(self, small_cube, monkeypatch):
+        single = [u for u in small_cube.users if len(small_cube.user_ratings(u)) == 1]
+        assert len(single) > 1
+        expected = {user: trained_clustering(small_cube, user, self.CFG) for user in single}
+
+        def no_training(*args):
+            raise AssertionError("a SOM was trained")
+
+        monkeypatch.setattr(pipeline, "train", no_training)
+        monkeypatch.setattr(pipeline, "train_many", no_training)
+        for user in single:
+            (flat,) = small_cube.user_ratings(user)
+            clustering = cluster_user_contexts(small_cube, user, self.CFG)
+            assert clustering == ContextClustering(user, {flat: 1}, 1) == expected[user]
+        assert cluster_users(small_cube, single, self.CFG) == expected
+
+    def test_mixed_block_equals_the_trained_path(self, small_cube):
+        users = [u for u in small_cube.users if small_cube.user_ratings(u)]
+        assert {len(small_cube.user_ratings(u)) > 1 for u in users} == {False, True}
+        expected = {user: trained_clustering(small_cube, user, self.CFG) for user in users}
+        assert cluster_users(small_cube, users, self.CFG) == expected
+
     def test_block_equals_one_user_at_a_time(self, small_cube):
         cfg = SomConfig(DEFAULT_PHASE1_NEURONS, epochs=15, seed=4)
         users = [u for u in small_cube.users if small_cube.user_ratings(u)]

@@ -1,7 +1,12 @@
 """Self-organizing map: similarities, BMU selection, training, persistence."""
 
 import math
+import os
+import subprocess
+import sys
+from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -194,9 +199,13 @@ class TestTrain:
         assert np.all(w <= 1.0)
 
 
-def reference_train(inputs, cfg: SomConfig) -> np.ndarray:
+def reference_train(inputs, cfg: SomConfig, steps: list | None = None) -> np.ndarray:
     """The per-network training algorithm, written out step by step on the
-    scalar generator: the bytes ``train`` and ``train_many`` must reproduce."""
+    scalar generator: the bytes ``train`` and ``train_many`` must reproduce.
+
+    ``steps``, if given, gets one entry per step for the raw divide that the
+    one-network step tries first: "fallback" when its winner is not in (0,
+    inf), "-inf" when it is but some cosine is -inf, else "plain"."""
     matrix = np.asarray(inputs, dtype=np.float64)
     rng = Xoshiro256(cfg.seed)
     weights = np.empty((cfg.neuron_count, matrix.shape[1]))
@@ -216,6 +225,13 @@ def reference_train(inputs, cfg: SomConfig) -> np.ndarray:
             nonzero = denom > 0.0
             sims[nonzero] = (weights @ x)[nonzero] / denom[nonzero]
             bmu = int(np.argmax(sims))
+            if steps is not None:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    raw = (weights @ x) / denom
+                if not 0.0 < raw[np.argmax(raw)] < math.inf:
+                    steps.append("fallback")
+                else:
+                    steps.append("-inf" if np.isneginf(raw).any() else "plain")
             lo, hi = max(0, bmu - radius), min(cfg.neuron_count - 1, bmu + radius)
             weights[lo : hi + 1] += alpha * (x - weights[lo : hi + 1])
     return weights
@@ -344,6 +360,27 @@ def lean_step_cases(draw):
     return cfg, p, rating_rows(draw, draw(st.integers(1, 12)), p)
 
 
+def underflow_case(seed: int) -> tuple[np.ndarray, SomConfig]:
+    """Up to 9 rows of up to 7 signed values, each row scaled by 1, 1e-160 or
+    1e-170 and now and then all zero, for 2 to 6 neurons.  Squares of the
+    small values underflow, so a norm or a norm product can be 0 while a dot
+    is not; with negative entries such a cosine is -inf.  At alpha0 = 1 an
+    all-zero or tiny row moves a weight row to exactly zero."""
+    rng = np.random.default_rng(seed)
+    n, p = int(rng.integers(2, 10)), int(rng.integers(1, 8))
+    rows = np.where(rng.random((n, p)) < 0.7, rng.uniform(-5.0, 5.0, (n, p)), 0.0)
+    rows *= rng.choice([1.0, 1e-160, 1e-170], size=(n, 1))
+    rows[rng.random(n) < 0.2] = 0.0
+    cfg = SomConfig(
+        neuron_count=int(rng.integers(2, 7)),
+        epochs=int(rng.integers(2, 6)),
+        alpha0=float(rng.choice([0.5, 1.0])),
+        radius0=float(rng.integers(0, 2)),
+        seed=int(rng.integers(0, 2**63)),
+    )
+    return rows, cfg
+
+
 class TestLeanStep:
     """Each step at which one network alone presents an input (all of a
     one-network ``train``, the tail of a ``train_many`` block) has the bytes
@@ -366,6 +403,53 @@ class TestLeanStep:
         for rows, seed, net in zip(sets, seeds, train_many(sets, cfg, seeds)):
             expected = reference_train(rows, replace(cfg, seed=seed))
             assert net.weights.tobytes() == expected.tobytes()
+
+    def test_fallback_runs_exactly_where_the_raw_winner_is_not_in_range(self, monkeypatch):
+        """The raw divide's -inf cosines are kept, and every step whose winner
+        is 0 or less, +inf or NaN is redone by ``_divide``: the same bytes as
+        the reference, with one ``_divide`` call per such step."""
+        calls = []
+        divide = som._divide
+        monkeypatch.setattr(som, "_divide", lambda *args: calls.append(1) or divide(*args))
+        kinds = Counter()
+        for seed in range(80):
+            rows, cfg = underflow_case(seed)
+            steps = []
+            expected = reference_train(rows, cfg, steps)
+            calls.clear()
+            assert train(rows, cfg).weights.tobytes() == expected.tobytes()
+            assert len(calls) == steps.count("fallback")
+            kinds.update(steps)
+        assert kinds["fallback"] > 0 and kinds["-inf"] > 0 and kinds["plain"] > 0
+
+
+# One input set trained alone and as lane 0 of a two-lane block of equal row
+# counts, where every step is a lockstep step.
+KERNEL_PROBE = """
+import numpy as np
+from ctxrec.som import SomConfig, train, train_many
+a, b = np.random.default_rng(5).uniform(0.0, 5.0, (2, 600, 387))
+cfg = SomConfig(neuron_count=21, epochs=10, seed=17)
+alone = train(a, cfg).weights
+print(alone.tobytes() == train_many([a, b], cfg, [17, 18])[0].weights.tobytes())
+"""
+
+
+class TestCrossKernel:
+    """The one-network step's ``np.dot`` has the bits of the lockstep
+    ``_cosines`` gemv on kernels without AVX-512 too.  ``OPENBLAS_CORETYPE``
+    is set on the child process only."""
+
+    @pytest.mark.parametrize("kernel", ["Haswell", "Prescott"])
+    def test_lone_step_equals_its_lockstep_lane(self, kernel):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, OPENBLAS_CORETYPE=kernel, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-c", KERNEL_PROBE], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.split() == ["True"]
 
 
 # Fixed before any comparison: at p <= 6 the rounding of a cosine is below
