@@ -95,9 +95,9 @@ def cluster_users(
     cfg)``: the networks of one ``train_many`` call do not interact.
     """
     usages = [_usage_matrix(cube, user) for user in users]
-    split = [k for k, (flats, _) in enumerate(usages) if len(flats) > 1]
-    seeds = [_phase1_seed(cfg, users[k]) for k in split]
-    nets = dict(zip(split, train_many([usages[k][1] for k in split], cfg, seeds))) if split else {}
+    trained = [k for k, (flats, _) in enumerate(usages) if len(flats) > 1]
+    inputs, seeds = [usages[k][1] for k in trained], [_phase1_seed(cfg, users[k]) for k in trained]
+    nets = dict(zip(trained, train_many(inputs, cfg, seeds))) if trained else {}
     return {
         user: cluster_user_contexts(cube, user, cfg, nets.get(k), _usage=usages[k])
         for k, user in enumerate(users)

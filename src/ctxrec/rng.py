@@ -24,7 +24,7 @@ instead; it never has to interoperate with anything outside this package.
 from __future__ import annotations
 
 import hashlib
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -66,25 +66,27 @@ class Xoshiro256:
         return tuple(self._s)
 
     def next_u64(self) -> int:
-        return self._outputs(1)[0]
+        (result,) = self._outputs(1)
+        return result
 
-    def _outputs(self, count: int) -> list[int]:
+    def _outputs(self, count: int) -> Iterator[int]:
         """The next ``count`` outputs, with the step written out on local
-        state words: about half the time of as many ``next_u64`` calls."""
+        state words: about half the time of as many ``next_u64`` calls.  The
+        state is stored back when the generator ends or is closed."""
         s0, s1, s2, s3 = self._s
-        out = []
-        for _ in range(count):
-            r = (s1 * 5) & _MASK64
-            out.append(((((r << 7) | (r >> 57)) & _MASK64) * 9) & _MASK64)
-            t = (s1 << 17) & _MASK64
-            s2 ^= s0
-            s3 ^= s1
-            s1 ^= s2
-            s0 ^= s3
-            s2 ^= t
-            s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
-        self._s = [s0, s1, s2, s3]
-        return out
+        try:
+            for _ in range(count):
+                r = (s1 * 5) & _MASK64
+                t = (s1 << 17) & _MASK64
+                s2 ^= s0
+                s3 ^= s1
+                s1 ^= s2
+                s0 ^= s3
+                s2 ^= t
+                s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
+                yield ((((r << 7) | (r >> 57)) & _MASK64) * 9) & _MASK64
+        finally:
+            self._s = [s0, s1, s2, s3]
 
     def random(self) -> float:
         """Uniform float in [0, 1) with 53 bits of precision."""
@@ -108,7 +110,7 @@ class Xoshiro256:
         """In-place Fisher-Yates shuffle: ``j = below(i + 1)`` from the last
         index down."""
         n = len(items)
-        for i, u in zip(range(n - 1, 0, -1), self._outputs(n - 1)):
+        for u, i in zip(self._outputs(n - 1), range(n - 1, 0, -1)):
             j = u % (i + 1)
             items[i], items[j] = items[j], items[i]
 

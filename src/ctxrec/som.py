@@ -139,7 +139,8 @@ def initial_weights(cfg: SomConfig, p: int, rng: Xoshiro256 | None = None) -> np
     if rng is None:
         rng = Xoshiro256(cfg.seed)
     weights = np.empty((cfg.neuron_count, p), dtype=np.float64)
-    weights.reshape(-1)[:] = rng.uniforms(0.01, 1.0, weights.size)
+    for row in weights:  # a row at a time keeps the draw lists small
+        row[:] = rng.uniforms(0.01, 1.0, p)
     return weights
 
 
@@ -258,10 +259,8 @@ def train_many(
         # _divide gives 0; a winner in (0, inf) rules out NaN and +inf, and a
         # -inf loses as a 0 would, so only other winners go through _divide.
         # np.dot(lone, x) is _cosines' gemv; views are built once an epoch.
-        views = []
-        for bmu in range(cfg.neuron_count):
-            lo, hi = max(0, bmu - radius), min(cfg.neuron_count, bmu + radius + 1)
-            views.append((lone[lo:hi], scratch[: hi - lo], lone_norms[lo:hi]))
+        hoods = [slice(max(0, bmu - radius), bmu + radius + 1) for bmu in range(cfg.neuron_count)]
+        views = [(lone[h], scratch[: len(lone[h])], lone_norms[h]) for h in hoods]
         with np.errstate(divide="ignore", invalid="ignore"):
             for i in rows[0, shared:].tolist():
                 x = flat[i]

@@ -446,7 +446,11 @@ class TestCrossKernel:
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = dict(os.environ, OPENBLAS_CORETYPE=kernel, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
         proc = subprocess.run(
-            [sys.executable, "-c", KERNEL_PROBE], env=env, capture_output=True, text=True, timeout=300
+            [sys.executable, "-c", KERNEL_PROBE],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
         )
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert proc.stdout.split() == ["True"]
