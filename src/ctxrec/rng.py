@@ -70,9 +70,9 @@ class Xoshiro256:
         return result
 
     def _outputs(self, count: int) -> Iterator[int]:
-        """The next ``count`` outputs, with the step written out on local
-        state words: about half the time of as many ``next_u64`` calls.  The
-        state is stored back when the generator ends or is closed."""
+        """The next ``count`` outputs from one loop on local state words:
+        the state is loaded once and stored back once, when the generator
+        ends or is closed."""
         s0, s1, s2, s3 = self._s
         try:
             for _ in range(count):
