@@ -123,8 +123,7 @@ class RowSpace:
     kept, row by row in column order: row ``i`` holds ``values[starts[i]:
     starts[i + 1]]`` in columns ``columns[starts[i]:starts[i + 1]]``.  The
     spaces are a few per cent dense, so this is a small part of the dense
-    float64 matrix, which ``dense`` and ``matrix`` rebuild on demand with the
-    same values.
+    float64 matrix, which ``matrix`` rebuilds on demand with the same values.
     """
 
     def __init__(self, items: Sequence[str], ratings: Mapping[Hashable, Mapping[str, float]]):
@@ -152,22 +151,12 @@ class RowSpace:
         self.item_rank = np.empty(len(by_id), dtype=np.intp)
         self.item_rank[by_id] = np.arange(len(by_id))
 
-    def dense(self, rows: Sequence[int]) -> np.ndarray:
-        """Dense float64 copies of the given rows, in that order."""
-        rows = np.asarray(rows, dtype=np.intp)
-        first = self.starts[rows]
-        counts = self.starts[rows + 1] - first
-        ends = np.cumsum(counts)
-        # positions of the rows' entries in columns/values, row after row
-        take = np.arange(ends[-1] if len(ends) else 0) + np.repeat(first - ends + counts, counts)
-        out = np.zeros((len(rows), len(self.items)))
-        out[np.repeat(np.arange(len(rows)), counts), self.columns[take]] = self.values[take]
-        return out
-
     @property
     def matrix(self) -> np.ndarray:
         """The whole space as one read-only dense matrix, built on each access."""
-        matrix = self.dense(np.arange(len(self.keys)))
+        matrix = np.zeros((len(self.keys), len(self.items)))
+        rows = np.repeat(np.arange(len(self.keys)), np.diff(self.starts))
+        matrix[rows, self.columns] = self.values
         matrix.setflags(write=False)
         return matrix
 
@@ -242,24 +231,42 @@ def build_virtual_space(
 class UserClusterModel:
     """Phase-3 SOM over a 2-D space plus each row's neuron, by row.
 
-    ``norms`` holds each row's Euclidean norm and ``members[k]`` the rows on
-    neuron ``k`` in ascending order: the scorer's O(rows) state.
+    ``norms`` holds each row's Euclidean norm, ``members[k]`` the rows on
+    neuron ``k`` in ascending order, and ``blocks[k]`` their rated entries,
+    member after member, as three read-only arrays: each entry's flat
+    position in the members' (n, p) dense rows, its value, and the n + 1
+    members' entry starts.  The scorer's state is O(rows + rated entries).
     """
 
     som: SomNetwork
     neurons: np.ndarray = field(repr=False, compare=False)
     norms: np.ndarray = field(repr=False, compare=False)
     members: tuple[np.ndarray, ...] = field(repr=False, compare=False)
+    blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...] = field(repr=False, compare=False)
 
 
-def _cluster_model(net: SomNetwork, matrix: np.ndarray) -> UserClusterModel:
-    if not len(matrix):
+def _cluster_model(net: SomNetwork, space: RowSpace) -> UserClusterModel:
+    if not space.keys:
         raise EmptyInput("no rows to cluster")
+    matrix = space.matrix
     neurons = np.asarray(assign(net, matrix), int)
-    norms = _row_norms(matrix)
     by_neuron = np.argsort(neurons, kind="stable")
-    bounds = np.searchsorted(neurons[by_neuron], np.arange(1, net.neuron_count))
-    return UserClusterModel(net, neurons, norms, tuple(np.split(by_neuron, bounds)))
+    firsts = np.searchsorted(neurons[by_neuron], np.arange(net.neuron_count + 1))
+    # the rows' entries in neuron order, each at (its row's place among the
+    # neuron's members) * p + column
+    counts = np.diff(space.starts)[by_neuron]
+    cuts = np.concatenate(([0], np.cumsum(counts)))
+    take = np.arange(cuts[-1]) + np.repeat(space.starts[by_neuron] - cuts[:-1], counts)
+    places = np.arange(len(by_neuron)) - firsts[neurons[by_neuron]]
+    positions = np.repeat(places * len(space.items), counts) + space.columns[take]
+    values, blocks = space.values[take], []
+    for lo, hi in zip(firsts[:-1], firsts[1:]):
+        span = slice(cuts[lo], cuts[hi])
+        blocks.append((positions[span], values[span], cuts[lo : hi + 1] - cuts[lo]))
+        for array in blocks[-1]:
+            array.setflags(write=False)
+    members = tuple(np.split(by_neuron, firsts[1:-1]))
+    return UserClusterModel(net, neurons, _row_norms(matrix), members, tuple(blocks))
 
 
 def cluster_virtual_users(
@@ -268,8 +275,7 @@ def cluster_virtual_users(
     """Cluster the rows of a 2-D space (virtual users or plain users)."""
     if not space.keys:
         raise EmptyInput("no rows to cluster")
-    matrix = space.matrix
-    return _cluster_model(train(matrix, cfg), matrix)
+    return _cluster_model(train(space.matrix, cfg), space)
 
 
 def _score(model: UserClusterModel, space: RowSpace, key) -> tuple[np.ndarray, np.ndarray]:
@@ -280,19 +286,29 @@ def _score(model: UserClusterModel, space: RowSpace, key) -> tuple[np.ndarray, n
     When no peer rated the item (or total similarity is zero), the neuron's
     weight component stands in.  Each peer's similarity is
     ``cosine_similarity`` of the two rows, bit for bit: one (1, p) @ (p, 1)
-    product per peer over the cached norms.  0 means unrated, so the peers'
-    rows are already the masked ratings of the weighted mean.
+    product per peer over the cached norms.  The neuron's block scatters
+    into the peers' dense rows (0 means unrated, so they are already the
+    masked ratings) and a 0/1 float mask of their rated entries.
     """
     row = space.row(key)  # raises for unknown keys
     neuron = model.neurons[row]
-    own_vec = space.dense([row])[0]
-    peers = model.members[neuron]
-    peers = peers[peers != row]
-    peer_rows = space.dense(peers)
-    sims = _cosines(own_vec[None, None], model.norms[[row]], peer_rows, model.norms[peers])[:, 0]
-    den = sims @ (peer_rows > 0.0)
+    members = model.members[neuron]
+    positions, values, starts = model.blocks[neuron]
+    i, p = int(np.searchsorted(members, row)), len(space.items)
+    lo, hi = starts[i], starts[i + 1]
+    own_vec = np.zeros(p)
+    own_vec[positions[lo:hi] - i * p] = values[lo:hi]
+    # the peers' rows over their mask; the entries after the own row move one row up
+    dense = np.zeros((2, len(members) - 1, p))
+    before, after = positions[:lo], positions[hi:] - p
+    for part, head, tail in zip(dense.reshape(2, -1), (values[:lo], 1.0), (values[hi:], 1.0)):
+        part[before] = head
+        part[after] = tail
+    peers = members[members != row]
+    sims = _cosines(own_vec[None, None], model.norms[[row]], dense[0], model.norms[peers])[:, 0]
+    num, den = sims @ dense
     prototype = model.som.weights[neuron]
-    scored = np.divide(sims @ peer_rows, den, out=prototype.copy(), where=den > 0.0)
+    scored = np.divide(num, den, out=prototype.copy(), where=den > 0.0)
     columns = np.flatnonzero(own_vec == 0.0)
     return columns, scored[columns]
 
@@ -330,10 +346,10 @@ def recommend(
     if label is None:
         if clustering.m == 0:
             raise EmptyInput(f"user {user!r} has no virtual users")
-        label = max(
-            range(1, clustering.m + 1),
-            key=lambda k: (len(space.ratings_of((user, k))), -k),
-        )
+        def size(k: int) -> tuple:  # rated items, ties to the smallest label
+            row = space.row((user, k))
+            return space.starts[row + 1] - space.starts[row], -k
+        label = max(range(1, clustering.m + 1), key=size)
     return _ranked(model, space, (user, label), n)
 
 
@@ -485,7 +501,7 @@ def _load_bundle(directory: str | Path, space_file: str):
     stored = space.values
     if not np.all((stored >= schema.rating_min) & (stored <= schema.rating_max)):
         raise CorruptFile(f"{space_path} holds a rating outside the schema's range")
-    return schema, space, _cluster_model(net, space.matrix)
+    return schema, space, _cluster_model(net, space)
 
 
 def _clusterings_from_json(

@@ -1,14 +1,18 @@
 """Three-phase pipeline: context clustering, virtual users, cluster CF."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctxrec.baseline import BaselineModel, flatten_cube
+from ctxrec.baseline import BaselineModel, fit_baseline, flatten_cube, load_baseline, save_baseline
 from ctxrec.core import default_schema
 from ctxrec.datagen import GenConfig, generate
 from ctxrec import jsonio
@@ -354,13 +358,15 @@ class TestRowSpace:
         for key in space.keys:
             assert again.ratings_of(key) == space.ratings_of(key) == ratings[key]
         # the stored entries are the matrix's nonzero ones, row by row in
-        # column order, and dense rows in any order agree with the matrix
-        rows, columns = np.nonzero(space.matrix)
+        # column order, and each matrix row holds exactly its key's ratings
+        matrix = space.matrix
+        rows, columns = np.nonzero(matrix)
         assert np.diff(space.starts).tolist() == np.bincount(rows, minlength=len(ratings)).tolist()
         assert space.columns.tolist() == columns.tolist()
-        assert space.values.tobytes() == space.matrix[rows, columns].tobytes()
-        backwards = np.arange(len(space.keys))[::-1]
-        assert space.dense(backwards).tobytes() == space.matrix[backwards].tobytes()
+        assert space.values.tobytes() == matrix[rows, columns].tobytes()
+        for key in reversed(space.keys):
+            row = matrix[space.row(key)]
+            assert {ITEMS[j]: row[j] for j in np.flatnonzero(row)} == space.ratings_of(key)
 
     def test_ratings_of_in_item_order(self):
         space = RowSpace(ITEMS, {"u1": {"i3": 2.0, "i1": 5.0}})
@@ -533,7 +539,7 @@ def prototype_ranking(items, weights, n, rated=None) -> list[tuple[str, float]]:
     ``weights`` on the items it has not ``rated``."""
     space = RowSpace(items, {("u1", 1): rated or {}})
     net = SomNetwork(np.array([weights], dtype=np.float64), SomConfig(1))
-    return pipeline._ranked(pipeline._cluster_model(net, space.matrix), space, ("u1", 1), n)
+    return pipeline._ranked(pipeline._cluster_model(net, space), space, ("u1", 1), n)
 
 
 class TestRankItems:
@@ -725,10 +731,10 @@ def scored_systems(schema, items, users_m, flats, matrix, weights):
     }
     net = SomNetwork(np.asarray(weights, dtype=np.float64), SomConfig(len(weights)))
     space = RowSpace(items, rows_of(keys, items, matrix))
-    user_model = pipeline._cluster_model(net, space.matrix)
+    user_model = pipeline._cluster_model(net, space)
     model = PipelineModel(schema, SomConfig(2), clusterings, space, user_model)
     flat_space = RowSpace(items, rows_of([f"f{r}" for r in range(len(keys))], items, matrix))
-    flat_model = pipeline._cluster_model(net, flat_space.matrix)
+    flat_model = pipeline._cluster_model(net, flat_space)
     return model, BaselineModel(schema, flat_space, flat_model)
 
 
@@ -789,6 +795,118 @@ class TestScorerReference:
             cluster_virtual_users(flat_space, SomConfig(5, epochs=10)),
         )
         assert_matches_reference(small_model, flat)
+
+
+def block_arrays(model) -> list[list[tuple[str, bytes, bool]]]:
+    """Each neuron's block as (dtype, bytes, writeable) of its three arrays."""
+    return [
+        [(a.dtype.str, a.tobytes(), a.flags.writeable) for a in block] for block in model.blocks
+    ]
+
+
+class TestPeerBlocks:
+    """Each neuron's block holds its members' rated entries, and the scorer
+    that reads it matches the reference bit for bit at the block's edges."""
+
+    def test_blocks_are_the_members_dense_entries(self, small_model):
+        model, matrix = small_model.user_model, small_model.space.matrix
+        assert len(model.blocks) == model.som.neuron_count
+        for rows, (positions, values, starts) in zip(model.members, model.blocks):
+            dense = matrix[rows]
+            assert positions.tolist() == np.flatnonzero(dense).tolist()
+            assert values.tobytes() == dense.reshape(-1)[positions].tobytes()
+            assert starts.tolist() == [0, *np.cumsum(np.count_nonzero(dense, axis=1)).tolist()]
+
+    def test_first_last_and_only_members_and_empty_rows(self):
+        items = ("d", "b", "c", "a")
+        matrix = [
+            [5.0, 4.0, 0.0, 0.0],  # neuron 1, first member
+            [0.0, 0.0, 0.0, 0.0],  # neuron 0, no entries, first member
+            [0.0, 0.0, 3.0, 0.0],  # neuron 2, only member
+            [2.0, 0.0, 0.0, 0.0],  # neuron 1
+            [1.0, 3.0, 2.0, 0.0],  # neuron 1, last member
+            [0.0, 0.0, 0.0, 4.0],  # neuron 0, last member
+        ]
+        weights = [[0.0, 0.0, 0.0, 1.0], [1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]
+        model, flat = scored_systems(tiny_schema(), items, [2, 2, 2], [2, 0, 3, 1], matrix, weights)
+        user_model = model.user_model
+        assert user_model.neurons.tolist() == [1, 0, 2, 1, 1, 0]
+        positions, values, starts = user_model.blocks[1]
+        assert positions.tolist() == [0, 1, 4, 8, 9, 10]
+        assert values.tolist() == [5.0, 4.0, 2.0, 1.0, 3.0, 2.0]
+        assert starts.tolist() == [0, 2, 3, 6]
+        assert [b[2].tolist() for b in user_model.blocks] == [[0, 0, 1], [0, 2, 3, 6], [0, 1]]
+        assert_matches_reference(model, flat)
+
+    def test_a_space_of_empty_rows(self):
+        zeros, weights = [[0.0, 0.0]] * 3, [[1.0, 0.5]]
+        model, flat = scored_systems(tiny_schema(), ("a", "b"), [2, 1], range(4), zeros, weights)
+        assert [a.tolist() for a in model.user_model.blocks[0]] == [[], [], [0, 0, 0, 0]]
+        assert_matches_reference(model, flat)
+
+    def test_loaded_bundles_carry_the_fitted_blocks(self, small_model, small_cube, tmp_path):
+        flat = fit_baseline(small_cube, SomConfig(5, epochs=10))
+        save_pipeline(small_model, tmp_path / "pipeline")
+        save_baseline(flat, tmp_path / "baseline")
+        for fitted, loaded in (
+            (small_model, load_pipeline(tmp_path / "pipeline")),
+            (flat, load_baseline(tmp_path / "baseline")),
+        ):
+            assert block_arrays(loaded.user_model) == block_arrays(fitted.user_model)
+            assert not any(w for block in block_arrays(fitted.user_model) for _, _, w in block)
+            with pytest.raises(ValueError):
+                loaded.user_model.blocks[0][1][...] = 1.0
+
+
+SCORER_PROBE = """
+import numpy as np
+from ctxrec.baseline import fit_baseline
+from ctxrec.datagen import GenConfig, generate
+from ctxrec.pipeline import _score, fit_pipeline
+from ctxrec.som import SomConfig, cosine_similarity
+
+def reference(model, space, row):
+    matrix = space.matrix
+    own, prototype = matrix[row], model.som.weights[model.neurons[row]]
+    peer_rows = matrix[[r for r in np.flatnonzero(model.neurons == model.neurons[row]) if r != row]]
+    sims = np.array([cosine_similarity(own, peer) for peer in peer_rows], dtype=np.float64)
+    num, den = sims @ peer_rows, sims @ (peer_rows > 0.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        scored = np.where(den > 0.0, num / den, prototype)
+    columns = np.flatnonzero(own == 0.0)
+    return columns.tobytes() + scored[columns].tobytes()
+
+cube = generate(GenConfig(n_users=120, n_items=300, seed=4))
+pipeline = fit_pipeline(cube, phase3_cfg=SomConfig(8, epochs=10))
+baseline = fit_baseline(cube, SomConfig(6, epochs=10))
+print(all(
+    b"".join(a.tobytes() for a in _score(m.user_model, m.space, key))
+    == reference(m.user_model, m.space, row)
+    for m in (pipeline, baseline)
+    for row, key in enumerate(m.space.keys)
+))
+"""
+
+
+class TestScorerCrossKernel:
+    """``_score`` equals a plain scorer over ``space.matrix`` rows with a
+    ``peer_rows > 0.0`` mask, bit for bit, on kernels without AVX-512 too.
+    ``OPENBLAS_CORETYPE`` is set on the child process only."""
+
+    @pytest.mark.parametrize("kernel", ["Haswell", "Prescott"])
+    def test_scores_equal_the_dense_reference(self, kernel):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, OPENBLAS_CORETYPE=kernel, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-c", SCORER_PROBE],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.split() == ["True"]
 
 
 class TestFitPipeline:
