@@ -298,7 +298,7 @@ def _score(model: UserClusterModel, space: RowSpace, key) -> tuple[np.ndarray, n
     lo, hi = starts[i], starts[i + 1]
     own_vec = np.zeros(p)
     own_vec[positions[lo:hi] - i * p] = values[lo:hi]
-    # the peers' rows over their mask; the entries after the own row move one row up
+    # the peers' rows, then their 0/1 mask; entries after the own row move one row up
     dense = np.zeros((2, len(members) - 1, p))
     before, after = positions[:lo], positions[hi:] - p
     for part, head, tail in zip(dense.reshape(2, -1), (values[:lo], 1.0), (values[hi:], 1.0)):
@@ -346,9 +346,11 @@ def recommend(
     if label is None:
         if clustering.m == 0:
             raise EmptyInput(f"user {user!r} has no virtual users")
+
         def size(k: int) -> tuple:  # rated items, ties to the smallest label
             row = space.row((user, k))
             return space.starts[row + 1] - space.starts[row], -k
+
         label = max(range(1, clustering.m + 1), key=size)
     return _ranked(model, space, (user, label), n)
 
