@@ -9,9 +9,17 @@ neuron within the current neighborhood radius move toward the input:
 with a learning rate and a rectangular neighborhood radius that both decay
 linearly over epochs.  Inputs are one (n, p) float64 array, one row per
 input vector; a list of equal-length vectors is converted with
-``np.asarray``.  Training is a pure function of (inputs, config): the
-weight initialization and the per-epoch presentation order come from the
-package's portable xoshiro256** generator seeded by ``config.seed``.
+``np.asarray``.  Training is a pure function of (inputs, config).  Its
+randomness is one SplitMix64 counter stream per network (``rng.splitmix64_at``
+of ``config.seed``); for N neurons, p inputs and n rows:
+
+* weight (k, j) is output ``k*p + j + 1``, mapped to uniform(0.01, 1.0) by
+  ``0.01 + 0.99 * ((u >> 11) * 2**-53)``;
+* epoch ``e`` presents the rows sorted by outputs ``N*p + e*n + r + 1``
+  (row r), ties to the lower row.
+
+Both are integer arithmetic only, so they are identical on every CPU; what
+can differ between BLAS kernels is the products that training computes.
 ``train_many`` trains many same-shaped networks in lockstep; each one is
 bit-identical to training it alone, and ``train`` is its one-network case.
 """
@@ -25,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyInput, InvalidConfig, LengthMismatch
-from .rng import Xoshiro256, XoshiroLanes
+from .rng import splitmix64_at
 from . import jsonio
 
 
@@ -134,14 +142,46 @@ def _weight_norms(w: np.ndarray, squares: np.ndarray | None = None) -> np.ndarra
     return np.sqrt(np.add.reduce(np.multiply(w, w, out=squares), axis=-1))
 
 
-def initial_weights(cfg: SomConfig, p: int, rng: Xoshiro256 | None = None) -> np.ndarray:
-    """Seeded uniform(0.01, 1.0) weights, drawn row-major; never all-zero."""
-    if rng is None:
-        rng = Xoshiro256(cfg.seed)
-    weights = np.empty((cfg.neuron_count, p), dtype=np.float64)
-    for row in weights:  # a row at a time keeps the draw lists small
-        row[:] = rng.uniforms(0.01, 1.0, p)
-    return weights
+def initial_weights(cfg: SomConfig, p: int) -> np.ndarray:
+    """Seeded uniform(0.01, 1.0) weights of one network; never all-zero."""
+    return _draw_weights([cfg.seed], cfg.neuron_count, p)[0]
+
+
+def _draw_weights(seeds: Sequence[int], neuron_count: int, p: int) -> np.ndarray:
+    """(networks, N, p) initial weights: weight (k, j) of the network seeded
+    ``s`` is SplitMix64 output ``k*p + j + 1`` of ``s``, mapped to
+    uniform(0.01, 1.0) as ``Xoshiro256.uniform`` maps its outputs."""
+    counters = np.arange(1, neuron_count * p + 1, dtype=np.uint64)
+    raw = splitmix64_at(_seed_column(seeds), counters)
+    raw >>= 11
+    weights = raw.astype(np.float64)
+    # in place, in the scalar order: 0.01 + 0.99 * ((u >> 11) * 2**-53)
+    weights *= 2.0 ** -53
+    weights *= 0.99  # == 1.0 - 0.01, the span of uniform(0.01, 1.0)
+    weights += 0.01
+    return weights.reshape(len(seeds), neuron_count, p)
+
+
+def _orders(seeds: Sequence[int], counts: Sequence[int], skip: int, epochs: int):
+    """Each epoch's presentation orders, one (networks, counts[0]) array an
+    epoch: the network seeded ``s`` with ``n`` rows presents them sorted by
+    SplitMix64 outputs ``skip + e*n + r + 1`` of ``s`` (row r), ties to the
+    lower row.  Positions from ``n`` on are padding; their key 2**64 - 1 puts
+    them after every row."""
+    n = np.array(counts, dtype=np.uint64)[:, None]
+    positions = np.arange(counts[0], dtype=np.uint64)
+    padding = positions >= n
+    first = positions + (skip + 1)
+    seeds = _seed_column(seeds)
+    for epoch in range(epochs):
+        keys = splitmix64_at(seeds, first + n * epoch)
+        keys[padding] = np.iinfo(np.uint64).max
+        yield keys.argsort(axis=1, kind="stable")
+
+
+def _seed_column(seeds: Sequence[int]) -> np.ndarray:
+    """The seeds as a (networks, 1) ``uint64`` column, reduced mod 2**64."""
+    return np.array([seed & 0xFFFFFFFFFFFFFFFF for seed in seeds], dtype=np.uint64)[:, None]
 
 
 def _as_input_matrix(inputs: np.ndarray) -> np.ndarray:
@@ -163,7 +203,9 @@ def train(inputs: np.ndarray, cfg: SomConfig) -> SomNetwork:
 
     Epoch ``e`` (0-based) uses ``alpha = alpha0 * (1 - e / epochs)`` and a
     rectangular radius ``round(radius0 * (1 - e / epochs))`` (half-up), and
-    presents the inputs in a freshly shuffled order.
+    presents the inputs in its own order; the initial weights and the
+    orders are the SplitMix64 counter outputs of ``cfg.seed`` that the
+    module docstring lists.
     """
     return train_many([inputs], cfg, [cfg.seed])[0]
 
@@ -174,15 +216,15 @@ def train_many(
     """Train one network per input set, all in lockstep.
 
     Network ``k`` is bit-identical to ``train(inputs_per_net[k],
-    replace(cfg, seed=seeds[k]))``: its initial weights come from lane ``k``
-    of the xoshiro256** lanes, its per-epoch shuffles from that lane's
-    scalar continuation, and the batched similarity and update arithmetic is
+    replace(cfg, seed=seeds[k]))``: its initial weights and epoch orders are
+    the counter outputs of ``seeds[k]`` alone, drawn for every network at
+    once as ``uint64`` arrays (the weights in one expression, the orders one
+    epoch at a time), and the batched similarity and update arithmetic is
     the per-network arithmetic, element for element.  The networks are kept
     as one ``(lanes, neurons, p)`` tensor, ordered by descending input
     count, so the lanes that still present an input at step ``k`` of an
-    epoch are a prefix.  One lane draws its weights from the scalar
-    generator, which is far cheaper than a one-lane vector.  Raises
-    ``InvalidConfig`` when numpy cannot create the weight array.
+    epoch are a prefix.  Raises ``InvalidConfig`` when numpy cannot create
+    the weight array.
     """
     if len(inputs_per_net) != len(seeds):
         raise LengthMismatch(f"{len(inputs_per_net)} input sets but {len(seeds)} seeds")
@@ -197,15 +239,9 @@ def train_many(
     counts = [matrices[k].shape[0] for k in by_count]
     lanes = len(by_count)
 
+    lane_seeds = [seeds[k] for k in by_count]
     try:
-        if lanes == 1:
-            rngs = [Xoshiro256(seeds[0])]
-            weights = initial_weights(configs[0], p, rngs[0])[None]
-        else:
-            lane_rng = XoshiroLanes([seeds[k] for k in by_count])
-            weights = lane_rng.uniform(0.01, 1.0, cfg.neuron_count * p)
-            weights = weights.reshape(lanes, cfg.neuron_count, p)
-            rngs = [lane_rng.lane(i) for i in range(lanes)]
+        weights = _draw_weights(lane_seeds, cfg.neuron_count, p)
     except (ValueError, MemoryError):  # numpy cannot create the weight array
         raise InvalidConfig(
             f"cannot allocate SOM weights for {cfg.neuron_count} neurons of input length {p}"
@@ -225,16 +261,12 @@ def train_many(
     dots, denom = np.empty(cfg.neuron_count), np.empty(cfg.neuron_count)
     x_norms = flat_norms.tolist()
 
-    for epoch in range(cfg.epochs):
+    orders = _orders(lane_seeds, counts, cfg.neuron_count * p, cfg.epochs)
+    for epoch, rows in enumerate(orders):
         decay = 1.0 - epoch / cfg.epochs
         alpha = cfg.alpha0 * decay
         radius = int(math.floor(radius0 * decay + 0.5))
         offsets = np.arange(-radius, radius + 1)
-        rows = np.zeros((lanes, counts[0]), dtype=np.intp)
-        for i, n in enumerate(counts):
-            order = list(range(n))
-            rngs[i].shuffle(order)
-            rows[i, :n] = order
         rows += starts[:, None]
         for position, n_active in enumerate(active):
             picked = rows[:n_active, position]

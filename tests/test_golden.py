@@ -22,50 +22,50 @@ from ctxrec.cli import main as cli_main
 from ctxrec.datagen import GenConfig, scaled_config, write_dataset
 from ctxrec.pipeline import load_pipeline
 
-COMPARE_CSV_SHA256 = "f50b5365bda86481aba347813143990d30f134ed711c1a476017c679c3296552"
+COMPARE_CSV_SHA256 = "a299eac3e83ad9827d242da71921178bbdbf72be0e817123922b4f40b136adac"
 # compare.json embeds the output directory; it is replaced by ``OUT`` first
-COMPARE_JSON_SHA256 = "0b57fe8630cf311847d6e7e963125a70b521fcb44b0fbaeb45a6dc88a8d27c61"
+COMPARE_JSON_SHA256 = "4db396743a9be298861f7ac5c8c8b6497f7deb5685c84e10d83ccb69563304fe"
 
 # sha256 of each bundle file re-serialised with sorted keys and no spaces, so
 # the digests pin the contents and not key order or layout
 PIPELINE_BUNDLE_SHA256 = {
-    "clusterings.json": "08f85e60119e98f47280a4fe548b9b32f46e8e6fd81b759ee5884dea533ac228",
+    "clusterings.json": "965aae43da7ba4a383fce383168dbcdff96fe7c4c3b2e83f3eebae6f644153ba",
     "schema.json": "669da160e1b19e9a826ff7e3f9002d7c2c39fe84c17942b849b8e34b4a0ee6d1",
-    "user_som.json": "1abc420517c1d82245334a54fb82624cf751bf08333f8d2fc21ffd5c4804f248",
-    "virtual_space.json": "22f3db516b3e0332fc857e3b2d6372101ecc99d4ee6002cfd5c2a3a701107813",
+    "user_som.json": "1e783f441b0aa7d8b3a3cc6f739ee564d743327ad7f417d60bcecef4aae757af",
+    "virtual_space.json": "09d2d5b6ce443d91e13f8d0bd207685a589f1cc25794d3c2cb9f39b407dff292",
 }
 BASELINE_BUNDLE_SHA256 = {
     "schema.json": "669da160e1b19e9a826ff7e3f9002d7c2c39fe84c17942b849b8e34b4a0ee6d1",
     "flat_space.json": "4969539efc464f96dae8557f4fbe369e16af4fea254e01d8535b9a4050400cea",
-    "user_som.json": "eea907a05ea336e6dc800c7d386563897fb91db84a423f97f5f9b34dec3fae90",
+    "user_som.json": "37d8a539a9e65a0827eb2fdd5ee4258cd31f7f61ccfeab9aac7e014b0df799a1",
 }
 # top-10 of every user in the smallest and largest labelled situation and in
 # the first and last situation of the schema (227 queries, 107 labelled)
-PIPELINE_RANKINGS_SHA256 = "b4a0b319abed14abc678324e40d1961d677a28ce31412e03608a2a79fe6a4ce6"
-BASELINE_RANKINGS_SHA256 = "6d19227e3d5cde3f054420938e606c8e93147e1a57ba2d75f389aca88911313e"
+PIPELINE_RANKINGS_SHA256 = "698a786f8adb5e8a2140c942c644070887dbd921d66a0ca096c1afb139a83b7e"
+BASELINE_RANKINGS_SHA256 = "3fc629dafd3fa8d0cd4a36fb4955020f173219043d9ab61a81575ae62fd2bfc3"
 # (sweep.csv, sweep.json with the output directory replaced by ``OUT``)
 SWEEP_SHA256 = {
     ("phase1", "2,4"): (
-        "5e868318506d70d5e488c387e15cb84a4e9681ac66a4eeff3d431a6ea6ee14c8",
-        "5531641110ddb44a0f2d1ce7dc0c9ea787cef0d69a0968a574c027ea811525ae",
+        "80e42b6db23048664b3d7ab96d7def6c8809f10f3411df3d661412aa72ef5131",
+        "7d6026ad475aefbf7c1a7a1ab99c67f58a1b596a75eca448b9b50f8d1b63d886",
     ),
     ("phase3", "3,5"): (
-        "842179273b6a3026d77daacc050311767ab144816e78b1f56ee86ab2ce9d88c8",
-        "8df4fb58e2e9c43bad011c2c00dce2bc38d7388ac29dbc6eca4d611de17cc436",
+        "b740608c1d8c997cf363bd47a3656be68363c57f851db4745aefbaaf7847335b",
+        "12326121b5b73e2a757fd4312327184c0c6ec725b94ab5a594ebbe40d0179c32",
     ),
 }
 # (eval_report.csv, cluster_f1.csv, eval_report.json with the output
 # directory replaced by ``OUT``) of each system trained on the seed-0 split
 EVAL_SHA256 = {
     "pipeline": (
-        "c4d3d92640612d61518223659a595bf4c11272eadbcebead5e144b72e6cb4014",
-        "079a3e9c4f5e97e20f11daa6126ba9294ed3f0262b8ac8a16ba5f3263adb66d8",
-        "6d6cd1cab702e3daa999b1c6622512d5f5c81242d84ddad96c0d4f427a629834",
+        "d4ae43bc4169db9aeb226e1226134272c7d48edb06e82c1861f9a5117bc2feb0",
+        "8497d6555d0c687add879bfd726e1083eb89f9894d0867ca0803a32b89a7537b",
+        "6f0192691683daf9a9c3ec10a068c56371ab6094e38a6b0a03968fa2c3fceb92",
     ),
     "baseline": (
-        "e67a36b38dac5702141ff99cc661b8136cb0cb4c2d67f6e3c366225367470efb",
-        "1188d0d074e02e31203529da406e51b9000ed4cd451e4eeb98fd955d00716e57",
-        "979ac4a1fbf03f38d576decef6c465786d99c21ce2abcef47917d7865b296f15",
+        "3d79b5c771bf6d1ad2cdb8f47ad03458fb398986dc089ebc487ee38ffffed00c",
+        "298de04a00bc69833cf290c65d6a187b18a299d9bb4293efad125d006a2f1e76",
+        "4054bfa329391b84d75d00da780611922f6932126bef9a0f733e3659dadf8054",
     ),
 }
 # run_config.json, or split.json, with the output directory replaced by ``OUT``

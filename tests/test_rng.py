@@ -1,9 +1,9 @@
-"""Portable RNG: fixed streams, shuffle behavior, seed derivation."""
+"""Portable RNG: fixed streams, counter outputs, shuffle behavior, seed derivation."""
 
 import numpy as np
 import pytest
 
-from ctxrec.rng import Xoshiro256, XoshiroLanes, derive_seed, _splitmix64_stream
+from ctxrec.rng import Xoshiro256, derive_seed, splitmix64_at, _splitmix64_stream
 
 LANE_SEEDS = [0, 1, 7, 123456789, 1 << 63, (1 << 64) - 1]
 
@@ -17,6 +17,21 @@ class TestSplitmix64:
             0x06C45D188009454F,
             0xF88BB8A8724C81EC,
         ]
+
+    def test_each_lane_is_the_scalar_stream(self):
+        counters = np.arange(1, 10_001, dtype=np.uint64)
+        outputs = splitmix64_at(np.array(LANE_SEEDS, dtype=np.uint64)[:, None], counters)
+        assert outputs.dtype == np.uint64
+        assert outputs.shape == (len(LANE_SEEDS), 10_000)
+        for i, seed in enumerate(LANE_SEEDS):
+            assert outputs[i].tolist() == _splitmix64_stream(seed, 10_000)
+
+    def test_one_lane(self):
+        # any counters in any order, against one seed broadcast over them
+        counters = np.array([[7, 1], [1000, 3]], dtype=np.uint64)
+        outputs = splitmix64_at(np.array([5], dtype=np.uint64), counters)
+        stream = _splitmix64_stream(5, 1000)
+        assert outputs.tolist() == [[stream[6], stream[0]], [stream[999], stream[2]]]
 
 
 class TestXoshiro256:
@@ -76,62 +91,7 @@ class TestXoshiro256:
             j = reference.below(i + 1)
             expected[i], expected[j] = expected[j], expected[i]
         assert items == expected
-        assert rng.state == reference.state
-
-    def test_from_state_continues_the_stream(self):
-        rng = Xoshiro256(11)
-        rng.next_u64()
-        copy = Xoshiro256.from_state(rng.state)
-        assert [copy.next_u64() for _ in range(50)] == [rng.next_u64() for _ in range(50)]
-
-    @pytest.mark.parametrize("state", [(0, 0, 0, 0), (1, 2, 3)])
-    def test_from_state_rejects_invalid_states(self, state):
-        with pytest.raises(ValueError):
-            Xoshiro256.from_state(state)
-
-
-class TestXoshiroLanes:
-    def test_each_lane_is_the_scalar_stream(self):
-        lanes = XoshiroLanes(LANE_SEEDS)
-        outputs = np.array([lanes.next_u64() for _ in range(10_000)])
-        assert outputs.dtype == np.uint64
-        for i, seed in enumerate(LANE_SEEDS):
-            rng = Xoshiro256(seed)
-            assert outputs[:, i].tolist() == [rng.next_u64() for _ in range(10_000)]
-
-    def test_handed_off_lane_continues_its_sequence(self):
-        lanes = XoshiroLanes(LANE_SEEDS)
-        for _ in range(257):
-            lanes.next_u64()
-        for i, seed in enumerate(LANE_SEEDS):
-            rng = Xoshiro256(seed)
-            expected = [rng.next_u64() for _ in range(257 + 1000)][257:]
-            handed = lanes.lane(i)
-            assert [handed.next_u64() for _ in range(1000)] == expected
-        # handing off copies the state: the lanes themselves run on unchanged
-        after = lanes.next_u64()
-        for i, seed in enumerate(LANE_SEEDS):
-            rng = Xoshiro256(seed)
-            assert int(after[i]) == [rng.next_u64() for _ in range(258)][-1]
-
-    def test_uniform_rows_are_scalar_floats_bit_for_bit(self):
-        lanes = XoshiroLanes(LANE_SEEDS)
-        values = lanes.uniform(0.01, 1.0, 2000)
-        assert values.shape == (len(LANE_SEEDS), 2000)
-        assert values.flags.c_contiguous
-        for i, seed in enumerate(LANE_SEEDS):
-            rng = Xoshiro256(seed)
-            expected = np.array([rng.uniform(0.01, 1.0) for _ in range(2000)])
-            assert values[i].tobytes() == expected.tobytes()
-            assert lanes.lane(i).state == rng.state
-
-    def test_one_lane(self):
-        lanes = XoshiroLanes([5])
-        assert len(lanes) == 1
-        rng = Xoshiro256(5)
-        assert [int(lanes.next_u64()[0]) for _ in range(100)] == [
-            rng.next_u64() for _ in range(100)
-        ]
+        assert rng.next_u64() == reference.next_u64()  # n - 1 draws, no more
 
 
 class TestDeriveSeed:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -14,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctxrec.errors import EmptyInput, InvalidConfig, LengthMismatch
-from ctxrec.rng import Xoshiro256, XoshiroLanes
 from ctxrec import jsonio, som
 from ctxrec.som import (
     SomConfig,
@@ -129,13 +129,12 @@ class TestTrain:
     def test_single_step_reaches_midpoint(self):
         # 1 neuron, 1 input, alpha0=0.5, radius0=0, 1 epoch:
         # W1 = W0 + 0.5*(X - W0) = (W0 + X) / 2, with W0 drawn
-        # uniform(0.01, 1.0) from the seeded stream.
+        # uniform(0.01, 1.0) from the seeded counter stream.
         x = np.array([4.0, 0.0, 2.0])
         cfg = SomConfig(
             neuron_count=1, epochs=1, alpha0=0.5, radius0=0, seed=17
         )
-        rng = Xoshiro256(17)
-        w0 = np.array([rng.uniform(0.01, 1.0) for _ in range(3)])
+        w0 = np.array(py_weights(17, 1, 3)[0])
         net = train([x], cfg)
         np.testing.assert_array_equal(net.weights, (w0 + x)[None, :] / 2.0)
 
@@ -199,26 +198,50 @@ class TestTrain:
         assert np.all(w <= 1.0)
 
 
+MASK64 = (1 << 64) - 1
+
+
+def py_splitmix64(seed: int, i: int) -> int:
+    """Output ``i`` (from 1) of the SplitMix64 stream of ``seed``, in Python
+    ints: mix(seed + i * gamma) mod 2**64."""
+    z = (seed + i * 0x9E3779B97F4A7C15) & MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def py_weights(seed: int, neurons: int, p: int) -> list[list[float]]:
+    """Initial weights: weight (k, j) is output k*p + j + 1, mapped to
+    uniform(0.01, 1.0) through its top 53 bits."""
+    return [
+        [0.01 + 0.99 * ((py_splitmix64(seed, k * p + j + 1) >> 11) * 2.0**-53) for j in range(p)]
+        for k in range(neurons)
+    ]
+
+
+def py_order(seed: int, skip: int, n: int, epoch: int) -> list[int]:
+    """The rows of epoch ``epoch`` in presentation order: sorted by outputs
+    skip + epoch*n + r + 1 (row r), ties to the lower row."""
+    keys = [py_splitmix64(seed, skip + epoch * n + r + 1) for r in range(n)]
+    return sorted(range(n), key=keys.__getitem__)
+
+
 def reference_train(inputs, cfg: SomConfig, steps: list | None = None) -> np.ndarray:
     """The per-network training algorithm, written out step by step on the
-    scalar generator: the bytes ``train`` and ``train_many`` must reproduce.
+    plain-Python counter stream: the bytes ``train`` and ``train_many`` must
+    reproduce.
 
     ``steps``, if given, gets one entry per step for the raw divide that the
     one-network step tries first: "fallback" when its winner is not in (0,
     inf), "-inf" when it is but some cosine is -inf, else "plain"."""
     matrix = np.asarray(inputs, dtype=np.float64)
-    rng = Xoshiro256(cfg.seed)
-    weights = np.empty((cfg.neuron_count, matrix.shape[1]))
-    for i in range(cfg.neuron_count):
-        for j in range(matrix.shape[1]):
-            weights[i, j] = rng.uniform(0.01, 1.0)
+    n, p = matrix.shape
+    weights = np.array(py_weights(cfg.seed, cfg.neuron_count, p))
     for epoch in range(cfg.epochs):
         decay = 1.0 - epoch / cfg.epochs
         alpha = cfg.alpha0 * decay
         radius = int(math.floor(cfg.effective_radius0 * decay + 0.5))
-        order = list(range(len(matrix)))
-        rng.shuffle(order)
-        for i in order:
+        for i in py_order(cfg.seed, cfg.neuron_count * p, n, epoch):
             x = matrix[i]
             denom = np.linalg.norm(weights, axis=1) * np.linalg.norm(x)
             sims = np.zeros(cfg.neuron_count)
@@ -326,12 +349,54 @@ class TestTrainMany:
         def no_memory(*args):
             raise MemoryError("Unable to allocate")
 
-        monkeypatch.setattr(som, "initial_weights", no_memory)
-        monkeypatch.setattr(XoshiroLanes, "uniform", no_memory)
+        monkeypatch.setattr(som, "_draw_weights", no_memory)
         cfg = SomConfig(neuron_count=7)
         for lanes in (1, 2):
             with pytest.raises(InvalidConfig, match="7 neurons of input length 3"):
                 train_many([np.ones((2, 3))] * lanes, cfg, list(range(lanes)))
+
+
+SPEC_SEEDS = [0, 1, 1 << 63, (1 << 64) - 1]
+
+
+class TestCounterSpec:
+    """The initial weights and every epoch's order that ``train_many`` uses
+    are the plain-Python SplitMix64 spec exactly, with no uint64 overflow
+    warning, for ragged blocks and for one network of 1, 2 or 7 rows."""
+
+    def test_weights_and_orders_follow_the_spec(self, monkeypatch):
+        drawn, orders = [], []
+        draw, presentation = som._draw_weights, som._orders
+
+        def spy_draw(*args):  # copies, as training moves weights and orders in place
+            weights = draw(*args)
+            drawn.append(weights.copy())
+            return weights
+
+        monkeypatch.setattr(som, "_draw_weights", spy_draw)
+        monkeypatch.setattr(
+            som, "_orders", lambda *args: (orders.append(o.copy()) or o for o in presentation(*args))
+        )
+        cfg, p = SomConfig(neuron_count=3, epochs=5), 4
+        blocks = [((3, 1, 6, 2), SPEC_SEEDS), ((1, 2, 1, 2), SPEC_SEEDS[::-1])]
+        blocks += [((n,), [seed]) for n in (1, 2, 7) for seed in SPEC_SEEDS]
+        rng = np.random.default_rng(8)
+        for counts, seeds in blocks:
+            drawn.clear()
+            orders.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                train_many([rng.uniform(0.0, 5.0, (n, p)) for n in counts], cfg, seeds)
+            assert len(drawn) == 1 and len(orders) == cfg.epochs
+            # lanes run in descending row count, ties in input order
+            lanes = sorted(range(len(counts)), key=lambda k: -counts[k])
+            for i, k in enumerate(lanes):
+                expected = np.array(py_weights(seeds[k], cfg.neuron_count, p))
+                assert drawn[0][i].tobytes() == expected.tobytes()
+                for epoch, order in enumerate(orders):
+                    n = counts[k]
+                    assert order[i, :n].tolist() == py_order(seeds[k], cfg.neuron_count * p, n, epoch)
+                    assert sorted(order[i, n:].tolist()) == list(range(n, max(counts)))
 
 
 def rating_rows(draw, n: int, p: int) -> np.ndarray:
@@ -479,21 +544,17 @@ def py_bmu(weights, x) -> tuple[int, float]:
 
 
 def py_train(rows, cfg: SomConfig) -> tuple[list[list[float]], float]:
-    """``train`` step by step in plain Python: xoshiro weights row by row,
-    then per epoch a Fisher-Yates shuffle on the same stream, linear alpha
-    decay, a half-up rounded radius and the clipped rectangular
-    neighbourhood.  Returns the weights and the smallest BMU lead met."""
-    rng = Xoshiro256(cfg.seed)
-    weights = [[rng.uniform(0.01, 1.0) for _ in rows[0]] for _ in range(cfg.neuron_count)]
+    """``train`` step by step in plain Python: SplitMix64 counter weights,
+    then per epoch the rows in counter order, linear alpha decay, a half-up
+    rounded radius and the clipped rectangular neighbourhood.  Returns the
+    weights and the smallest BMU lead met."""
+    p = len(rows[0])
+    weights = py_weights(cfg.seed, cfg.neuron_count, p)
     lead = math.inf
     for epoch in range(cfg.epochs):
         alpha = cfg.alpha0 * (1.0 - epoch / cfg.epochs)
         radius = math.floor(cfg.effective_radius0 * (1.0 - epoch / cfg.epochs) + 0.5)
-        order = list(range(len(rows)))
-        for j in range(len(order) - 1, 0, -1):
-            k = rng.below(j + 1)
-            order[j], order[k] = order[k], order[j]
-        for i in order:
+        for i in py_order(cfg.seed, cfg.neuron_count * p, len(rows), epoch):
             bmu, gap = py_bmu(weights, rows[i])
             lead = min(lead, gap)
             for k in range(max(0, bmu - radius), min(cfg.neuron_count - 1, bmu + radius) + 1):
