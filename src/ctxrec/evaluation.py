@@ -22,7 +22,7 @@ from .baseline import fit_baseline
 from .core import RatingCube
 from .errors import EmptyInput, InvalidConfig
 from .pipeline import DEFAULT_PHASE1_NEURONS, DEFAULT_PHASE3_NEURONS, fit_pipeline
-from .rng import Xoshiro256, derive_seed
+from .rng import derive_seed, permutation
 from .som import SomConfig
 from . import jsonio
 
@@ -65,17 +65,24 @@ class EvalConfig:
             raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
 
 
+def _cut(items: Sequence, seed: int, k: int) -> tuple[list, list]:
+    """The items at the first ``k`` positions of ``permutation(seed, n)``,
+    and the rest, both in the items' order."""
+    order = permutation(seed, len(items)).tolist()
+    return [items[i] for i in sorted(order[:k])], [items[i] for i in sorted(order[k:])]
+
+
 def split(cube: RatingCube, cfg: SplitConfig) -> tuple[RatingCube, RatingCube]:
-    """Shuffle the ratings (canonical order first) and cut at ceil(f*N).
+    """Train on the ratings (in canonical order) at the first ceil(f*N)
+    positions of a seeded permutation; test on the rest.
 
     Both halves keep the full user and item universes of the source cube,
     so vector layouts stay aligned between training and testing.
     """
     cells = list(cube.cells().items())
-    rng = Xoshiro256(derive_seed(cfg.seed, "split"))
-    rng.shuffle(cells)
     n_train = math.ceil(cfg.train_fraction * len(cells))
-    return cube.with_cells(dict(cells[:n_train])), cube.with_cells(dict(cells[n_train:]))
+    train, test = _cut(cells, derive_seed(cfg.seed, "split"), n_train)
+    return cube.with_cells(dict(train)), cube.with_cells(dict(test))
 
 
 def precision_recall(
@@ -149,11 +156,9 @@ class EvalReport:
 
 
 def sample_eval_users(pool: Sequence[str], cfg: EvalConfig) -> list[str]:
-    """Seeded sample of up to ``sample_users`` ids, returned sorted."""
-    ordered = sorted(pool)
-    rng = Xoshiro256(derive_seed(cfg.seed, "sample"))
-    rng.shuffle(ordered)
-    return sorted(ordered[: cfg.sample_users])
+    """Seeded sample of up to ``sample_users`` ids, returned sorted: the ids
+    of the sorted pool at the first positions of its permutation."""
+    return _cut(sorted(pool), derive_seed(cfg.seed, "sample"), cfg.sample_users)[0]
 
 
 def evaluate(model, test: RatingCube, cfg: EvalConfig = EvalConfig()) -> EvalReport:
@@ -253,12 +258,9 @@ def per_cluster_f1(
             members_by_neuron.setdefault(neuron, []).append(key)
     rows: dict[int, tuple[int, float]] = {}
     for neuron in sorted(members_by_neuron):
-        members = sorted(members_by_neuron[neuron])
-        rng = Xoshiro256(derive_seed(cfg.seed, "cluster", neuron))
-        rng.shuffle(members)
-        sampled = sorted(members[:members_per_cluster])
+        seed = derive_seed(cfg.seed, "cluster", neuron)
         scores = []
-        for key in sampled:
+        for key in _cut(sorted(members_by_neuron[neuron]), seed, members_per_cluster)[0]:
             ranking = model.recommend_key(key, n)
             if not ranking:
                 continue

@@ -142,15 +142,10 @@ def _weight_norms(w: np.ndarray, squares: np.ndarray | None = None) -> np.ndarra
     return np.sqrt(np.add.reduce(np.multiply(w, w, out=squares), axis=-1))
 
 
-def initial_weights(cfg: SomConfig, p: int) -> np.ndarray:
-    """Seeded uniform(0.01, 1.0) weights of one network; never all-zero."""
-    return _draw_weights([cfg.seed], cfg.neuron_count, p)[0]
-
-
 def _draw_weights(seeds: Sequence[int], neuron_count: int, p: int) -> np.ndarray:
     """(networks, N, p) initial weights: weight (k, j) of the network seeded
     ``s`` is SplitMix64 output ``k*p + j + 1`` of ``s``, mapped to
-    uniform(0.01, 1.0) as ``Xoshiro256.uniform`` maps its outputs."""
+    uniform(0.01, 1.0) through its top 53 bits; never zero."""
     counters = np.arange(1, neuron_count * p + 1, dtype=np.uint64)
     raw = splitmix64_at(_seed_column(seeds), counters)
     raw >>= 11

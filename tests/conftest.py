@@ -1,4 +1,5 @@
-"""Shared fixtures: tiny schemas and hand-built rating cubes."""
+"""Shared fixtures: tiny schemas, hand-built rating cubes, and the plain-Python
+SplitMix64 spec of every seeded draw."""
 
 import pytest
 
@@ -34,6 +35,35 @@ def make_cube(schema, rows, users=None, items=None) -> RatingCube:
     if items is None:
         items = sorted({item for _, _, item in cells})
     return RatingCube(schema, users, items, cells)
+
+
+MASK64 = (1 << 64) - 1
+
+
+def py_splitmix64(seed: int, i: int) -> int:
+    """Output ``i`` (from 1) of the SplitMix64 stream of ``seed``, in Python
+    ints: mix(seed + i * gamma) mod 2**64."""
+    z = (seed + i * 0x9E3779B97F4A7C15) & MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def py_weights(seed: int, neurons: int, p: int) -> list[list[float]]:
+    """SOM initial weights: weight (k, j) is output k*p + j + 1, mapped to
+    uniform(0.01, 1.0) through its top 53 bits."""
+    return [
+        [0.01 + 0.99 * ((py_splitmix64(seed, k * p + j + 1) >> 11) * 2.0**-53) for j in range(p)]
+        for k in range(neurons)
+    ]
+
+
+def py_permutation(seed: int, n: int, skip: int = 0) -> list[int]:
+    """Positions 0..n-1 sorted by outputs skip + r + 1 (position r), ties to
+    the lower position.  SOM epoch ``e`` uses ``skip = N*p + e*n``; the split
+    and the evaluation samples use ``skip = 0``."""
+    keys = [py_splitmix64(seed, skip + r + 1) for r in range(n)]
+    return sorted(range(n), key=keys.__getitem__)
 
 
 @pytest.fixture

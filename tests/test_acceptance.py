@@ -27,9 +27,9 @@ from ctxrec.evaluation import (
     split,
 )
 from ctxrec.pipeline import aggregate, fit_pipeline
-from ctxrec.som import SomConfig, cosine_similarity, initial_weights, train
+from ctxrec.som import SomConfig, cosine_similarity, train
 
-from conftest import make_cube, tiny_schema
+from conftest import make_cube, py_weights, tiny_schema
 
 TOL = 1e-12
 
@@ -245,7 +245,7 @@ class TestCriterion2SomContraction:
         start = time.monotonic()
         cfg = SomConfig(neuron_count=1, epochs=1, alpha0=0.5, radius0=0, seed=123)
         x = np.array([4.0, 1.0, 3.0, 2.0])
-        weights = initial_weights(cfg, len(x))
+        weights = np.array(py_weights(cfg.seed, 1, len(x)))
         dist = float(np.linalg.norm(weights[0] - x))
         steps_to_tiny = None
         for step in range(1, 41):

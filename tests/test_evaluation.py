@@ -1,5 +1,6 @@
 """Split, precision/recall/F1, top-N evaluation, per-cluster F1, sweeps."""
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,9 +21,10 @@ from ctxrec.evaluation import (
     split,
 )
 from ctxrec.pipeline import fit_pipeline
+from ctxrec.rng import derive_seed, permutation
 from ctxrec.som import SomConfig
 
-from conftest import make_cube
+from conftest import make_cube, py_permutation
 
 
 class StubModel:
@@ -158,6 +160,17 @@ class TestSplit:
         assert train.n_ratings == 2
         assert test.n_ratings == 1
 
+    @pytest.mark.parametrize("fraction", [0.3, 0.8, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1, 42])
+    def test_train_is_the_first_positions_of_the_permutation(self, schema2x2, fraction, seed):
+        cube = self.ten_record_cube(schema2x2)
+        cells = list(cube.cells().items())
+        n_train = math.ceil(fraction * len(cells))
+        first = set(permutation(derive_seed(seed, "split"), len(cells))[:n_train].tolist())
+        train, test = split(cube, SplitConfig(fraction, seed))
+        assert list(train.cells().items()) == [c for i, c in enumerate(cells) if i in first]
+        assert list(test.cells().items()) == [c for i, c in enumerate(cells) if i not in first]
+
 
 class TestPrecisionRecall:
     def test_half_precision_full_recall(self):
@@ -231,6 +244,13 @@ class TestSampleEvalUsers:
         pool = [f"u{k:03d}" for k in range(50)]
         cfg = EvalConfig(sample_users=5, seed=3)
         assert sample_eval_users(pool, cfg) == sample_eval_users(pool, cfg)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_keeps_the_first_ids_of_its_order(self, seed):
+        pool = [f"u{k:03d}" for k in range(50)][::-1]
+        order = py_permutation(derive_seed(seed, "sample"), 50)
+        expected = sorted(f"u{k:03d}" for k in order[:20])
+        assert sample_eval_users(pool, EvalConfig(sample_users=20, seed=seed)) == expected
 
 
 class TestEvaluate:
@@ -419,6 +439,20 @@ class TestPerClusterF1:
         model = StubModel(units, rankings, neuron_of=neuron_of)
         report = per_cluster_f1(model, None, EvalConfig(), n=5)
         assert report.rows[0][0] == 10
+
+    def test_members_are_the_first_of_the_neurons_order(self):
+        # only members u00..u04 hit, so the mean F1 counts how many were sampled
+        units, rankings, neuron_of = {}, {}, {}
+        for k in range(15):
+            key = (f"u{k:02d}", 1)
+            units[key[0]] = [(key, {"a"})]
+            rankings[key] = ["a", "b"] if k < 5 else ["b", "c"]
+            neuron_of[key] = 3
+        model = StubModel(units, rankings, neuron_of=neuron_of)
+        report = per_cluster_f1(model, None, EvalConfig(seed=2), n=2)
+        sampled = py_permutation(derive_seed(2, "cluster", 3), 15)[:10]
+        hits = sum(k < 5 for k in sampled)
+        assert report.rows[3] == (10, pytest.approx(hits * f1(0.5, 1.0) / 10, abs=1e-15))
 
     def test_empty_neurons_absent(self, schema2x2):
         train, test = toy_split_cubes(schema2x2)

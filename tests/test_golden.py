@@ -22,9 +22,9 @@ from ctxrec.cli import main as cli_main
 from ctxrec.datagen import GenConfig, scaled_config, write_dataset
 from ctxrec.pipeline import load_pipeline
 
-COMPARE_CSV_SHA256 = "a299eac3e83ad9827d242da71921178bbdbf72be0e817123922b4f40b136adac"
+COMPARE_CSV_SHA256 = "b8f191482071156a48de29175bfdef10b99574421aa500be52fda6b3c87b6a6f"
 # compare.json embeds the output directory; it is replaced by ``OUT`` first
-COMPARE_JSON_SHA256 = "4db396743a9be298861f7ac5c8c8b6497f7deb5685c84e10d83ccb69563304fe"
+COMPARE_JSON_SHA256 = "e09ae39abe3ccbd89cbe90d55c5adc7900acd6d757ae309be03ae3019d7fe7b9"
 
 # sha256 of each bundle file re-serialised with sorted keys and no spaces, so
 # the digests pin the contents and not key order or layout
@@ -46,26 +46,26 @@ BASELINE_RANKINGS_SHA256 = "3fc629dafd3fa8d0cd4a36fb4955020f173219043d9ab61a8157
 # (sweep.csv, sweep.json with the output directory replaced by ``OUT``)
 SWEEP_SHA256 = {
     ("phase1", "2,4"): (
-        "80e42b6db23048664b3d7ab96d7def6c8809f10f3411df3d661412aa72ef5131",
-        "7d6026ad475aefbf7c1a7a1ab99c67f58a1b596a75eca448b9b50f8d1b63d886",
+        "9473361e9308c78b750661d044fba6fca17dc455d38e44c68fa05bc2bdd19217",
+        "fc924c1e31f634bf6268f1c77e7cfd90f8ec72b5c0d386545f947935f7728d2c",
     ),
     ("phase3", "3,5"): (
-        "b740608c1d8c997cf363bd47a3656be68363c57f851db4745aefbaaf7847335b",
-        "12326121b5b73e2a757fd4312327184c0c6ec725b94ab5a594ebbe40d0179c32",
+        "87e8b8693e2f5533d211223dbc91cabc76d0c852fceb6e0ccd2aa241c23f82c2",
+        "0d50758b2ff0c2df5aa8e5dadaafbcc8840412c9ce4d8471ef285bbd435c7eb4",
     ),
 }
 # (eval_report.csv, cluster_f1.csv, eval_report.json with the output
 # directory replaced by ``OUT``) of each system trained on the seed-0 split
 EVAL_SHA256 = {
     "pipeline": (
-        "d4ae43bc4169db9aeb226e1226134272c7d48edb06e82c1861f9a5117bc2feb0",
-        "8497d6555d0c687add879bfd726e1083eb89f9894d0867ca0803a32b89a7537b",
-        "6f0192691683daf9a9c3ec10a068c56371ab6094e38a6b0a03968fa2c3fceb92",
+        "73c093aa5541cbe644548a42593dff2cee542a47d9c517b0b5a75bf14c66ab78",
+        "26afe4c2d28f79f906d9f206a3c9b295886e4a7fa98583bdaac9c0c6fa992faa",
+        "19d56acc7dfa6cd78700e6fa9330d0e8285314f20129eb31cf316a7da26cd99d",
     ),
     "baseline": (
-        "3d79b5c771bf6d1ad2cdb8f47ad03458fb398986dc089ebc487ee38ffffed00c",
-        "298de04a00bc69833cf290c65d6a187b18a299d9bb4293efad125d006a2f1e76",
-        "4054bfa329391b84d75d00da780611922f6932126bef9a0f733e3659dadf8054",
+        "d4ce8aced96a5525163b471579bfacec20e5cce532308287a5e1cc4f4fda7524",
+        "7652c7440bbeacba4fd69ec1c19f68db004f4a7465131086c9af47451d532348",
+        "f6e1cfcfa51ca19b5eb4f5acc9740a76ab491c616e7a14ac8b3ea8b43d308f0b",
     ),
 }
 # run_config.json, or split.json, with the output directory replaced by ``OUT``

@@ -1,22 +1,31 @@
-"""Portable RNG: fixed streams, counter outputs, shuffle behavior, seed derivation."""
+"""Portable RNG: SplitMix64 counter outputs, seeded permutations, seed derivation."""
+
+import ast
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ctxrec.rng import Xoshiro256, derive_seed, splitmix64_at, _splitmix64_stream
+from ctxrec.rng import derive_seed, permutation, splitmix64_at
+
+from conftest import py_permutation, py_splitmix64
 
 LANE_SEEDS = [0, 1, 7, 123456789, 1 << 63, (1 << 64) - 1]
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ctxrec"
 
 
 class TestSplitmix64:
     def test_reference_stream(self):
-        # published reference outputs for seed 0
-        assert _splitmix64_stream(0, 4) == [
+        # published reference outputs for seed 0, from the spec and the kernel
+        expected = [
             0xE220A8397B1DCDAF,
             0x6E789E6AA1B965F4,
             0x06C45D188009454F,
             0xF88BB8A8724C81EC,
         ]
+        assert [py_splitmix64(0, i) for i in range(1, 5)] == expected
+        assert splitmix64_at(np.uint64(0), np.arange(1, 5, dtype=np.uint64)).tolist() == expected
 
     def test_each_lane_is_the_scalar_stream(self):
         counters = np.arange(1, 10_001, dtype=np.uint64)
@@ -24,74 +33,65 @@ class TestSplitmix64:
         assert outputs.dtype == np.uint64
         assert outputs.shape == (len(LANE_SEEDS), 10_000)
         for i, seed in enumerate(LANE_SEEDS):
-            assert outputs[i].tolist() == _splitmix64_stream(seed, 10_000)
+            assert outputs[i].tolist() == [py_splitmix64(seed, c) for c in range(1, 10_001)]
 
     def test_one_lane(self):
         # any counters in any order, against one seed broadcast over them
         counters = np.array([[7, 1], [1000, 3]], dtype=np.uint64)
         outputs = splitmix64_at(np.array([5], dtype=np.uint64), counters)
-        stream = _splitmix64_stream(5, 1000)
-        assert outputs.tolist() == [[stream[6], stream[0]], [stream[999], stream[2]]]
+        expected = [[py_splitmix64(5, c) for c in row] for row in counters.tolist()]
+        assert outputs.tolist() == expected
 
 
-class TestXoshiro256:
-    def test_stream_is_stable(self):
-        # frozen portability vector: state seeded by splitmix64(0)
-        rng = Xoshiro256(0)
-        assert [rng.next_u64() for _ in range(3)] == [
-            0x99EC5F36CB75F2B4,
-            0xBF6E1F784956452A,
-            0x1A5F849D4933E6E0,
-        ]
-
-    def test_same_seed_same_stream(self):
-        a, b = Xoshiro256(123), Xoshiro256(123)
-        assert [a.next_u64() for _ in range(10)] == [
-            b.next_u64() for _ in range(10)
-        ]
-
-    def test_random_in_unit_interval(self):
-        rng = Xoshiro256(7)
-        values = [rng.random() for _ in range(2000)]
-        assert all(0.0 <= v < 1.0 for v in values)
-        assert 0.4 < sum(values) / len(values) < 0.6
-
-    def test_uniform_bounds(self):
-        rng = Xoshiro256(7)
-        values = [rng.uniform(0.01, 1.0) for _ in range(2000)]
-        assert all(0.01 <= v < 1.0 for v in values)
-
-    def test_below_range_and_error(self):
-        rng = Xoshiro256(7)
-        assert all(0 <= rng.below(13) < 13 for _ in range(500))
-        with pytest.raises(ValueError):
-            rng.below(0)
-
-    def test_shuffle_is_a_permutation(self):
-        rng = Xoshiro256(9)
-        items = list(range(40))
-        shuffled = items[:]
-        rng.shuffle(shuffled)
-        assert sorted(shuffled) == items
-        assert shuffled != items  # 1/40! chance, effectively impossible
-
-    def test_shuffle_deterministic(self):
-        a, b = list(range(20)), list(range(20))
-        Xoshiro256(3).shuffle(a)
-        Xoshiro256(3).shuffle(b)
-        assert a == b
-
+class TestPermutation:
     @pytest.mark.parametrize("length", [0, 1, 2, 1000])
     @pytest.mark.parametrize("seed", [0, 1, 42, (1 << 64) - 1])
-    def test_shuffle_is_fisher_yates_on_below(self, length, seed):
-        rng, reference = Xoshiro256(seed), Xoshiro256(seed)
-        items, expected = list(range(length)), list(range(length))
-        rng.shuffle(items)
-        for i in range(length - 1, 0, -1):
-            j = reference.below(i + 1)
-            expected[i], expected[j] = expected[j], expected[i]
-        assert items == expected
-        assert rng.next_u64() == reference.next_u64()  # n - 1 draws, no more
+    def test_sorts_positions_by_counter_outputs(self, length, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            order = permutation(seed, length)
+        assert order.tolist() == py_permutation(seed, length)
+
+    def test_is_a_permutation(self):
+        order = permutation(9, 40).tolist()
+        assert sorted(order) == list(range(40))
+        assert order != list(range(40))  # 1/40! chance, effectively impossible
+
+    def test_deterministic_and_seed_sensitive(self):
+        assert permutation(3, 20).tolist() == permutation(3, 20).tolist()
+        assert permutation(3, 20).tolist() != permutation(4, 20).tolist()
+
+
+def random_uses(path: Path) -> list[int]:
+    """Lines of ``path`` that import ``random`` (also ``numpy.random``) or
+    read an attribute named ``random``, such as ``np.random``."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        if any("random" in name.split(".") for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+class TestOneCounterRule:
+    def test_only_datagen_uses_another_generator(self):
+        """Every seeded draw outside the data generator stays on
+        ``splitmix64_at``: no other module imports ``random`` or uses
+        ``np.random``."""
+        modules = sorted(PACKAGE.glob("*.py"))
+        assert "datagen.py" in {path.name for path in modules}
+        assert random_uses(PACKAGE / "datagen.py")  # the check sees a real use
+        offenders = {
+            path.name: random_uses(path) for path in modules if path.name != "datagen.py"
+        }
+        assert {name: lines for name, lines in offenders.items() if lines} == {}
 
 
 class TestDeriveSeed:

@@ -21,13 +21,14 @@ from ctxrec.som import (
     SomNetwork,
     assign,
     cosine_similarity,
-    initial_weights,
     mean_similarity,
     som_from_json_dict,
     som_to_json_dict,
     train,
     train_many,
 )
+
+from conftest import py_permutation, py_weights
 
 
 def net_from_rows(rows, cfg=None) -> SomNetwork:
@@ -142,9 +143,7 @@ class TestTrain:
         inputs = [np.array([5.0, 0.0]), np.array([0.0, 5.0])]
         cfg = SomConfig(neuron_count=2, epochs=10, alpha0=1e-13, seed=4)
         net = train(inputs, cfg)
-        np.testing.assert_allclose(
-            net.weights, initial_weights(cfg, 2), atol=1e-9
-        )
+        np.testing.assert_allclose(net.weights, py_weights(4, 2, 2), atol=1e-9)
 
     def test_deterministic(self):
         rng = np.random.default_rng(0)
@@ -193,37 +192,9 @@ class TestTrain:
         assert np.all(net.weights >= 0.0)
 
     def test_initial_weights_never_zero(self):
-        w = initial_weights(SomConfig(neuron_count=9, seed=0), 13)
+        w = som._draw_weights([0, 1, (1 << 64) - 1], 9, 13)
         assert np.all(w >= 0.01)
         assert np.all(w <= 1.0)
-
-
-MASK64 = (1 << 64) - 1
-
-
-def py_splitmix64(seed: int, i: int) -> int:
-    """Output ``i`` (from 1) of the SplitMix64 stream of ``seed``, in Python
-    ints: mix(seed + i * gamma) mod 2**64."""
-    z = (seed + i * 0x9E3779B97F4A7C15) & MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-    return z ^ (z >> 31)
-
-
-def py_weights(seed: int, neurons: int, p: int) -> list[list[float]]:
-    """Initial weights: weight (k, j) is output k*p + j + 1, mapped to
-    uniform(0.01, 1.0) through its top 53 bits."""
-    return [
-        [0.01 + 0.99 * ((py_splitmix64(seed, k * p + j + 1) >> 11) * 2.0**-53) for j in range(p)]
-        for k in range(neurons)
-    ]
-
-
-def py_order(seed: int, skip: int, n: int, epoch: int) -> list[int]:
-    """The rows of epoch ``epoch`` in presentation order: sorted by outputs
-    skip + epoch*n + r + 1 (row r), ties to the lower row."""
-    keys = [py_splitmix64(seed, skip + epoch * n + r + 1) for r in range(n)]
-    return sorted(range(n), key=keys.__getitem__)
 
 
 def reference_train(inputs, cfg: SomConfig, steps: list | None = None) -> np.ndarray:
@@ -241,7 +212,7 @@ def reference_train(inputs, cfg: SomConfig, steps: list | None = None) -> np.nda
         decay = 1.0 - epoch / cfg.epochs
         alpha = cfg.alpha0 * decay
         radius = int(math.floor(cfg.effective_radius0 * decay + 0.5))
-        for i in py_order(cfg.seed, cfg.neuron_count * p, n, epoch):
+        for i in py_permutation(cfg.seed, n, cfg.neuron_count * p + epoch * n):
             x = matrix[i]
             denom = np.linalg.norm(weights, axis=1) * np.linalg.norm(x)
             sims = np.zeros(cfg.neuron_count)
@@ -395,7 +366,8 @@ class TestCounterSpec:
                 assert drawn[0][i].tobytes() == expected.tobytes()
                 for epoch, order in enumerate(orders):
                     n = counts[k]
-                    assert order[i, :n].tolist() == py_order(seeds[k], cfg.neuron_count * p, n, epoch)
+                    skip = cfg.neuron_count * p + epoch * n
+                    assert order[i, :n].tolist() == py_permutation(seeds[k], n, skip)
                     assert sorted(order[i, n:].tolist()) == list(range(n, max(counts)))
 
 
@@ -554,7 +526,7 @@ def py_train(rows, cfg: SomConfig) -> tuple[list[list[float]], float]:
     for epoch in range(cfg.epochs):
         alpha = cfg.alpha0 * (1.0 - epoch / cfg.epochs)
         radius = math.floor(cfg.effective_radius0 * (1.0 - epoch / cfg.epochs) + 0.5)
-        for i in py_order(cfg.seed, cfg.neuron_count * p, len(rows), epoch):
+        for i in py_permutation(cfg.seed, len(rows), cfg.neuron_count * p + epoch * len(rows)):
             bmu, gap = py_bmu(weights, rows[i])
             lead = min(lead, gap)
             for k in range(max(0, bmu - radius), min(cfg.neuron_count - 1, bmu + radius) + 1):
@@ -623,7 +595,7 @@ class TestPlainPythonReference:
 def one_step(cfg: SomConfig, bmu: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(initial weights, input, trained weights) of one training step whose
     input is twice the initial weight row ``bmu``, so that row is its BMU."""
-    start = initial_weights(cfg, 6)
+    start = np.array(py_weights(cfg.seed, cfg.neuron_count, 6))
     x = 2.0 * start[bmu]
     assert assign(SomNetwork(start, cfg), [x]) == [bmu]
     return start, x, train([x], cfg).weights
@@ -638,7 +610,7 @@ class TestUpdateNeighborhood:
         # distance to the input by exactly (1 - alpha)
         cfg = SomConfig(neuron_count=1, epochs=1, alpha0=0.3, radius0=0, seed=4)
         x = np.array([5.0, 1.0, 2.0])
-        dist = float(np.linalg.norm(initial_weights(cfg, len(x))[0] - x))
+        dist = float(np.linalg.norm(py_weights(cfg.seed, 1, len(x))[0] - x))
         for steps in range(1, 26):
             weights = train(np.tile(x, (steps, 1)), cfg).weights
             new_dist = float(np.linalg.norm(weights[0] - x))
