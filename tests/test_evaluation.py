@@ -441,18 +441,17 @@ class TestPerClusterF1:
         assert report.rows[0][0] == 10
 
     def test_members_are_the_first_of_the_neurons_order(self):
-        # only members u00..u04 hit, so the mean F1 counts how many were sampled
-        units, rankings, neuron_of = {}, {}, {}
-        for k in range(15):
-            key = (f"u{k:02d}", 1)
-            units[key[0]] = [(key, {"a"})]
-            rankings[key] = ["a", "b"] if k < 5 else ["b", "c"]
-            neuron_of[key] = 3
-        model = StubModel(units, rankings, neuron_of=neuron_of)
-        report = per_cluster_f1(model, None, EvalConfig(seed=2), n=2)
-        sampled = py_permutation(derive_seed(2, "cluster", 3), 15)[:10]
-        hits = sum(k < 5 for k in sampled)
-        assert report.rows[3] == (10, pytest.approx(hits * f1(0.5, 1.0) / 10, abs=1e-15))
+        keys = [(f"u{k:02d}", 1) for k in range(15)]
+        model = StubModel(
+            {user: [((user, label), {"a"})] for user, label in keys},
+            {},
+            neuron_of={key: 3 for key in keys[::-1]},
+        )
+        scored = []
+        model.recommend_key = lambda key, n: scored.append(key) or ["a", "b"]
+        per_cluster_f1(model, None, EvalConfig(seed=2), n=2)
+        order = py_permutation(derive_seed(2, "cluster", 3), 15)
+        assert scored == [keys[k] for k in sorted(order[:10])]
 
     def test_empty_neurons_absent(self, schema2x2):
         train, test = toy_split_cubes(schema2x2)
