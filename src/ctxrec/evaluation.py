@@ -332,9 +332,5 @@ def neuron_sweep(
         else:
             model = fit_baseline(train_cube, replace(phase3_cfg, neuron_count=count))
         scores.append(evaluate(model, test, eval_cfg).mean_f1[metric_n])
-    best = counts[0]
-    best_score = scores[0]
-    for count, score in zip(counts[1:], scores[1:]):
-        if score > best_score:
-            best, best_score = count, score
+    best = counts[scores.index(max(scores))]  # the first maximum: ties to the smaller count
     return SweepResult(role, metric_n, counts, tuple(scores), best)

@@ -24,7 +24,7 @@ import numpy as np
 from .core import ContextSchema, ContextSituation, RatingCube
 from .errors import CorruptFile, EmptyInput, InvalidConfig, UnknownUser
 from .rng import derive_seed
-from .som import SomConfig, SomNetwork, _cosines, _row_norms, assign, train, train_many
+from .som import SomConfig, SomNetwork, _divide, assign, train, train_many
 from .som import som_from_json_dict, som_to_json_dict
 from . import jsonio
 
@@ -231,42 +231,18 @@ def build_virtual_space(
 class UserClusterModel:
     """Phase-3 SOM over a 2-D space plus each row's neuron, by row.
 
-    ``norms`` holds each row's Euclidean norm, ``members[k]`` the rows on
-    neuron ``k`` in ascending order, and ``blocks[k]`` their rated entries,
-    member after member, as three read-only arrays: each entry's flat
-    position in the members' (n, p) dense rows, its value, and the n + 1
-    members' entry starts.  The scorer's state is O(rows + rated entries).
+    That is all the scorer reads besides the space: a query finds its
+    neuron's members and their rated entries in the space's own arrays.
     """
 
     som: SomNetwork
     neurons: np.ndarray = field(repr=False, compare=False)
-    norms: np.ndarray = field(repr=False, compare=False)
-    members: tuple[np.ndarray, ...] = field(repr=False, compare=False)
-    blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...] = field(repr=False, compare=False)
 
 
 def _cluster_model(net: SomNetwork, space: RowSpace) -> UserClusterModel:
     if not space.keys:
         raise EmptyInput("no rows to cluster")
-    matrix = space.matrix
-    neurons = np.asarray(assign(net, matrix), int)
-    by_neuron = np.argsort(neurons, kind="stable")
-    firsts = np.searchsorted(neurons[by_neuron], np.arange(net.neuron_count + 1))
-    # the rows' entries in neuron order, each at (its row's place among the
-    # neuron's members) * p + column
-    counts = np.diff(space.starts)[by_neuron]
-    cuts = np.concatenate(([0], np.cumsum(counts)))
-    take = np.arange(cuts[-1]) + np.repeat(space.starts[by_neuron] - cuts[:-1], counts)
-    places = np.arange(len(by_neuron)) - firsts[neurons[by_neuron]]
-    positions = np.repeat(places * len(space.items), counts) + space.columns[take]
-    values, blocks = space.values[take], []
-    for lo, hi in zip(firsts[:-1], firsts[1:]):
-        span = slice(cuts[lo], cuts[hi])
-        blocks.append((positions[span], values[span], cuts[lo : hi + 1] - cuts[lo]))
-        for array in blocks[-1]:
-            array.setflags(write=False)
-    members = tuple(np.split(by_neuron, firsts[1:-1]))
-    return UserClusterModel(net, neurons, _row_norms(matrix), members, tuple(blocks))
+    return UserClusterModel(net, np.asarray(assign(net, space.matrix), int))
 
 
 def cluster_virtual_users(
@@ -284,33 +260,36 @@ def _score(model: UserClusterModel, space: RowSpace, key) -> tuple[np.ndarray, n
     Peers are the other rows on the same neuron, in row order; each item's
     score is the cosine-similarity-weighted mean of the peers that rated it.
     When no peer rated the item (or total similarity is zero), the neuron's
-    weight component stands in.  Each peer's similarity is
-    ``cosine_similarity`` of the two rows, bit for bit: one (1, p) @ (p, 1)
-    product per peer over the cached norms.  The neuron's block scatters
-    into the peers' dense rows (0 means unrated, so they are already the
-    masked ratings) and a 0/1 float mask of their rated entries.
+    weight component stands in.  Every sum is an ``np.bincount`` over the
+    members' rated entries, member after member in row order and each
+    member's entries in column order, so each score has the bits of a plain
+    left-to-right loop over the peers and their entries.  The own row is a
+    member too; its entries lie in its own rated columns, which are not
+    returned.
     """
     row = space.row(key)  # raises for unknown keys
     neuron = model.neurons[row]
-    members = model.members[neuron]
-    positions, values, starts = model.blocks[neuron]
-    i, p = int(np.searchsorted(members, row)), len(space.items)
-    lo, hi = starts[i], starts[i + 1]
+    members = (model.neurons == neuron).nonzero()[0]
+    firsts, lasts = space.starts[members], space.starts[members + 1]
+    counts = lasts - firsts
+    member_of = np.arange(len(members)).repeat(counts)
+    # gathered entry k of member m is space entry k + lasts[m] - (entries of members 0..m)
+    take = np.arange(len(member_of)) + (lasts - counts.cumsum()).repeat(counts)
+    columns, values = space.columns[take], space.values[take]
+    p, n = len(space.items), len(members)
+    span = slice(space.starts[row], space.starts[row + 1])
     own_vec = np.zeros(p)
-    own_vec[positions[lo:hi] - i * p] = values[lo:hi]
-    # the peers' rows, then their 0/1 mask; entries after the own row move one row up
-    dense = np.zeros((2, len(members) - 1, p))
-    before, after = positions[:lo], positions[hi:] - p
-    for part, head, tail in zip(dense.reshape(2, -1), (values[:lo], 1.0), (values[hi:], 1.0)):
-        part[before] = head
-        part[after] = tail
-    peers = members[members != row]
-    sims = _cosines(own_vec[None, None], model.norms[[row]], dense[0], model.norms[peers])[:, 0]
-    num, den = sims @ dense
+    own_vec[space.columns[span]] = space.values[span]
+    norms = np.sqrt(np.bincount(member_of, values * values, minlength=n))
+    dots = np.bincount(member_of, own_vec[columns] * values, minlength=n)
+    own_norm = norms[members.searchsorted(row)]
+    weights = _divide(dots, norms * own_norm)[member_of]
+    num = np.bincount(columns, weights * values, minlength=p)
+    den = np.bincount(columns, weights, minlength=p)
     prototype = model.som.weights[neuron]
     scored = np.divide(num, den, out=prototype.copy(), where=den > 0.0)
-    columns = np.flatnonzero(own_vec == 0.0)
-    return columns, scored[columns]
+    unrated = (own_vec == 0.0).nonzero()[0]
+    return unrated, scored[unrated]
 
 
 def _ranked(model: UserClusterModel, space: RowSpace, key, n: int) -> list[tuple[str, float]]:

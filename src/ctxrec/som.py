@@ -123,8 +123,9 @@ def _cosines(weights, weight_norms, x, x_norms) -> np.ndarray:
 def _divide(dots: np.ndarray, denom: np.ndarray) -> np.ndarray:
     """``dots / denom``, 0 where ``denom`` is not positive (or NaN): the
     zero-norm rule of every cosine.  In place when every ``denom`` is
-    positive; ``initial`` lets an empty ``denom`` (a query with no peers)
-    take that path, where ``denom.min()`` would raise."""
+    positive; ``initial`` lets an empty ``denom`` take that path, where
+    ``denom.min()`` would raise.  No caller passes one (a query's members
+    include its own row), but the property test does."""
     if np.minimum.reduce(denom, axis=None, initial=np.inf) > 0.0:
         dots /= denom
         return dots

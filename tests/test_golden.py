@@ -9,11 +9,16 @@ contents, and the loaded models must rank exactly these items.  ``ctxrec
 split --seed 0``, ``train`` on its train half and ``eval`` on its test half
 must write exactly these reports and run configs, and so must ``ctxrec gen``.
 A change that moves them changes behaviour; it has to say why in CHANGES.md
-and update the digests here.
+and update the digests here.  The same bytes must come out under OpenBLAS's
+Haswell kernel, which has no AVX-512.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -41,8 +46,8 @@ BASELINE_BUNDLE_SHA256 = {
 }
 # top-10 of every user in the smallest and largest labelled situation and in
 # the first and last situation of the schema (227 queries, 107 labelled)
-PIPELINE_RANKINGS_SHA256 = "698a786f8adb5e8a2140c942c644070887dbd921d66a0ca096c1afb139a83b7e"
-BASELINE_RANKINGS_SHA256 = "3fc629dafd3fa8d0cd4a36fb4955020f173219043d9ab61a81575ae62fd2bfc3"
+PIPELINE_RANKINGS_SHA256 = "f4bd469447d824815dffbda3e72c627b3e0ceeef01d59caf480e1b87ad1b1daa"
+BASELINE_RANKINGS_SHA256 = "a7fe64c91046c39f26477466c6256b1c7422c81e35e82b7d54885cd5557882b9"
 # (sweep.csv, sweep.json with the output directory replaced by ``OUT``)
 SWEEP_SHA256 = {
     ("phase1", "2,4"): (
@@ -197,3 +202,23 @@ def test_gen_run_config_fingerprint(tmp_path):
     argv = ["gen", "--out", str(out), "--users", "60", "--items", "50", "--seed", "0"]
     assert cli_main(argv) == 0
     assert masked_sha256(out / "run_config.json", out) == RUN_CONFIG_SHA256["gen"]
+
+
+def test_fingerprints_hold_on_the_haswell_kernel(tmp_path):
+    """Every fingerprint above, in a child process whose OpenBLAS runs its
+    Haswell kernels; ``OPENBLAS_CORETYPE`` is set on the child only."""
+    here = Path(__file__).resolve()
+    paths = [str(here.parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(
+        os.environ,
+        OPENBLAS_CORETYPE="Haswell",
+        OPENBLAS_NUM_THREADS="1",
+        PYTHONPATH=os.pathsep.join(filter(None, paths)),
+    )
+    argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", str(here)]
+    argv += ["-k", "fingerprint and not haswell", "--basetemp", str(tmp_path / "child")]
+    proc = subprocess.run(
+        argv, cwd=here.parent.parent, env=env, capture_output=True, text=True, timeout=600
+    )
+    assert proc.returncode == 0, proc.stdout[-3000:]
+    assert proc.stdout.strip().splitlines()[-1].startswith("14 passed")

@@ -1,10 +1,11 @@
 """Three-phase pipeline: context clustering, virtual users, cluster CF."""
 
 import json
+import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctxrec.baseline import BaselineModel, fit_baseline, flatten_cube, load_baseline, save_baseline
+from ctxrec.baseline import BaselineModel, fit_baseline, flatten_cube
 from ctxrec.core import default_schema
 from ctxrec.datagen import GenConfig, generate
 from ctxrec import jsonio
@@ -429,8 +430,7 @@ class TestClusterVirtualUsers:
 
     def test_single_virtual_user_is_singleton_cluster(self):
         model = cluster_virtual_users(self.one_row_space(), SomConfig(3))
-        assert len(model.neurons) == 1
-        assert model.members[model.neurons[0]].tolist() == [0]
+        assert model.neurons.tolist() == assign(model.som, [[4.0, 0.0]])
 
     def test_identical_rows_share_a_neuron(self):
         space = RowSpace(
@@ -455,14 +455,11 @@ class TestClusterVirtualUsers:
         labels = assign(small_model.user_model.som, space.matrix)
         assert small_model.user_model.neurons.tolist() == labels
 
-    def test_scorer_state_is_norms_and_members(self, small_model):
-        # the bits cosine_similarity uses, and each neuron's rows in order
-        model, matrix = small_model.user_model, small_model.space.matrix
-        norms = [float(np.linalg.norm(row)) for row in matrix]
-        assert model.norms.tolist() == norms
-        assert len(model.members) == model.som.neuron_count
-        for neuron, rows in enumerate(model.members):
-            assert rows.tolist() == np.flatnonzero(model.neurons == neuron).tolist()
+    def test_scorer_state_is_the_som_and_neurons(self, small_model):
+        # the scorer reads nothing else from the model
+        model = small_model.user_model
+        assert [f.name for f in fields(model)] == ["som", "neurons"]
+        assert model.neurons.tolist() == assign(model.som, small_model.space.matrix)
 
 
 def scores_of(model, space, key) -> dict[str, float]:
@@ -638,26 +635,41 @@ class TestRecommend:
             recommend(model, space, clusterings, "u3", sit, 5)
 
 
-def reference_scores(model, space, key) -> dict[str, float]:
-    """The scorer written out plainly: one ``cosine_similarity`` per peer, a
-    masked weighted mean, the prototype where no peer rated an item.  These
-    are the bits the scorer must reproduce."""
+def left_sum(values) -> float:
+    """A plain left-to-right float sum (``sum`` compensates from Python 3.12)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def py_score(model, space, key) -> dict[str, float]:
+    """The scorer written out in plain Python floats, left to right: the
+    peers in row order, each peer's rated entries in column order; a cosine
+    of ``math.sqrt`` norms, 0 where their product is 0; the prototype where
+    no peer with a positive similarity rated an item.  These are the bits
+    the scorer must reproduce."""
+    matrix = space.matrix
     row = space.row(key)
     neuron = model.neurons[row]
-    prototype = model.som.weights[neuron]
-    own_vec = space.matrix[row]
-    peers = [r for r in range(len(space.keys)) if r != row and model.neurons[r] == neuron]
-    if peers:
-        peer_rows = space.matrix[peers]
-        sims = np.asarray([cosine_similarity(own_vec, peer) for peer in peer_rows])
-        rated = peer_rows > 0.0
-        num = sims @ np.where(rated, peer_rows, 0.0)
-        den = sims @ rated
-        with np.errstate(invalid="ignore"):
-            scored = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), prototype)
-    else:
-        scored = np.asarray(prototype, dtype=np.float64)
-    return {space.items[j]: float(scored[j]) for j in np.flatnonzero(own_vec == 0.0)}
+    own = matrix[row].tolist()
+    own_norm = math.sqrt(left_sum(v * v for v in own))
+    num, den = [0.0] * len(own), [0.0] * len(own)
+    for r in np.flatnonzero(model.neurons == neuron).tolist():
+        if r == row:
+            continue
+        rated = [(j, v) for j, v in enumerate(matrix[r].tolist()) if v]
+        norms = math.sqrt(left_sum(v * v for _, v in rated)) * own_norm
+        sim = left_sum(own[j] * v for j, v in rated) / norms if norms > 0.0 else 0.0
+        for j, v in rated:
+            num[j] += sim * v
+            den[j] += sim
+    prototype = model.som.weights[neuron].tolist()
+    return {
+        item: num[j] / den[j] if den[j] > 0.0 else prototype[j]
+        for j, item in enumerate(space.items)
+        if not own[j]
+    }
 
 
 def reference_rank(scores, n) -> list[tuple[str, float]]:
@@ -690,7 +702,7 @@ def assert_matches_reference(model: PipelineModel, flat: BaselineModel) -> None:
         ("baseline", flat.space, flat.user_model),
     ):
         for key in space.keys:
-            expected = reference_scores(user_model, space, key)
+            expected = py_score(user_model, space, key)
             for n in ns:
                 # at n = candidates + 1 this holds every candidate's score bits
                 ranked = reference_rank(expected, n)
@@ -706,7 +718,7 @@ def assert_matches_reference(model: PipelineModel, flat: BaselineModel) -> None:
         for flat_index in sorted(set(clustering.labels) | set(range(4))):
             situation = model.schema.situation_from_flat(flat_index)
             label = reference_label(model, user, situation)
-            expected = reference_scores(model.user_model, model.space, (user, label))
+            expected = py_score(model.user_model, model.space, (user, label))
             for n in ns:
                 got = model.recommend(user, situation, n)
                 assert bits(got) == bits(reference_rank(expected, n))
@@ -787,36 +799,6 @@ class TestScorerReference:
         assert ranked == [("a", 2.0), ("c", 2.0)]
         assert_matches_reference(model, flat)
 
-    def test_trained_model(self, small_model, small_cube):
-        flat_space = flatten_cube(small_cube)
-        flat = BaselineModel(
-            small_cube.schema,
-            flat_space,
-            cluster_virtual_users(flat_space, SomConfig(5, epochs=10)),
-        )
-        assert_matches_reference(small_model, flat)
-
-
-def block_arrays(model) -> list[list[tuple[str, bytes, bool]]]:
-    """Each neuron's block as (dtype, bytes, writeable) of its three arrays."""
-    return [
-        [(a.dtype.str, a.tobytes(), a.flags.writeable) for a in block] for block in model.blocks
-    ]
-
-
-class TestPeerBlocks:
-    """Each neuron's block holds its members' rated entries, and the scorer
-    that reads it matches the reference bit for bit at the block's edges."""
-
-    def test_blocks_are_the_members_dense_entries(self, small_model):
-        model, matrix = small_model.user_model, small_model.space.matrix
-        assert len(model.blocks) == model.som.neuron_count
-        for rows, (positions, values, starts) in zip(model.members, model.blocks):
-            dense = matrix[rows]
-            assert positions.tolist() == np.flatnonzero(dense).tolist()
-            assert values.tobytes() == dense.reshape(-1)[positions].tobytes()
-            assert starts.tolist() == [0, *np.cumsum(np.count_nonzero(dense, axis=1)).tolist()]
-
     def test_first_last_and_only_members_and_empty_rows(self):
         items = ("d", "b", "c", "a")
         matrix = [
@@ -829,75 +811,63 @@ class TestPeerBlocks:
         ]
         weights = [[0.0, 0.0, 0.0, 1.0], [1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]
         model, flat = scored_systems(tiny_schema(), items, [2, 2, 2], [2, 0, 3, 1], matrix, weights)
-        user_model = model.user_model
-        assert user_model.neurons.tolist() == [1, 0, 2, 1, 1, 0]
-        positions, values, starts = user_model.blocks[1]
-        assert positions.tolist() == [0, 1, 4, 8, 9, 10]
-        assert values.tolist() == [5.0, 4.0, 2.0, 1.0, 3.0, 2.0]
-        assert starts.tolist() == [0, 2, 3, 6]
-        assert [b[2].tolist() for b in user_model.blocks] == [[0, 0, 1], [0, 2, 3, 6], [0, 1]]
+        assert model.user_model.neurons.tolist() == [1, 0, 2, 1, 1, 0]
         assert_matches_reference(model, flat)
 
     def test_a_space_of_empty_rows(self):
         zeros, weights = [[0.0, 0.0]] * 3, [[1.0, 0.5]]
         model, flat = scored_systems(tiny_schema(), ("a", "b"), [2, 1], range(4), zeros, weights)
-        assert [a.tolist() for a in model.user_model.blocks[0]] == [[], [], [0, 0, 0, 0]]
+        assert model.user_model.neurons.tolist() == [0, 0, 0]
         assert_matches_reference(model, flat)
 
-    def test_loaded_bundles_carry_the_fitted_blocks(self, small_model, small_cube, tmp_path):
-        flat = fit_baseline(small_cube, SomConfig(5, epochs=10))
-        save_pipeline(small_model, tmp_path / "pipeline")
-        save_baseline(flat, tmp_path / "baseline")
-        for fitted, loaded in (
-            (small_model, load_pipeline(tmp_path / "pipeline")),
-            (flat, load_baseline(tmp_path / "baseline")),
-        ):
-            assert block_arrays(loaded.user_model) == block_arrays(fitted.user_model)
-            assert not any(w for block in block_arrays(fitted.user_model) for _, _, w in block)
-            with pytest.raises(ValueError):
-                loaded.user_model.blocks[0][1][...] = 1.0
+    def test_trained_model(self, small_model, small_cube):
+        flat_space = flatten_cube(small_cube)
+        flat = BaselineModel(
+            small_cube.schema,
+            flat_space,
+            cluster_virtual_users(flat_space, SomConfig(5, epochs=10)),
+        )
+        assert_matches_reference(small_model, flat)
 
 
 SCORER_PROBE = """
-import numpy as np
 from ctxrec.baseline import fit_baseline
 from ctxrec.datagen import GenConfig, generate
 from ctxrec.pipeline import _score, fit_pipeline
-from ctxrec.som import SomConfig, cosine_similarity
+from ctxrec.som import SomConfig
+from test_pipeline import py_score
 
-def reference(model, space, row):
-    matrix = space.matrix
-    own, prototype = matrix[row], model.som.weights[model.neurons[row]]
-    peer_rows = matrix[[r for r in np.flatnonzero(model.neurons == model.neurons[row]) if r != row]]
-    sims = np.array([cosine_similarity(own, peer) for peer in peer_rows], dtype=np.float64)
-    num, den = sims @ peer_rows, sims @ (peer_rows > 0.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        scored = np.where(den > 0.0, num / den, prototype)
-    columns = np.flatnonzero(own == 0.0)
-    return columns.tobytes() + scored[columns].tobytes()
+def scored(model, space, key):
+    columns, scores = _score(model, space, key)
+    return [(space.items[j], s.hex()) for j, s in zip(columns.tolist(), scores.tolist())]
 
 cube = generate(GenConfig(n_users=120, n_items=300, seed=4))
 pipeline = fit_pipeline(cube, phase3_cfg=SomConfig(8, epochs=10))
 baseline = fit_baseline(cube, SomConfig(6, epochs=10))
 print(all(
-    b"".join(a.tobytes() for a in _score(m.user_model, m.space, key))
-    == reference(m.user_model, m.space, row)
+    scored(m.user_model, m.space, key)
+    == [(item, s.hex()) for item, s in py_score(m.user_model, m.space, key).items()]
     for m in (pipeline, baseline)
-    for row, key in enumerate(m.space.keys)
+    for key in m.space.keys
 ))
 """
 
 
 class TestScorerCrossKernel:
-    """``_score`` equals a plain scorer over ``space.matrix`` rows with a
-    ``peer_rows > 0.0`` mask, bit for bit, on kernels without AVX-512 too.
+    """``_score`` equals ``py_score``, the plain left-to-right loop over
+    ``space.matrix`` rows, bit for bit, on kernels without AVX-512 too.
     ``OPENBLAS_CORETYPE`` is set on the child process only."""
 
     @pytest.mark.parametrize("kernel", ["Haswell", "Prescott"])
     def test_scores_equal_the_dense_reference(self, kernel):
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, OPENBLAS_CORETYPE=kernel, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+        here = Path(__file__).resolve().parent
+        paths = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]
+        env = dict(
+            os.environ,
+            OPENBLAS_CORETYPE=kernel,
+            OPENBLAS_NUM_THREADS="1",
+            PYTHONPATH=os.pathsep.join(filter(None, paths)),
+        )
         proc = subprocess.run(
             [sys.executable, "-c", SCORER_PROBE],
             env=env,

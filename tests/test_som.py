@@ -696,10 +696,6 @@ class TestAssign:
         net = net_from_rows(weights)
         assert assign(net, inputs) == labels
         assert [assign(net, [x])[0] for x in inputs] == labels
-        # the scorer's peer similarities: one (1, p) @ (p, 1) product each
-        own = inputs[0]
-        peers = som._cosines(own[None, None], norms[:1], inputs, norms)[:, 0]
-        assert peers.tolist() == [cosine_similarity(own, y) for y in inputs]
 
     def test_duplicate_inputs_share_labels(self):
         x = np.array([2.0, 3.0, 1.0])
