@@ -108,6 +108,15 @@ def f1(precision: float, recall: float) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
+def _mean(values: Sequence[float]) -> float:
+    """Mean summed left to right from 0.0 (0.0 for none); the built-in ``sum``
+    compensates from Python 3.12 on, which would move the reported bits."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values) if values else 0.0
+
+
 @dataclass
 class EvalReport:
     """Aggregate metrics of one evaluation run."""
@@ -194,12 +203,9 @@ def evaluate(model, test: RatingCube, cfg: EvalConfig = EvalConfig()) -> EvalRep
         if unit_scores:
             user_scores.append(unit_scores)
 
-    def mean(values: list[float]) -> float:
-        return sum(values) / len(values) if values else 0.0
-
     def user_mean(k: int, metric) -> float:
         """Mean over users of each user's mean over units, at cutoff k."""
-        return mean([mean([metric(*unit[k]) for unit in units]) for units in user_scores])
+        return _mean([_mean([metric(*unit[k]) for unit in units]) for units in user_scores])
 
     return EvalReport(
         top_ns=cfg.top_ns,
@@ -237,12 +243,12 @@ class PerClusterReport:
         )
 
 
+# members of each user cluster that per_cluster_f1 samples
+MEMBERS_PER_CLUSTER = 10
+
+
 def per_cluster_f1(
-    model,
-    test: RatingCube,
-    cfg: EvalConfig = EvalConfig(),
-    n: int = 5,
-    members_per_cluster: int = 10,
+    model, test: RatingCube, cfg: EvalConfig = EvalConfig(), n: int = 5
 ) -> PerClusterReport:
     """Mean F1@n over a seeded sample of members of each user cluster.
 
@@ -260,14 +266,14 @@ def per_cluster_f1(
     for neuron in sorted(members_by_neuron):
         seed = derive_seed(cfg.seed, "cluster", neuron)
         scores = []
-        for key in _cut(sorted(members_by_neuron[neuron]), seed, members_per_cluster)[0]:
+        for key in _cut(sorted(members_by_neuron[neuron]), seed, MEMBERS_PER_CLUSTER)[0]:
             ranking = model.recommend_key(key, n)
             if not ranking:
                 continue
             p, r = precision_recall(ranking, relevant_of[key])
             scores.append(f1(p, r))
         if scores:
-            rows[neuron] = (len(scores), sum(scores) / len(scores))
+            rows[neuron] = (len(scores), _mean(scores))
     return PerClusterReport(n, rows)
 
 

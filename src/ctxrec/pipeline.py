@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, Hashable, Mapping, Sequence
 
@@ -388,19 +389,6 @@ class PipelineModel:
 # adds, while 128 added 10 MB and raised the run's peak.
 PHASE1_BLOCK = 64
 
-_worker_cube: RatingCube | None = None
-_worker_cfg: SomConfig | None = None
-
-
-def _phase1_init(cube: RatingCube, cfg: SomConfig) -> None:
-    global _worker_cube, _worker_cfg
-    _worker_cube = cube
-    _worker_cfg = cfg
-
-
-def _phase1_job(block: list[str]) -> dict[str, ContextClustering]:
-    return cluster_users(_worker_cube, block, _worker_cfg)
-
 
 def _phase1_blocks(cube: RatingCube, users: list[str], workers: int) -> list[list[str]]:
     """Users sorted by input count, cut into blocks of at most PHASE1_BLOCK
@@ -418,11 +406,11 @@ def fit_pipeline(
 ) -> PipelineModel:
     """Run phases 1-3 on a training cube.
 
-    Phase 1 trains the users' SOMs in lockstep blocks; ``workers`` > 1
-    spreads the blocks over at most ``os.cpu_count()`` processes, one per
-    block at most.  Every user's SOM seed is derived from the user id and
-    networks in a block do not interact, so the result is identical for any
-    block grouping, worker count or scheduling.
+    Phase 1 maps ``cluster_users`` over lockstep blocks of users, through a
+    pool of at most ``os.cpu_count()`` processes (one per block at most)
+    when ``workers`` > 1.  Every user's SOM seed is derived from the user
+    id and networks in a block do not interact, so the result is identical
+    for any block grouping, worker count or scheduling.
     """
     # the pool starts every worker at its first task: ask for no more than can run
     workers = max(1, min(workers, os.cpu_count() or 1))
@@ -431,20 +419,15 @@ def fit_pipeline(
         raise EmptyInput("training cube has no ratings")
     blocks = _phase1_blocks(train_cube, users, workers)
     workers = min(workers, len(blocks))
-    by_user: dict[str, ContextClustering] = {}
-    if workers > 1:
+    job = partial(cluster_users, train_cube, cfg=phase1_cfg)
+    if workers == 1:
+        results = list(map(job, blocks))
+    else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_phase1_init,
-            initargs=(train_cube, phase1_cfg),
-        ) as pool:
-            for result in pool.map(_phase1_job, blocks):
-                by_user.update(result)
-    else:
-        for block in blocks:
-            by_user.update(cluster_users(train_cube, block, phase1_cfg))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(job, blocks))
+    by_user = {user: c for result in results for user, c in result.items()}
     clusterings = {user: by_user[user] for user in users}
     space = build_virtual_space(train_cube, clusterings)
     user_model = cluster_virtual_users(space, phase3_cfg)

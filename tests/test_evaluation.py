@@ -12,6 +12,7 @@ from ctxrec.errors import EmptyInput, InvalidConfig
 from ctxrec.evaluation import (
     EvalConfig,
     SplitConfig,
+    _mean,
     evaluate,
     f1,
     neuron_sweep,
@@ -209,6 +210,16 @@ class TestF1:
                 assert 0.0 <= v <= (p + r) / 2.0 + 1e-12
         for p in grid:
             assert f1(p, p) == pytest.approx(p, abs=1e-15)
+
+
+class TestMean:
+    def test_empty_is_zero(self):
+        assert _mean([]) == 0.0
+
+    def test_sums_left_to_right(self):
+        """Each 1e-16 is lost against 1.0, as in a plain loop; a compensated
+        sum (the built-in ``sum`` from Python 3.12 on) keeps them."""
+        assert _mean([1.0] + [1e-16] * 10) == 1.0 / 11
 
 
 class TestEvalConfig:

@@ -1,5 +1,6 @@
 """Three-phase pipeline: context clustering, virtual users, cluster CF."""
 
+import ast
 import json
 import math
 import os
@@ -943,9 +944,8 @@ class TestFitPipeline:
         asked = []
 
         class InProcessPool:
-            def __init__(self, max_workers, initializer, initargs):
+            def __init__(self, max_workers):
                 asked.append(max_workers)
-                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -958,8 +958,6 @@ class TestFitPipeline:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(pipeline.os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(pipeline, "_worker_cube", None)
-        monkeypatch.setattr(pipeline, "_worker_cfg", None)
         cfg1 = SomConfig(DEFAULT_PHASE1_NEURONS, epochs=10)
         cfg3 = SomConfig(6, epochs=10)
         pooled = fit_pipeline(small_cube, cfg1, cfg3, workers=10_000)
@@ -969,6 +967,27 @@ class TestFitPipeline:
         assert asked == ([] if cpus == 1 else [min(cpus, users)])
         serial = fit_pipeline(small_cube, cfg1, cfg3)
         assert pooled.space.to_json_dict() == serial.space.to_json_dict()
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_pool_start_method_does_not_change_result(self, small_cube, monkeypatch, method):
+        """Workers that start from a fresh import, not a fork of the parent,
+        get everything from the mapped job and give the serial model."""
+        import concurrent.futures
+        import multiprocessing
+        from functools import partial
+
+        context = multiprocessing.get_context(method)
+        pool = partial(concurrent.futures.ProcessPoolExecutor, mp_context=context)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr(pipeline.os, "cpu_count", lambda: 2)
+        cfg1 = SomConfig(DEFAULT_PHASE1_NEURONS, epochs=10)
+        cfg3 = SomConfig(6, epochs=10)
+        serial = fit_pipeline(small_cube, cfg1, cfg3)
+        pooled = fit_pipeline(small_cube, cfg1, cfg3, workers=2)
+        assert pooled.clusterings == serial.clusterings
+        assert pooled.space.to_json_dict() == serial.space.to_json_dict()
+        assert pooled.user_model.som.weights.tobytes() == serial.user_model.som.weights.tobytes()
+        assert pooled.user_model.neurons.tolist() == serial.user_model.neurons.tolist()
 
     def test_empty_cube_rejected(self, schema2x2):
         from ctxrec.core import RatingCube
@@ -1073,3 +1092,21 @@ class TestPipelinePersistence:
         assert "clusterings.json" in self.corrupt(
             small_model, tmp_path, "clusterings.json", move_label
         )
+
+
+def global_statements(source: str) -> list[int]:
+    """Lines of ``source`` that hold a ``global`` statement."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Global)]
+
+
+class TestNoModuleState:
+    def test_no_module_rebinds_a_global(self):
+        """Run-time state travels as arguments (a pool worker gets it with its
+        job), so no module of the package keeps it in a rebound global."""
+        modules = sorted(Path(pipeline.__file__).resolve().parent.glob("*.py"))
+        assert "pipeline.py" in {path.name for path in modules}
+        assert global_statements("def f():\n    global x\n") == [2]  # the check sees one
+        offenders = {
+            path.name: global_statements(path.read_text(encoding="utf-8")) for path in modules
+        }
+        assert {name: lines for name, lines in offenders.items() if lines} == {}
