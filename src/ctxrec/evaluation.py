@@ -23,7 +23,7 @@ from .core import RatingCube
 from .errors import EmptyInput, InvalidConfig
 from .pipeline import DEFAULT_PHASE1_NEURONS, DEFAULT_PHASE3_NEURONS, fit_pipeline
 from .rng import derive_seed, permutation
-from .som import SomConfig
+from .som import SomConfig, _mean
 from . import jsonio
 
 DEFAULT_TOP_NS = (5, 10, 15, 20, 25, 30)
@@ -106,15 +106,6 @@ def f1(precision: float, recall: float) -> float:
     if precision + recall == 0.0:
         return 0.0
     return 2.0 * precision * recall / (precision + recall)
-
-
-def _mean(values: Sequence[float]) -> float:
-    """Mean summed left to right from 0.0 (0.0 for none); the built-in ``sum``
-    compensates from Python 3.12 on, which would move the reported bits."""
-    total = 0.0
-    for value in values:
-        total += value
-    return total / len(values) if values else 0.0
 
 
 @dataclass

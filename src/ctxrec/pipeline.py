@@ -25,7 +25,7 @@ import numpy as np
 from .core import ContextSchema, ContextSituation, RatingCube
 from .errors import CorruptFile, EmptyInput, InvalidConfig, UnknownUser
 from .rng import derive_seed
-from .som import SomConfig, SomNetwork, _divide, assign, train, train_many
+from .som import SomConfig, SomNetwork, _divide, _mean, assign, train, train_many
 from .som import som_from_json_dict, som_to_json_dict
 from . import jsonio
 
@@ -39,7 +39,7 @@ def aggregate(values: Sequence[float]) -> float:
     """Arithmetic mean of rating values (the built-in aggregator)."""
     if len(values) == 0:
         raise EmptyInput("cannot aggregate zero ratings")
-    return sum(float(v) for v in values) / len(values)
+    return _mean([float(v) for v in values])
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,9 @@ class RowSpace:
     Keys are (user, label) virtual users for the pipeline and plain user ids
     for the flat baseline, and 0 means unrated.  Only the rated entries are
     kept, row by row in column order: row ``i`` holds ``values[starts[i]:
-    starts[i + 1]]`` in columns ``columns[starts[i]:starts[i + 1]]``.  The
+    starts[i + 1]]`` in columns ``columns[starts[i]:starts[i + 1]]``, and
+    ``norms[i]`` is the root of their squares summed in that order (an
+    ``np.bincount`` adds in input order), once at build or load.  The
     spaces are a few per cent dense, so this is a small part of the dense
     float64 matrix, which ``matrix`` rebuilds on demand with the same values.
     """
@@ -140,11 +142,13 @@ class RowSpace:
         if (values == 0.0).any():
             raise InvalidConfig("a stored rating is 0, which encodes 'unrated'")
         counts = [len(row) for row in rows]
+        row_of = np.repeat(np.arange(len(rows)), counts)
         # each row's entries in column order
-        order = np.lexsort((columns, np.repeat(np.arange(len(rows)), counts)))
+        order = np.lexsort((columns, row_of))
         self.starts = np.concatenate(([0], np.cumsum(counts, dtype=np.intp)))
         self.columns, self.values = columns[order], values[order]
-        for array in (self.starts, self.columns, self.values):
+        self.norms = np.sqrt(np.bincount(row_of, self.values * self.values, minlength=len(rows)))
+        for array in (self.starts, self.columns, self.values, self.norms):
             array.setflags(write=False)
         self.index = {key: i for i, key in enumerate(self.keys)}
         # each column's place in ascending item-id order, the ranking tie-break
@@ -261,12 +265,12 @@ def _score(model: UserClusterModel, space: RowSpace, key) -> tuple[np.ndarray, n
     Peers are the other rows on the same neuron, in row order; each item's
     score is the cosine-similarity-weighted mean of the peers that rated it.
     When no peer rated the item (or total similarity is zero), the neuron's
-    weight component stands in.  Every sum is an ``np.bincount`` over the
-    members' rated entries, member after member in row order and each
-    member's entries in column order, so each score has the bits of a plain
-    left-to-right loop over the peers and their entries.  The own row is a
-    member too; its entries lie in its own rated columns, which are not
-    returned.
+    weight component stands in.  Norms are the space's ``norms``; every
+    other sum is an ``np.bincount`` over the members' rated entries, member
+    after member in row order and each member's entries in column order, so
+    each score has the bits of a plain left-to-right loop over the peers
+    and their entries.  The own row is a member too; its entries lie in its
+    own rated columns, which are not returned.
     """
     row = space.row(key)  # raises for unknown keys
     neuron = model.neurons[row]
@@ -281,10 +285,8 @@ def _score(model: UserClusterModel, space: RowSpace, key) -> tuple[np.ndarray, n
     span = slice(space.starts[row], space.starts[row + 1])
     own_vec = np.zeros(p)
     own_vec[space.columns[span]] = space.values[span]
-    norms = np.sqrt(np.bincount(member_of, values * values, minlength=n))
     dots = np.bincount(member_of, own_vec[columns] * values, minlength=n)
-    own_norm = norms[members.searchsorted(row)]
-    weights = _divide(dots, norms * own_norm)[member_of]
+    weights = _divide(dots, space.norms[members] * space.norms[row])[member_of]
     num = np.bincount(columns, weights * values, minlength=p)
     den = np.bincount(columns, weights, minlength=p)
     prototype = model.som.weights[neuron]
@@ -295,10 +297,15 @@ def _score(model: UserClusterModel, space: RowSpace, key) -> tuple[np.ndarray, n
 
 def _ranked(model: UserClusterModel, space: RowSpace, key, n: int) -> list[tuple[str, float]]:
     """The n best (item, score) of the row's unrated items: descending score,
-    ties to ascending item id.  Both systems rank through here."""
+    ties to ascending item id.  Both systems rank through here.  Below the
+    candidate count only the scores at or above the n-th best (ties at the
+    cut too) are sorted: the prefix of the full order, with its bits."""
     columns, scores = _score(model, space, key)
     if n <= 0:
         return []
+    if n < len(scores):
+        keep = scores >= np.partition(scores, -n)[-n]
+        columns, scores = columns[keep], scores[keep]
     top = np.lexsort((space.item_rank[columns], -scores))[:n]
     return [(space.items[j], s) for j, s in zip(columns[top].tolist(), scores[top].tolist())]
 

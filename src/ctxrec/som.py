@@ -327,7 +327,17 @@ def mean_similarity(net: SomNetwork, inputs: np.ndarray) -> float:
     """Mean cosine similarity between inputs and their BMU rows."""
     matrix = _as_input_matrix(inputs)
     bmus = assign(net, matrix)
-    return sum(cosine_similarity(x, net.weights[b]) for x, b in zip(matrix, bmus)) / len(bmus)
+    return _mean([cosine_similarity(x, net.weights[b]) for x, b in zip(matrix, bmus)])
+
+
+def _mean(values: Sequence[float]) -> float:
+    """Mean summed left to right from 0.0 (0.0 for none): every float mean
+    of the package.  The built-in ``sum`` compensates from Python 3.12 on,
+    which would move the bits between interpreters."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values) if values else 0.0
 
 
 def som_to_json_dict(net: SomNetwork) -> dict:

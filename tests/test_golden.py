@@ -10,7 +10,8 @@ split --seed 0``, ``train`` on its train half and ``eval`` on its test half
 must write exactly these reports and run configs, and so must ``ctxrec gen``.
 A change that moves them changes behaviour; it has to say why in CHANGES.md
 and update the digests here.  The same bytes must come out under OpenBLAS's
-Haswell kernel, which has no AVX-512.
+Haswell kernel, which has no AVX-512, and the pins outside the pipeline's
+SOMs under its Prescott kernel too.
 """
 
 import hashlib
@@ -204,21 +205,43 @@ def test_gen_run_config_fingerprint(tmp_path):
     assert masked_sha256(out / "run_config.json", out) == RUN_CONFIG_SHA256["gen"]
 
 
-def test_fingerprints_hold_on_the_haswell_kernel(tmp_path):
-    """Every fingerprint above, in a child process whose OpenBLAS runs its
-    Haswell kernels; ``OPENBLAS_CORETYPE`` is set on the child only."""
+# the pins that hold under Prescott; the other six (both compare runs, the
+# phase-1 sweep, the pipeline's bundle, rankings and eval) depend on the
+# pipeline SOMs' BLAS products, which round differently there
+PRESCOTT_PINS = (
+    "test_split_fingerprint",
+    "test_gen_run_config_fingerprint",
+    "test_train_run_config_fingerprint",  # pipeline and baseline
+    "test_sweep_fingerprint[phase3-3,5]",
+    "test_bundle_fingerprint[baseline-expected1]",
+    "test_baseline_rankings_fingerprint",
+    "test_eval_fingerprint[baseline]",
+)
+
+
+@pytest.mark.parametrize(
+    "kernel, passed", [("Haswell", 14), ("Prescott", 8)], ids=["Haswell", "Prescott"]
+)
+def test_fingerprints_hold_on_the_kernel(tmp_path, kernel, passed):
+    """The fingerprints above, in a child process whose OpenBLAS runs the
+    given kernels: all 14 under Haswell, the ``PRESCOTT_PINS`` under
+    Prescott.  ``OPENBLAS_CORETYPE`` is set on the child only."""
     here = Path(__file__).resolve()
     paths = [str(here.parent.parent / "src"), os.environ.get("PYTHONPATH")]
     env = dict(
         os.environ,
-        OPENBLAS_CORETYPE="Haswell",
+        OPENBLAS_CORETYPE=kernel,
         OPENBLAS_NUM_THREADS="1",
         PYTHONPATH=os.pathsep.join(filter(None, paths)),
     )
-    argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", str(here)]
-    argv += ["-k", "fingerprint and not haswell", "--basetemp", str(tmp_path / "child")]
+    argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
+    if kernel == "Prescott":
+        argv += [f"{here}::{pin}" for pin in PRESCOTT_PINS]
+    else:
+        argv += [str(here), "-k", "fingerprint and not kernel"]
+    argv += ["--basetemp", str(tmp_path / "child")]
     proc = subprocess.run(
         argv, cwd=here.parent.parent, env=env, capture_output=True, text=True, timeout=600
     )
     assert proc.returncode == 0, proc.stdout[-3000:]
-    assert proc.stdout.strip().splitlines()[-1].startswith("14 passed")
+    assert proc.stdout.strip().splitlines()[-1].startswith(f"{passed} passed")

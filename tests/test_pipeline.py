@@ -72,6 +72,11 @@ class TestAggregate:
         with pytest.raises(EmptyInput, match="cannot aggregate zero ratings"):
             aggregate([])
 
+    def test_sums_left_to_right(self):
+        """Each 1e-16 is lost against 1.0, as in a plain loop; a compensated
+        sum (the built-in ``sum`` from Python 3.12 on) keeps them."""
+        assert aggregate([1.0] + [1e-16] * 10) == 1.0 / 11
+
 
 class TestContextClustering:
     def test_labels_must_be_compacted(self):
@@ -409,6 +414,26 @@ class TestRowSpace:
         with pytest.raises(InvalidConfig, match="must be strings"):
             RowSpace.from_json_dict(data)
 
+    @settings(max_examples=100, deadline=None)
+    @given(ratings=ratings_maps())
+    def test_norms_are_left_to_right_sums(self, ratings):
+        """Each row's norm is ``math.sqrt`` of its squares added left to right
+        in column order, bit for bit, and a JSON round trip keeps the bits."""
+        space = RowSpace(ITEMS, ratings)
+        expected = [
+            math.sqrt(left_sum(v * v for v in space.ratings_of(key).values()))
+            for key in space.keys
+        ]
+        assert [norm.hex() for norm in space.norms.tolist()] == [e.hex() for e in expected]
+        again = RowSpace.from_json_dict(space.to_json_dict())
+        assert again.norms.tobytes() == space.norms.tobytes()
+
+    def test_norms_of_empty_rows_and_read_only(self):
+        space = RowSpace(ITEMS, {"u1": {}, "u2": {"i2": 3.0, "i1": 4.0}, "u3": {}})
+        assert space.norms.tolist() == [0.0, 5.0, 0.0]
+        with pytest.raises(ValueError):
+            space.norms[0] = 1.0
+
     def test_item_rank_is_the_sorted_order(self):
         space = RowSpace(("c", "a10", "B", "a2"), {"u1": {}})
         assert space.item_rank.tolist() == [3, 1, 0, 2]
@@ -551,6 +576,10 @@ class TestRankItems:
 
     def test_n_exceeding_candidates_returns_all(self):
         assert len(prototype_ranking(("a", "b"), [1.0, 2.0], 10)) == 2
+
+    def test_tie_across_the_cut_keeps_the_smaller_id(self):
+        ranked = prototype_ranking(("d", "c", "b", "a"), [5.0, 3.0, 3.0, 1.0], 2)
+        assert ranked == [("d", 5.0), ("b", 3.0)]
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_n_below_one_returns_nothing(self, n):
@@ -695,9 +724,10 @@ def bits(pairs) -> list[tuple[str, str]]:
 
 def assert_matches_reference(model: PipelineModel, flat: BaselineModel) -> None:
     """Every key's scores and rankings of both systems equal the reference's,
-    bit for bit, for n in {-1, 0, 1, 2, more than the candidates}; so do the
+    bit for bit, for n in {-1, 0, 1, 2, 10, 30, more than the candidates}
+    (10 and 30 are the cutoffs of ``serve`` and ``evaluate``); so do the
     pipeline's ``recommend`` results in labelled and unlabelled situations."""
-    ns = (-1, 0, 1, 2, len(model.space.items) + 1)
+    ns = (-1, 0, 1, 2, 10, 30, len(model.space.items) + 1)
     for system, space, user_model in (
         ("pipeline", model.space, model.user_model),
         ("baseline", flat.space, flat.user_model),

@@ -782,6 +782,14 @@ class TestMeanSimilarity:
         with pytest.raises(EmptyInput):
             mean_similarity(net, [])
 
+    def test_sums_left_to_right(self):
+        """Cosines 1.0 and ten of 1e-16: each 1e-16 is lost against 1.0, as
+        in a plain loop; a compensated sum (the built-in ``sum`` from
+        Python 3.12 on) keeps them."""
+        net = net_from_rows([[1.0, 0.0]], SomConfig(neuron_count=1))
+        inputs = [np.array([1.0, 0.0])] + [np.array([1e-16, 1.0])] * 10
+        assert mean_similarity(net, inputs) == 1.0 / 11
+
     def test_best_of_sweep_never_decreases_with_more_neurons(self):
         distinct = [
             np.array([5.0, 0.0, 0.0, 0.0]),
