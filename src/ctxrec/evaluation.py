@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Mapping, Sequence
 
-from .baseline import fit_baseline
+from .baseline import BaselineModel, flatten_cube
 from .core import RatingCube
 from .errors import EmptyInput, InvalidConfig
-from .pipeline import DEFAULT_PHASE1_NEURONS, DEFAULT_PHASE3_NEURONS, fit_pipeline
+from .pipeline import DEFAULT_PHASE1_NEURONS, DEFAULT_PHASE3_NEURONS, PipelineModel
+from .pipeline import _fit_phase1, _phase1_sweep, build_virtual_space, cluster_virtual_users
 from .rng import derive_seed, permutation
 from .som import SomConfig, _mean
 from . import jsonio
@@ -306,7 +308,10 @@ def neuron_sweep(
     """Try neuron counts for one SOM role; best = highest mean F1@metric_n.
 
     ``role`` is "phase1" or "phase3" (pipeline SOMs) or "baseline" (flat
-    user SOM).  Ties go to the smaller count.
+    user SOM).  Ties go to the smaller count.  Each score equals ``evaluate``
+    of a whole per-count fit, but what the count does not change is fitted
+    once: phases 1 and 2 for "phase3", the flat space for "baseline".
+    "phase1" refits every phase, its phase-3 SOMs in lockstep.
     """
     if role not in ("phase1", "phase3", "baseline"):
         raise InvalidConfig(f"unknown sweep role {role!r}")
@@ -316,18 +321,19 @@ def neuron_sweep(
     if metric_n not in eval_cfg.top_ns:
         raise InvalidConfig(f"metric_n {metric_n} is not in top_ns {eval_cfg.top_ns}")
 
-    scores = []
-    for count in counts:
-        if role == "phase1":
-            model = fit_pipeline(
-                train_cube, replace(phase1_cfg, neuron_count=count), phase3_cfg
-            )
-        elif role == "phase3":
-            model = fit_pipeline(
-                train_cube, phase1_cfg, replace(phase3_cfg, neuron_count=count)
-            )
+    if role == "phase1":
+        cfgs = [replace(phase1_cfg, neuron_count=count) for count in counts]
+        models = _phase1_sweep(train_cube, cfgs, phase3_cfg)
+    else:
+        if role == "phase3":
+            clusterings = _fit_phase1(train_cube, phase1_cfg)
+            space = build_virtual_space(train_cube, clusterings)
+            system = partial(PipelineModel, train_cube.schema, phase1_cfg, clusterings, space)
         else:
-            model = fit_baseline(train_cube, replace(phase3_cfg, neuron_count=count))
-        scores.append(evaluate(model, test, eval_cfg).mean_f1[metric_n])
+            space = flatten_cube(train_cube)
+            system = partial(BaselineModel, train_cube.schema, space)
+        cfgs = [replace(phase3_cfg, neuron_count=count) for count in counts]
+        models = (system(cluster_virtual_users(space, cfg)) for cfg in cfgs)
+    scores = [evaluate(model, test, eval_cfg).mean_f1[metric_n] for model in models]
     best = counts[scores.index(max(scores))]  # the first maximum: ties to the smaller count
     return SweepResult(role, metric_n, counts, tuple(scores), best)

@@ -1,13 +1,15 @@
 """Split, precision/recall/F1, top-N evaluation, per-cluster F1, sweeps."""
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from ctxrec.baseline import fit_baseline
-from ctxrec.datagen import GenConfig, generate
+from ctxrec import pipeline
+from ctxrec.datagen import GenConfig, generate, scaled_config
 from ctxrec.errors import EmptyInput, InvalidConfig
 from ctxrec.evaluation import (
     EvalConfig,
@@ -23,7 +25,7 @@ from ctxrec.evaluation import (
 )
 from ctxrec.pipeline import fit_pipeline
 from ctxrec.rng import derive_seed, permutation
-from ctxrec.som import SomConfig
+from ctxrec.som import SomConfig, train_many
 
 from conftest import make_cube, py_permutation
 
@@ -600,3 +602,69 @@ class TestNeuronSweep:
         lines = result.csv_text().strip().split("\n")
         assert lines[0] == "neuron_count,mean_f1"
         assert len(lines) == 3
+
+
+class TestSweepOracle:
+    """Each role's sweep scores equal, bit for bit, ``evaluate`` of a whole
+    per-count fit: the loop the sweep ran before it fitted each stage once."""
+
+    COUNTS = (2, 3, 5, 6)
+
+    def dataset(self):
+        cube = generate(scaled_config(GenConfig(seed=4), n_users=30, n_items=40))
+        return split(cube, SplitConfig(seed=4))
+
+    def cfgs(self):
+        return (
+            SomConfig(3, epochs=6, seed=5),
+            SomConfig(4, epochs=6, seed=6),
+            EvalConfig(top_ns=(5, 10), sample_users=30),
+        )
+
+    def per_count_models(self, train, role):
+        p1, p3, _ = self.cfgs()
+        for count in self.COUNTS:
+            if role == "phase1":
+                yield fit_pipeline(train, replace(p1, neuron_count=count), p3)
+            elif role == "phase3":
+                yield fit_pipeline(train, p1, replace(p3, neuron_count=count))
+            else:
+                yield fit_baseline(train, replace(p3, neuron_count=count))
+
+    @pytest.mark.parametrize("role", ["phase1", "phase3", "baseline"])
+    def test_scores_equal_per_count_fits(self, role):
+        train, test = self.dataset()
+        p1, p3, ev = self.cfgs()
+        expected = [
+            evaluate(model, test, ev).mean_f1[10] for model in self.per_count_models(train, role)
+        ]
+        assert len(set(expected)) > 1  # the counts give different models
+        result = neuron_sweep(train, test, role, self.COUNTS, p1, p3, ev, metric_n=10)
+        assert result.scores == tuple(expected)
+
+    def test_phase1_lanes_over_several_chunks(self, monkeypatch):
+        train, _ = self.dataset()
+        p1, p3, _ = self.cfgs()
+        expected = list(self.per_count_models(train, "phase1"))
+        rows = [len(model.space.keys) for model in expected]
+        assert len(set(rows)) > 1  # lanes of differing length
+        calls = []
+
+        def recorded(inputs, cfg, seeds):
+            if cfg == p3:  # not a phase-1 block
+                calls.append(len(inputs))
+            return train_many(inputs, cfg, seeds)
+
+        monkeypatch.setattr(pipeline, "train_many", recorded)
+        # the first two lanes fill a chunk
+        monkeypatch.setattr(pipeline, "SWEEP_LANE_BYTES", (rows[0] + rows[1]) * train.p * 8)
+        cfgs = [replace(p1, neuron_count=count) for count in self.COUNTS]
+        models = list(pipeline._phase1_sweep(train, cfgs, p3))
+        assert calls[0] == 2 and len(calls) > 1 and sum(calls) == len(self.COUNTS)
+        for model, want in zip(models, expected, strict=True):
+            assert model.phase1_cfg == want.phase1_cfg
+            assert model.clusterings == want.clusterings
+            assert model.space.to_json_dict() == want.space.to_json_dict()
+            assert model.user_model.som.weights.tobytes() == want.user_model.som.weights.tobytes()
+            assert model.user_model.som.config == want.user_model.som.config
+            assert model.user_model.neurons.tolist() == want.user_model.neurons.tolist()

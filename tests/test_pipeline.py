@@ -998,6 +998,42 @@ class TestFitPipeline:
         serial = fit_pipeline(small_cube, cfg1, cfg3)
         assert pooled.space.to_json_dict() == serial.space.to_json_dict()
 
+    def test_pooled_job_carries_only_its_blocks_ratings(self, small_cube, monkeypatch):
+        """Each pooled job is sent a cube of its own block's users and their
+        ratings alone, not the whole training cube."""
+        import concurrent.futures
+
+        sent = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cubes):
+                for cube in cubes:
+                    sent.append(cube)
+                    yield fn(cube)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(pipeline.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(pipeline, "PHASE1_BLOCK", 4)
+        cfg1 = SomConfig(DEFAULT_PHASE1_NEURONS, epochs=10)
+        pooled = fit_pipeline(small_cube, cfg1, SomConfig(6, epochs=10), workers=2)
+        users = [u for u in sorted(small_cube.users) if small_cube.user_ratings(u)]
+        blocks = pipeline._phase1_blocks(small_cube, users, workers=2)
+        assert [cube.users for cube in sent] == [tuple(block) for block in blocks]
+        cells = small_cube.cells()
+        for cube in sent:
+            assert cube.items == small_cube.items
+            assert cube.cells() == {k: v for k, v in cells.items() if k[0] in cube.users}
+        assert pooled.clusterings == fit_pipeline(small_cube, cfg1, SomConfig(6, epochs=1)).clusterings
+
     @pytest.mark.parametrize("method", ["spawn", "forkserver"])
     def test_pool_start_method_does_not_change_result(self, small_cube, monkeypatch, method):
         """Workers that start from a fresh import, not a fork of the parent,
@@ -1061,6 +1097,24 @@ class TestPipelinePersistence:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
+
+    def test_empty_space_rejected_at_load(self, small_cube, small_model, tmp_path):
+        """A bundle with no rows fails where phase 3 does: no rows to cluster."""
+        from ctxrec.baseline import fit_baseline, load_baseline, save_baseline
+
+        save_pipeline(small_model, tmp_path / "pipeline")
+        save_baseline(fit_baseline(small_cube, SomConfig(4, epochs=5)), tmp_path / "baseline")
+        for name, load, space, users in (
+            ("pipeline", load_pipeline, "virtual_space.json", "clusterings.json"),
+            ("baseline", load_baseline, "flat_space.json", None),
+        ):
+            path = tmp_path / name / space
+            jsonio.write_json(path, {**jsonio.read_json(path), "rows": []})
+            if users:
+                path = tmp_path / name / users
+                jsonio.write_json(path, {**jsonio.read_json(path), "users": {}})
+            with pytest.raises(EmptyInput, match="no rows to cluster"):
+                load(tmp_path / name)
 
     def corrupt(self, small_model, tmp_path, name, edit):
         save_pipeline(small_model, tmp_path / "bundle")
