@@ -23,7 +23,7 @@ from .baseline import BaselineModel, flatten_cube
 from .core import RatingCube
 from .errors import EmptyInput, InvalidConfig
 from .pipeline import DEFAULT_PHASE1_NEURONS, DEFAULT_PHASE3_NEURONS, PipelineModel
-from .pipeline import _fit_phase1, _phase1_sweep, build_virtual_space, cluster_virtual_users
+from .pipeline import build_virtual_space, cluster_virtual_users, fit_phase1, fit_pipeline
 from .rng import derive_seed, permutation
 from .som import SomConfig, _mean
 from . import jsonio
@@ -308,10 +308,8 @@ def neuron_sweep(
     """Try neuron counts for one SOM role; best = highest mean F1@metric_n.
 
     ``role`` is "phase1" or "phase3" (pipeline SOMs) or "baseline" (flat
-    user SOM).  Ties go to the smaller count.  Each score equals ``evaluate``
-    of a whole per-count fit, but what the count does not change is fitted
-    once: phases 1 and 2 for "phase3", the flat space for "baseline".
-    "phase1" refits every phase, its phase-3 SOMs in lockstep.
+    user SOM).  Ties go to the smaller count.  Scores are those of whole
+    per-count fits; "phase3" fits phases 1-2 once, "baseline" flattens once.
     """
     if role not in ("phase1", "phase3", "baseline"):
         raise InvalidConfig(f"unknown sweep role {role!r}")
@@ -323,10 +321,10 @@ def neuron_sweep(
 
     if role == "phase1":
         cfgs = [replace(phase1_cfg, neuron_count=count) for count in counts]
-        models = _phase1_sweep(train_cube, cfgs, phase3_cfg)
+        models = (fit_pipeline(train_cube, cfg, phase3_cfg) for cfg in cfgs)
     else:
         if role == "phase3":
-            clusterings = _fit_phase1(train_cube, phase1_cfg)
+            clusterings = fit_phase1(train_cube, phase1_cfg)
             space = build_virtual_space(train_cube, clusterings)
             system = partial(PipelineModel, train_cube.schema, phase1_cfg, clusterings, space)
         else:

@@ -18,7 +18,7 @@ import os
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, Hashable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -247,21 +247,22 @@ class UserClusterModel:
     neurons: np.ndarray = field(repr=False, compare=False)
 
 
-def _cluster_model(som: SomNetwork | SomConfig, space: RowSpace) -> UserClusterModel:
-    """The space's rows on the neurons of ``som``: a trained SOM, or the
-    config of one to train on the rows here."""
+def _rows(space: RowSpace) -> np.ndarray:
+    """The space's dense matrix; a space with no rows has nothing to cluster."""
     if not space.keys:
         raise EmptyInput("no rows to cluster")
-    matrix = space.matrix
-    net = train(matrix, som) if isinstance(som, SomConfig) else som
-    return UserClusterModel(net, np.asarray(assign(net, matrix), int))
+    return space.matrix
+
+
+def _cluster_model(net: SomNetwork, space: RowSpace) -> UserClusterModel:
+    return UserClusterModel(net, np.asarray(assign(net, _rows(space)), int))
 
 
 def cluster_virtual_users(
     space: RowSpace, cfg: SomConfig = SomConfig(DEFAULT_PHASE3_NEURONS)
 ) -> UserClusterModel:
     """Phase 3: cluster the rows of a 2-D space (virtual users or plain users)."""
-    return _cluster_model(cfg, space)
+    return _cluster_model(train(_rows(space), cfg), space)
 
 
 def _score(model: UserClusterModel, space: RowSpace, key) -> tuple[np.ndarray, np.ndarray]:
@@ -421,15 +422,13 @@ def _block_cube(cube: RatingCube, users: Sequence[str]) -> RatingCube:
     return RatingCube(cube.schema, users, cube.items, cells)
 
 
-def _fit_phase1(
-    train_cube: RatingCube, cfg: SomConfig, workers: int = 1
+def fit_phase1(
+    train_cube: RatingCube, cfg: SomConfig = SomConfig(DEFAULT_PHASE1_NEURONS), workers: int = 1
 ) -> dict[str, ContextClustering]:
-    """Phase 1: each rating user's clustering, in sorted order, from
-    ``cluster_users`` mapped over lockstep blocks of users.  With
-    ``workers`` > 1 the map runs in a pool of at most ``os.cpu_count()``
-    processes (one per block at most), each job carrying only its block's
-    ratings.  SOM seeds derive from user ids and networks in a block do not
-    interact, so any grouping, worker count or scheduling gives one result."""
+    """Phase 1: ``cluster_users`` mapped over lockstep blocks of users, in a
+    pool of at most ``os.cpu_count()`` processes (each job sent its block's
+    ratings alone) when ``workers`` > 1.  Seeds derive from user ids and a
+    block's networks do not interact: any grouping gives the same result."""
     # the pool starts every worker at its first task: ask for no more than can run
     workers = max(1, min(workers, os.cpu_count() or 1))
     users = [u for u in sorted(train_cube.users) if train_cube.user_ratings(u)]
@@ -439,7 +438,7 @@ def _fit_phase1(
     workers = min(workers, len(blocks))
     job = partial(cluster_users, cfg=cfg)
     if workers == 1:
-        results = list(map(partial(job, train_cube), blocks))
+        results = [job(train_cube, block) for block in blocks]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -457,42 +456,10 @@ def fit_pipeline(
     workers: int = 1,
 ) -> PipelineModel:
     """Run phases 1-3 on a training cube, phase 1 over ``workers`` processes."""
-    clusterings = _fit_phase1(train_cube, phase1_cfg, workers)
+    clusterings = fit_phase1(train_cube, phase1_cfg, workers)
     space = build_virtual_space(train_cube, clusterings)
     user_model = cluster_virtual_users(space, phase3_cfg)
     return PipelineModel(train_cube.schema, phase1_cfg, clusterings, space, user_model)
-
-
-# bytes of dense phase-3 input that a phase-1 sweep stacks into one
-# train_many call, near the phase-1 block's budget: the call holds each
-# lane's (rows x items) matrix and their concatenation.  A 2-15 sweep at
-# 200 x 100 (4.8 MB in all) is one call; at 630 x 400 a lane is 3-4.6 MB,
-# so each trains alone and the peak RSS stays that of one fit.
-SWEEP_LANE_BYTES = 5 * 2**20
-
-
-def _phase1_sweep(
-    train_cube: RatingCube, phase1_cfgs: Sequence[SomConfig], phase3_cfg: SomConfig
-) -> Iterator[PipelineModel]:
-    """``fit_pipeline(train_cube, cfg, phase3_cfg)`` for each phase-1 config,
-    in order.  The phase-3 SOMs of consecutive configs train in one
-    ``train_many`` call while their inputs fit in ``SWEEP_LANE_BYTES``."""
-    lanes: list[PipelineModel] = []  # fitted up to phase 2
-    for cfg in phase1_cfgs:
-        clusterings = _fit_phase1(train_cube, cfg)
-        space = build_virtual_space(train_cube, clusterings)
-        rows = sum(len(lane.space.keys) for lane in lanes) + len(space.keys)
-        if lanes and rows * train_cube.p * 8 > SWEEP_LANE_BYTES:
-            yield from _phase3_lanes(lanes, phase3_cfg)
-            lanes = []
-        lanes.append(PipelineModel(train_cube.schema, cfg, clusterings, space, None))
-    yield from _phase3_lanes(lanes, phase3_cfg)
-
-
-def _phase3_lanes(lanes: list[PipelineModel], cfg: SomConfig) -> list[PipelineModel]:
-    """The models with their phase-3 SOMs, trained in one ``train_many`` call."""
-    nets = train_many([lane.space.matrix for lane in lanes], cfg, [cfg.seed] * len(lanes))
-    return [replace(m, user_model=_cluster_model(net, m.space)) for m, net in zip(lanes, nets)]
 
 
 def _save_bundle(model, directory: str | Path, space_file: str) -> Path:

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from ctxrec.baseline import fit_baseline
-from ctxrec import pipeline
 from ctxrec.datagen import GenConfig, generate, scaled_config
 from ctxrec.errors import EmptyInput, InvalidConfig
 from ctxrec.evaluation import (
@@ -25,7 +24,7 @@ from ctxrec.evaluation import (
 )
 from ctxrec.pipeline import fit_pipeline
 from ctxrec.rng import derive_seed, permutation
-from ctxrec.som import SomConfig, train_many
+from ctxrec.som import SomConfig
 
 from conftest import make_cube, py_permutation
 
@@ -641,30 +640,3 @@ class TestSweepOracle:
         assert len(set(expected)) > 1  # the counts give different models
         result = neuron_sweep(train, test, role, self.COUNTS, p1, p3, ev, metric_n=10)
         assert result.scores == tuple(expected)
-
-    def test_phase1_lanes_over_several_chunks(self, monkeypatch):
-        train, _ = self.dataset()
-        p1, p3, _ = self.cfgs()
-        expected = list(self.per_count_models(train, "phase1"))
-        rows = [len(model.space.keys) for model in expected]
-        assert len(set(rows)) > 1  # lanes of differing length
-        calls = []
-
-        def recorded(inputs, cfg, seeds):
-            if cfg == p3:  # not a phase-1 block
-                calls.append(len(inputs))
-            return train_many(inputs, cfg, seeds)
-
-        monkeypatch.setattr(pipeline, "train_many", recorded)
-        # the first two lanes fill a chunk
-        monkeypatch.setattr(pipeline, "SWEEP_LANE_BYTES", (rows[0] + rows[1]) * train.p * 8)
-        cfgs = [replace(p1, neuron_count=count) for count in self.COUNTS]
-        models = list(pipeline._phase1_sweep(train, cfgs, p3))
-        assert calls[0] == 2 and len(calls) > 1 and sum(calls) == len(self.COUNTS)
-        for model, want in zip(models, expected, strict=True):
-            assert model.phase1_cfg == want.phase1_cfg
-            assert model.clusterings == want.clusterings
-            assert model.space.to_json_dict() == want.space.to_json_dict()
-            assert model.user_model.som.weights.tobytes() == want.user_model.som.weights.tobytes()
-            assert model.user_model.som.config == want.user_model.som.config
-            assert model.user_model.neurons.tolist() == want.user_model.neurons.tolist()

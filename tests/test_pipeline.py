@@ -1032,7 +1032,8 @@ class TestFitPipeline:
         for cube in sent:
             assert cube.items == small_cube.items
             assert cube.cells() == {k: v for k, v in cells.items() if k[0] in cube.users}
-        assert pooled.clusterings == fit_pipeline(small_cube, cfg1, SomConfig(6, epochs=1)).clusterings
+        serial = fit_pipeline(small_cube, cfg1, SomConfig(6, epochs=1))
+        assert pooled.clusterings == serial.clusterings
 
     @pytest.mark.parametrize("method", ["spawn", "forkserver"])
     def test_pool_start_method_does_not_change_result(self, small_cube, monkeypatch, method):
