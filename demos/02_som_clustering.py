@@ -8,13 +8,7 @@ mapping to the same neuron form a cluster.
 
 import numpy as np
 
-from ctxrec.som import (
-    SomConfig,
-    assign,
-    cosine_similarity,
-    mean_similarity,
-    train,
-)
+from ctxrec.som import SomConfig, assign, mean_similarity, train
 
 
 def main():
@@ -34,12 +28,14 @@ def main():
     print(f"labels:   {labels}")
     print(f"planted:  {[0] * 6 + [1] * 6}  (any consistent relabeling is fine)")
 
-    # best-matching unit = highest cosine similarity, ties to the lowest index
+    # best-matching unit = highest cosine similarity W @ x / (|W| |x|), ties
+    # to the lowest index
     x = inputs[0]
     bmu = assign(net, [x])[0]
-    sims = [cosine_similarity(x, w) for w in net.weights]
+    w = net.weights
+    sims = w @ x / (np.linalg.norm(w, axis=1) * np.linalg.norm(x))
     print(f"\nfirst input matches neuron {bmu}; similarities "
-          f"{[round(s, 3) for s in sims]}")
+          f"{sims.round(3).tolist()}")
 
     # quality knob: how many neurons does this data want?
     print("\nmean similarity to own neuron, by neuron count:")

@@ -35,13 +35,6 @@ DEFAULT_PHASE3_NEURONS = 21
 VirtualUserId = tuple[str, int]
 
 
-def aggregate(values: Sequence[float]) -> float:
-    """Arithmetic mean of rating values (the built-in aggregator)."""
-    if len(values) == 0:
-        raise EmptyInput("cannot aggregate zero ratings")
-    return _mean([float(v) for v in values])
-
-
 @dataclass(frozen=True)
 class ContextClustering:
     """Phase-1 result for one user: situation flat index -> label in 1..m."""
@@ -215,7 +208,7 @@ def _average_rows(cube: RatingCube, row_key: Callable[[str, int], Hashable]) -> 
             for item, rating in ratings.items():
                 row.setdefault(item, []).append(rating)
     rows = {
-        key: {item: aggregate(ratings) for item, ratings in values[key].items()}
+        key: {item: _mean([float(v) for v in ratings]) for item, ratings in values[key].items()}
         for key in sorted(values)
     }
     return RowSpace(cube.items, rows)
@@ -254,15 +247,16 @@ def _rows(space: RowSpace) -> np.ndarray:
     return space.matrix
 
 
-def _cluster_model(net: SomNetwork, space: RowSpace) -> UserClusterModel:
-    return UserClusterModel(net, np.asarray(assign(net, _rows(space)), int))
+def _cluster_model(net: SomNetwork, matrix: np.ndarray) -> UserClusterModel:
+    return UserClusterModel(net, np.asarray(assign(net, matrix), int))
 
 
 def cluster_virtual_users(
     space: RowSpace, cfg: SomConfig = SomConfig(DEFAULT_PHASE3_NEURONS)
 ) -> UserClusterModel:
     """Phase 3: cluster the rows of a 2-D space (virtual users or plain users)."""
-    return _cluster_model(train(_rows(space), cfg), space)
+    matrix = _rows(space)
+    return _cluster_model(train(matrix, cfg), matrix)
 
 
 def _score(model: UserClusterModel, space: RowSpace, key) -> tuple[np.ndarray, np.ndarray]:
@@ -493,7 +487,7 @@ def _load_bundle(directory: str | Path, space_file: str):
     stored = space.values
     if not np.all((stored >= schema.rating_min) & (stored <= schema.rating_max)):
         raise CorruptFile(f"{space_path} holds a rating outside the schema's range")
-    return schema, space, _cluster_model(net, space)
+    return schema, space, _cluster_model(net, _rows(space))
 
 
 def _clusterings_from_json(

@@ -93,22 +93,6 @@ class SomNetwork:
         return self.weights.shape[1]
 
 
-def cosine_similarity(x: Sequence[float], w: Sequence[float]) -> float:
-    """Cosine of the angle between two nonnegative vectors, in [0, 1].
-
-    Defined as 0 when either vector is all-zero (such a vector has no
-    direction, so it never wins a best-match comparison).
-    """
-    xa = np.asarray(x, dtype=np.float64)
-    wa = np.asarray(w, dtype=np.float64)
-    if xa.shape != wa.shape:
-        raise LengthMismatch(f"vector lengths differ: {xa.shape} vs {wa.shape}")
-    denom = float(np.linalg.norm(xa)) * float(np.linalg.norm(wa))
-    if denom == 0.0:
-        return 0.0
-    return float(np.dot(xa, wa)) / denom
-
-
 def _cosines(weights, weight_norms, x, x_norms) -> np.ndarray:
     """(k, N) cosine similarities of each input ``x[i]`` (k, p) to the rows of
     ``weights[i]`` (k, N, p), or of every input to the rows of ``weights[0]``
@@ -312,22 +296,25 @@ def train_many(
     return nets
 
 
-def assign(net: SomNetwork, inputs: np.ndarray) -> list[int]:
-    """BMU index for each input row (highest cosine similarity, ties to the
-    lowest index); identical inputs get identical labels."""
+def _input_cosines(net: SomNetwork, inputs: np.ndarray) -> np.ndarray:
+    """(n, N) cosine similarities of each input row to the weight rows."""
     matrix = _as_input_matrix(inputs)
     if matrix.shape[1] != net.p:
         raise LengthMismatch(f"input length {matrix.shape[1]} != {net.p}")
     weights = net.weights[None]
-    sims = _cosines(weights, _weight_norms(weights), matrix, _row_norms(matrix))
-    return sims.argmax(axis=1).tolist()
+    return _cosines(weights, _weight_norms(weights), matrix, _row_norms(matrix))
+
+
+def assign(net: SomNetwork, inputs: np.ndarray) -> list[int]:
+    """BMU index for each input row (highest cosine similarity, ties to the
+    lowest index); identical inputs get identical labels."""
+    return _input_cosines(net, inputs).argmax(axis=1).tolist()
 
 
 def mean_similarity(net: SomNetwork, inputs: np.ndarray) -> float:
-    """Mean cosine similarity between inputs and their BMU rows."""
-    matrix = _as_input_matrix(inputs)
-    bmus = assign(net, matrix)
-    return _mean([cosine_similarity(x, net.weights[b]) for x, b in zip(matrix, bmus)])
+    """Mean cosine similarity between inputs and their BMU rows: the mean
+    of each input's largest cosine."""
+    return _mean(_input_cosines(net, inputs).max(axis=1).tolist())
 
 
 def _mean(values: Sequence[float]) -> float:

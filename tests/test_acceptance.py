@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from ctxrec.baseline import fit_baseline
+from ctxrec.baseline import fit_baseline, flatten_cube
 from ctxrec.cli import main as cli_main
 from ctxrec.core import RatingCube, default_schema
 from ctxrec.datagen import GenConfig, generate, scaled_config, write_dataset
@@ -26,8 +26,8 @@ from ctxrec.evaluation import (
     precision_recall,
     split,
 )
-from ctxrec.pipeline import aggregate, fit_pipeline
-from ctxrec.som import SomConfig, cosine_similarity, train
+from ctxrec.pipeline import fit_pipeline
+from ctxrec.som import SomConfig, SomNetwork, mean_similarity, train
 
 from conftest import make_cube, py_weights, tiny_schema
 
@@ -187,7 +187,11 @@ class TestCriterion1FormulaOracles:
         start = time.monotonic()
         rng = np.random.default_rng(1)
 
-        # cosine similarity vs math.fsum/sqrt recomputation
+        # the SOM kernel's cosine vs math.fsum/sqrt recomputation: the mean
+        # similarity of one input to a one-neuron network is that cosine
+        def cosine(x, w) -> float:
+            return mean_similarity(SomNetwork(np.array([w], float), SomConfig(1)), [x])
+
         checked = 0
         for _ in range(24):
             x = rng.uniform(0.0, 5.0, int(rng.integers(2, 9)))
@@ -195,10 +199,10 @@ class TestCriterion1FormulaOracles:
             dot = math.fsum(float(a) * float(b) for a, b in zip(x, w))
             nx = math.sqrt(math.fsum(float(a) * float(a) for a in x))
             nw = math.sqrt(math.fsum(float(b) * float(b) for b in w))
-            assert abs(cosine_similarity(x, w) - dot / (nx * nw)) < TOL
+            assert abs(cosine(x, w) - dot / (nx * nw)) < TOL
             checked += 1
-        assert abs(cosine_similarity([1, 2, 0], [2, 1, 0]) - 0.8) < TOL
-        assert cosine_similarity([1, 0], [0, 1]) == 0.0
+        assert abs(cosine([1, 2, 0], [2, 1, 0]) - 0.8) < TOL
+        assert cosine([1, 0], [0, 1]) == 0.0
 
         # f1 vs exact rational arithmetic
         for _ in range(24):
@@ -227,12 +231,18 @@ class TestCriterion1FormulaOracles:
             assert abs(r - hits / len(relevant)) < TOL
         assert precision_recall(["a", "b"], {"a"}) == (0.5, 1.0)
 
-        # aggregate vs exact rational mean
+        # phase 2's cell mean vs exact rational mean: one user rates one item
+        # in k situations, and the flattened cube holds their mean
+        def cell_mean(values) -> float:
+            cells = {("u", flat, "i"): v for flat, v in enumerate(values)}
+            cube = RatingCube(default_schema(), ["u"], ["i"], cells)
+            return flatten_cube(cube).ratings_of("u")["i"]
+
         for _ in range(24):
             values = [int(v) for v in rng.integers(1, 6, int(rng.integers(1, 8)))]
             expected = float(Fraction(sum(values), len(values)))
-            assert abs(aggregate(values) - expected) < TOL
-        assert abs(aggregate([1, 2, 2]) - 5.0 / 3.0) < TOL
+            assert abs(cell_mean(values) - expected) < TOL
+        assert abs(cell_mean([1, 2, 2]) - 5.0 / 3.0) < TOL
 
         elapsed = time.monotonic() - start
         assert elapsed < 1.0, f"criterion 1 took {elapsed:.2f}s (budget 1s)"

@@ -1,6 +1,8 @@
-"""Every demo script runs to completion from an empty working directory."""
+"""Every demo script runs to completion from an empty working directory, and
+README's imports resolve."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README = ROOT / "README.md"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[path.name for path in DEMOS])
@@ -28,3 +31,21 @@ def test_demo_runs(demo, tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert "Traceback" not in result.stdout + result.stderr
+
+
+def test_readme_imports():
+    """Every ``from ctxrec... import ...`` line of README's Python blocks
+    runs, and the package root exports only the two names README uses."""
+    import ctxrec
+
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    lines = [
+        line
+        for block in blocks
+        for line in block.splitlines()
+        if re.match(r"from ctxrec(\.\w+)* import ", line)
+    ]
+    assert lines
+    for line in lines:
+        exec(line, {})
+    assert ctxrec.__all__ == ["CtxRecError", "load_pipeline"]

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctxrec.baseline import BaselineModel, fit_baseline, flatten_cube
-from ctxrec.core import default_schema
+from ctxrec.core import RatingCube, default_schema
 from ctxrec.datagen import GenConfig, generate
 from ctxrec import jsonio
 from ctxrec.errors import CorruptFile, EmptyInput, InvalidConfig, UnknownUser
@@ -26,7 +26,6 @@ from ctxrec.pipeline import (
     ContextClustering,
     PipelineModel,
     RowSpace,
-    aggregate,
     build_virtual_space,
     cluster_user_contexts,
     cluster_users,
@@ -37,7 +36,7 @@ from ctxrec.pipeline import (
     save_pipeline,
 )
 from ctxrec.rng import derive_seed
-from ctxrec.som import SomConfig, SomNetwork, assign, cosine_similarity, train
+from ctxrec.som import SomConfig, SomNetwork, assign, train
 
 from conftest import make_cube, tiny_schema
 
@@ -58,24 +57,38 @@ def small_model(small_cube):
     )
 
 
+def cell_mean(ratings) -> float:
+    """Phase 2's cell for one user who rated item i1 once in each of the
+    first ``len(ratings)`` situations, all under label 1.  The flat
+    baseline's cell of the same cube is taken through the same path and
+    must agree."""
+    cells = {("u1", flat, "i1"): rating for flat, rating in enumerate(ratings)}
+    cube = RatingCube(default_schema(), ["u1"], ["i1"], cells)
+    clustering = ContextClustering("u1", {flat: 1 for flat in range(len(ratings))}, 1)
+    value = build_virtual_space(cube, {"u1": clustering}).ratings_of(("u1", 1))["i1"]
+    assert flatten_cube(cube).ratings_of("u1")["i1"] == value
+    return value
+
+
 class TestAggregate:
     def test_single_value(self):
-        assert aggregate([3]) == 3.0
+        assert cell_mean([3]) == 3.0
 
     def test_pair(self):
-        assert aggregate([2, 4]) == 3.0
+        assert cell_mean([2, 4]) == 3.0
 
     def test_non_integer_mean(self):
-        assert aggregate([1, 2, 2]) == pytest.approx(5.0 / 3.0, abs=1e-15)
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyInput, match="cannot aggregate zero ratings"):
-            aggregate([])
+        assert cell_mean([1, 2, 2]) == pytest.approx(5.0 / 3.0, abs=1e-15)
 
     def test_sums_left_to_right(self):
-        """Each 1e-16 is lost against 1.0, as in a plain loop; a compensated
-        sum (the built-in ``sum`` from Python 3.12 on) keeps them."""
-        assert aggregate([1.0] + [1e-16] * 10) == 1.0 / 11
+        """Ratings 1, 1 + 2**-52 and 1 + 2**-52 in ascending situation
+        order: added left to right from 0.0, each 2**-52 is rounded away
+        (ties to even) and the mean is 1.0.  A compensated sum (the
+        built-in ``sum`` from Python 3.12 on), or adding the two
+        1 + 2**-52 first, gives 1 + 2**-52.  The cube checks only the
+        rating range, so non-integer ratings show the order that integer
+        ratings, which sum exactly, cannot."""
+        assert cell_mean([1.0, 1.0 + 2.0**-52, 1.0 + 2.0**-52]) == 1.0
 
 
 class TestContextClustering:
@@ -474,6 +487,17 @@ class TestClusterVirtualUsers:
         with pytest.raises(EmptyInput, match="no rows to cluster"):
             cluster_virtual_users(space, SomConfig(2))
 
+    def test_dense_matrix_built_once(self, small_model, monkeypatch):
+        """Training and ``assign`` share one dense matrix of the space."""
+        reads = []
+        dense = RowSpace.matrix.fget
+        monkeypatch.setattr(
+            RowSpace, "matrix", property(lambda space: reads.append(1) or dense(space))
+        )
+        model = cluster_virtual_users(small_model.space, SomConfig(4, epochs=2))
+        assert len(reads) == 1
+        assert model.neurons.tolist() == assign(model.som, dense(small_model.space))
+
     def test_membership_matches_som_assignment(self, small_model):
         from ctxrec.som import assign
 
@@ -486,6 +510,12 @@ class TestClusterVirtualUsers:
         model = small_model.user_model
         assert [f.name for f in fields(model)] == ["som", "neurons"]
         assert model.neurons.tolist() == assign(model.som, small_model.space.matrix)
+
+
+def cosine(x, w) -> float:
+    """Cosine of two vectors, 0 when either is all-zero."""
+    denom = float(np.linalg.norm(x)) * float(np.linalg.norm(w))
+    return float(np.dot(x, w)) / denom if denom else 0.0
 
 
 def scores_of(model, space, key) -> dict[str, float]:
@@ -533,7 +563,7 @@ class TestPredictScores:
             for item, got in scores.items():
                 pairs = [
                     (
-                        cosine_similarity(own_vec, space.matrix[space.row(k)]),
+                        cosine(own_vec, space.matrix[space.row(k)]),
                         space.ratings_of(k)[item],
                     )
                     for k in peers
@@ -562,7 +592,7 @@ def prototype_ranking(items, weights, n, rated=None) -> list[tuple[str, float]]:
     ``weights`` on the items it has not ``rated``."""
     space = RowSpace(items, {("u1", 1): rated or {}})
     net = SomNetwork(np.array([weights], dtype=np.float64), SomConfig(1))
-    return pipeline._ranked(pipeline._cluster_model(net, space), space, ("u1", 1), n)
+    return pipeline._ranked(pipeline._cluster_model(net, space.matrix), space, ("u1", 1), n)
 
 
 class TestRankItems:
@@ -774,10 +804,10 @@ def scored_systems(schema, items, users_m, flats, matrix, weights):
     }
     net = SomNetwork(np.asarray(weights, dtype=np.float64), SomConfig(len(weights)))
     space = RowSpace(items, rows_of(keys, items, matrix))
-    user_model = pipeline._cluster_model(net, space)
+    user_model = pipeline._cluster_model(net, space.matrix)
     model = PipelineModel(schema, SomConfig(2), clusterings, space, user_model)
     flat_space = RowSpace(items, rows_of([f"f{r}" for r in range(len(keys))], items, matrix))
-    flat_model = pipeline._cluster_model(net, flat_space)
+    flat_model = pipeline._cluster_model(net, flat_space.matrix)
     return model, BaselineModel(schema, flat_space, flat_model)
 
 
