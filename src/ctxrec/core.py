@@ -215,6 +215,9 @@ class RatingCube:
                 raise InvalidConfig(f"cell item {item!r} not in item list")
             if not 0 <= flat < schema.situation_count:
                 raise InvalidConfig(f"cell situation {flat} out of range")
+            # exactly an int (so no bool) or a numpy integer: what load_ratings reads back
+            if type(rating) is not int and not isinstance(rating, np.integer):
+                raise MalformedRow(f"rating {rating!r} is not an integer")
             if not schema.rating_min <= rating <= schema.rating_max:
                 raise MalformedRow(
                     f"rating {rating} outside "

@@ -15,7 +15,7 @@ two systems differ only in how the 2-D space is built.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import Callable, Hashable, Mapping, Sequence
@@ -51,28 +51,17 @@ class ContextClustering:
 
 
 def cluster_user_contexts(
-    cube: RatingCube,
-    user: str,
-    cfg: SomConfig = SomConfig(DEFAULT_PHASE1_NEURONS),
-    net: SomNetwork | None = None,
-    *,
-    _usage: tuple[list[int], np.ndarray] | None = None,
+    user: str, flats: Sequence[int], usage: np.ndarray, net: SomNetwork | None
 ) -> ContextClustering:
-    """Cluster one user's rated situations by usage pattern.
+    """Phase-1 labels of one user's rated situations ``flats``: the BMUs of
+    their usage rows ``usage`` on the user's SOM ``net``, compacted to 1..m.
 
-    The SOM seed is derived from ``cfg.seed`` and the user id, so per-user
-    networks are independent of the order users are processed in.  ``net``
-    is the user's SOM when it was already trained with a block of users
-    (``cluster_users``, which also passes the usage matrix it built);
-    otherwise it is trained here.  A user who rated in one situation gets
-    label 1 without a SOM, the label any SOM gives one input.
+    ``cluster_users`` trains ``net``.  A user who rated in one situation
+    gets label 1 without a SOM, the label any SOM gives one input.
     """
-    flats, matrix = _usage_matrix(cube, user) if _usage is None else _usage
     if len(flats) == 1:
         return ContextClustering(user, {flats[0]: 1}, 1)
-    if net is None:
-        net = train(matrix, replace(cfg, seed=_phase1_seed(cfg, user)))
-    raw = assign(net, matrix)
+    raw = assign(net, usage)
     occupied = sorted(set(raw))
     label_of = {neuron: i + 1 for i, neuron in enumerate(occupied)}
     labels = {flat: label_of[neuron] for flat, neuron in zip(flats, raw)}
@@ -81,28 +70,27 @@ def cluster_user_contexts(
 
 def cluster_users(
     cube: RatingCube,
-    users: Sequence[str] | None = None,
+    users: Sequence[str],
     cfg: SomConfig = SomConfig(DEFAULT_PHASE1_NEURONS),
 ) -> dict[str, ContextClustering]:
-    """Phase 1 for a block of users (by default the cube's), the SOMs of
-    those who rated in two or more situations trained in lockstep.
+    """Phase 1 for a block of users: each user's rated situations clustered
+    by usage pattern, the SOMs of those who rated in two or more situations
+    trained in lockstep.
 
-    Each user's clustering is exactly ``cluster_user_contexts(cube, user,
-    cfg)``: the networks of one ``train_many`` call do not interact.
+    A user's SOM seed derives from ``cfg.seed`` and the user id, and the
+    networks of one ``train_many`` call do not interact, so no clustering
+    depends on the block it was trained in: one user's is
+    ``cluster_users(cube, [user], cfg)[user]``.
     """
-    users = cube.users if users is None else users
     usages = [_usage_matrix(cube, user) for user in users]
     trained = [k for k, (flats, _) in enumerate(usages) if len(flats) > 1]
-    inputs, seeds = [usages[k][1] for k in trained], [_phase1_seed(cfg, users[k]) for k in trained]
+    inputs = [usages[k][1] for k in trained]
+    seeds = [derive_seed(cfg.seed, "phase1", users[k]) for k in trained]
     nets = dict(zip(trained, train_many(inputs, cfg, seeds))) if trained else {}
     return {
-        user: cluster_user_contexts(cube, user, cfg, nets.get(k), _usage=usages[k])
+        user: cluster_user_contexts(user, *usages[k], nets.get(k))
         for k, user in enumerate(users)
     }
-
-
-def _phase1_seed(cfg: SomConfig, user: str) -> int:
-    return derive_seed(cfg.seed, "phase1", user)
 
 
 def _usage_matrix(cube: RatingCube, user: str) -> tuple[list[int], np.ndarray]:
@@ -438,7 +426,7 @@ def fit_phase1(
 
         cubes = [_block_cube(train_cube, block) for block in blocks]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, cubes))
+            results = list(pool.map(job, cubes, blocks))
     by_user = {user: c for result in results for user, c in result.items()}
     return {user: by_user[user] for user in users}
 

@@ -276,7 +276,7 @@ class TestCriterion2SomContraction:
 class TestCriterion3CollapseEquivalence:
     def test_criterion_3_collapse_equivalence(self):
         from ctxrec.baseline import flatten_cube
-        from ctxrec.pipeline import build_virtual_space, cluster_user_contexts
+        from ctxrec.pipeline import build_virtual_space, cluster_users
 
         start = time.monotonic()
         for seed in range(50):
@@ -286,10 +286,7 @@ class TestCriterion3CollapseEquivalence:
             som_seed = 1000 + seed
             n_neurons = min(4, len(train.users))
 
-            clusterings = {
-                user: cluster_user_contexts(train, user, SomConfig(6, seed=som_seed))
-                for user in train.users
-            }
+            clusterings = cluster_users(train, train.users, SomConfig(6, seed=som_seed))
             space = build_virtual_space(train, clusterings)
             flat = flatten_cube(train)
 

@@ -176,6 +176,27 @@ class TestRatingCube:
         with pytest.raises(MalformedRow, match=r"rating 7 outside \[1, 5\]"):
             make_cube(schema2x2, [("u1", "i1", ("a", "x"), 7)])
 
+    @pytest.mark.parametrize("rating", [3.5, 4.0, True])
+    def test_non_integer_rating_rejected(self, schema2x2, rating):
+        """A cube holds what ``load_ratings`` reads back from its CSV: a
+        float (even a whole one) or a bool would be written as ``3.5``,
+        ``4.0`` or ``True``, which that reader refuses."""
+        with pytest.raises(MalformedRow, match=f"rating {rating!r} is not an integer"):
+            make_cube(schema2x2, [("u1", "i1", ("a", "x"), rating)])
+
+    def test_integer_ratings_round_trip(self, schema2x2):
+        cube = make_cube(
+            schema2x2,
+            [
+                ("u1", "i1", ("a", "x"), 5),
+                ("u1", "i2", ("b", "y"), np.int64(2)),
+                ("u2", "i1", ("a", "y"), 1),
+            ],
+        )
+        loaded = load_ratings(io.StringIO(ratings_csv_text(cube)), schema2x2)
+        assert loaded == cube
+        assert ratings_csv_text(loaded) == ratings_csv_text(cube)
+
     def test_same_pair_in_two_situations_is_fine(self, schema2x2):
         cube = make_cube(
             schema2x2,

@@ -1,6 +1,8 @@
-"""Every demo script runs to completion from an empty working directory, and
-README's imports resolve."""
+"""Every demo script runs to completion from an empty working directory,
+README's imports resolve, and every public name of the package is used
+outside the tests."""
 
+import ast
 import os
 import re
 import subprocess
@@ -49,3 +51,28 @@ def test_readme_imports():
     for line in lines:
         exec(line, {})
     assert ctxrec.__all__ == ["CtxRecError", "load_pipeline"]
+
+
+def test_public_names_named_outside_tests():
+    """Every public module-level function and class of ``src/ctxrec`` is
+    named outside its own definition and outside ``tests/``: in another part
+    of ``src/``, in a demo, in ``bench/`` or in a README code block.  A
+    public helper that only tests call fails here."""
+    read = lambda path: path.read_text(encoding="utf-8")
+    sources = {path: read(path) for path in sorted(ROOT.glob("src/ctxrec/*.py"))}
+    elsewhere = [read(path) for path in DEMOS + sorted(ROOT.glob("bench/*.py"))]
+    elsewhere += re.findall(r"```[^\n]*\n(.*?)```", read(README), re.S)
+    unnamed = []
+    for path, text in sources.items():
+        lines = text.splitlines()
+        others = [other for other_path, other in sources.items() if other_path != path]
+        for node in ast.parse(text).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            # the module without the definition's own lines, decorators included
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            rest = "\n".join(lines[: first - 1] + lines[node.end_lineno :])
+            word = re.compile(rf"\b{node.name}\b")
+            if not any(word.search(t) for t in [rest, *others, *elsewhere]):
+                unnamed.append(f"{path.name}: {node.name}")
+    assert unnamed == []

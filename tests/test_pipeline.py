@@ -80,16 +80,6 @@ class TestAggregate:
     def test_non_integer_mean(self):
         assert cell_mean([1, 2, 2]) == pytest.approx(5.0 / 3.0, abs=1e-15)
 
-    def test_sums_left_to_right(self):
-        """Ratings 1, 1 + 2**-52 and 1 + 2**-52 in ascending situation
-        order: added left to right from 0.0, each 2**-52 is rounded away
-        (ties to even) and the mean is 1.0.  A compensated sum (the
-        built-in ``sum`` from Python 3.12 on), or adding the two
-        1 + 2**-52 first, gives 1 + 2**-52.  The cube checks only the
-        rating range, so non-integer ratings show the order that integer
-        ratings, which sum exactly, cannot."""
-        assert cell_mean([1.0, 1.0 + 2.0**-52, 1.0 + 2.0**-52]) == 1.0
-
 
 class TestContextClustering:
     def test_labels_must_be_compacted(self):
@@ -106,10 +96,28 @@ class TestContextClustering:
             ContextClustering("u1", {}, m=m)
 
 
+def cluster_one(cube, user: str, cfg: SomConfig = SomConfig(DEFAULT_PHASE1_NEURONS)):
+    """Phase 1 for one user: ``cluster_users`` over a one-user block."""
+    return cluster_users(cube, [user], cfg)[user]
+
+
 class TestClusterUserContexts:
+    def test_labelling_step_compacts_bmus(self):
+        """The labelling step alone, on a hand-built SOM: situations 7, 2
+        and 9 land on neurons 3, 0 and 3, so they get labels 2, 1 and 2."""
+        weights = np.array([[1.0, 0.0], [0.6, 0.8], [0.8, 0.6], [0.0, 1.0]])
+        net = SomNetwork(weights, SomConfig(4))
+        usage = np.array([[0.0, 5.0], [3.0, 0.0], [1.0, 4.0]])
+        c = cluster_user_contexts("u1", [7, 2, 9], usage, net)
+        assert c == ContextClustering("u1", {7: 2, 2: 1, 9: 2}, 2)
+        # one situation: label 1, and no SOM is read
+        assert cluster_user_contexts("u1", [5], usage[:1], None) == ContextClustering(
+            "u1", {5: 1}, 1
+        )
+
     def test_single_situation_single_cluster(self, schema2x2):
         cube = make_cube(schema2x2, [("u1", "i1", ("a", "x"), 4)])
-        c = cluster_user_contexts(cube, "u1")
+        c = cluster_one(cube, "u1")
         flat = schema2x2.situation_from_names(("a", "x")).flat_index
         assert c.m == 1
         assert c.labels == {flat: 1}
@@ -122,7 +130,7 @@ class TestClusterUserContexts:
                 ("u1", "i1", ("a", "y"), 4),
             ],
         )
-        c = cluster_user_contexts(cube, "u1")
+        c = cluster_one(cube, "u1")
         assert len(set(c.labels.values())) == 1
 
     def test_default_config_bounds_m_by_six(self, restaurant_schema):
@@ -133,7 +141,7 @@ class TestClusterUserContexts:
             names = restaurant_schema.value_names(sit)
             rows.append(("u1", f"i{k % 7}", names, 1 + (k % 5)))
         cube = make_cube(restaurant_schema, rows)
-        c = cluster_user_contexts(cube, "u1")
+        c = cluster_one(cube, "u1")
         assert 1 <= c.m <= 6
 
     def test_m_bounded_by_situations_when_fewer_than_neurons(self, schema2x2):
@@ -145,13 +153,13 @@ class TestClusterUserContexts:
                 ("u1", "i3", ("b", "x"), 3),
             ],
         )
-        c = cluster_user_contexts(cube, "u1", SomConfig(neuron_count=8))
+        c = cluster_one(cube, "u1", SomConfig(neuron_count=8))
         assert 1 <= c.m <= 3
 
     def test_unknown_user(self, schema2x2):
         cube = make_cube(schema2x2, [("u1", "i1", ("a", "x"), 4)])
         with pytest.raises(UnknownUser):
-            cluster_user_contexts(cube, "nobody")
+            cluster_one(cube, "nobody")
 
     def test_user_without_ratings(self, schema2x2):
         cube = make_cube(
@@ -161,7 +169,7 @@ class TestClusterUserContexts:
             items=("i1",),
         )
         with pytest.raises(EmptyInput, match="'u2' has no ratings"):
-            cluster_user_contexts(cube, "u2")
+            cluster_one(cube, "u2")
 
     def test_result_independent_of_other_users(self, schema2x2):
         rows_u1 = [
@@ -175,10 +183,7 @@ class TestClusterUserContexts:
             rows_u1 + [("u2", "i2", ("b", "x"), 3)],
             items=("i1", "i2"),
         )
-        assert (
-            cluster_user_contexts(alone, "u1").labels
-            == cluster_user_contexts(crowded, "u1").labels
-        )
+        assert cluster_one(alone, "u1").labels == cluster_one(crowded, "u1").labels
 
 
 def trained_clustering(cube, user: str, cfg: SomConfig) -> ContextClustering:
@@ -207,7 +212,7 @@ class TestClusterUsers:
         monkeypatch.setattr(pipeline, "train_many", no_training)
         for user in single:
             (flat,) = small_cube.user_ratings(user)
-            clustering = cluster_user_contexts(small_cube, user, self.CFG)
+            clustering = cluster_one(small_cube, user, self.CFG)
             assert clustering == ContextClustering(user, {flat: 1}, 1) == expected[user]
         assert cluster_users(small_cube, single, self.CFG) == expected
 
@@ -223,7 +228,7 @@ class TestClusterUsers:
         block = cluster_users(small_cube, users, cfg)
         assert list(block) == users
         for user in users:
-            assert block[user] == cluster_user_contexts(small_cube, user, cfg)
+            assert block[user] == cluster_one(small_cube, user, cfg)
 
     def test_unknown_user_in_block(self, small_cube):
         with pytest.raises(UnknownUser):
@@ -294,7 +299,7 @@ class TestBuildVirtualSpace:
 
     def test_every_rating_lands_in_exactly_one_cell(self, small_cube):
         clusterings = {
-            user: cluster_user_contexts(small_cube, user)
+            user: cluster_one(small_cube, user)
             for user in small_cube.users
             if small_cube.user_ratings(user)
         }
@@ -313,7 +318,7 @@ class TestBuildVirtualSpace:
             n_sits = len(small_cube.user_ratings(user))
             if n_sits == 0:
                 continue
-            c = cluster_user_contexts(small_cube, user)
+            c = cluster_one(small_cube, user)
             assert 1 <= c.m <= min(DEFAULT_PHASE1_NEURONS, n_sits)
 
     def test_values_stay_in_rating_range(self, small_cube, small_model):
@@ -334,9 +339,7 @@ class TestBuildVirtualSpace:
                 ("u2", "i1", ("b", "y"), 3),
             ],
         )
-        clusterings = {
-            user: cluster_user_contexts(cube, user) for user in cube.users
-        }
+        clusterings = cluster_users(cube, cube.users)
         space = build_virtual_space(cube, clusterings)
         flat = flatten_cube(cube)
         assert [key[0] for key in space.keys] == list(flat.keys)
@@ -695,6 +698,74 @@ class TestRecommend:
             recommend(model, space, clusterings, "u3", sit, 5)
 
 
+class TestEvalUnits:
+    """``PipelineModel.eval_units`` on a hand-built model whose test cube
+    holds a rating in a situation the user never rated in training, which
+    no generated split produces."""
+
+    def model_and_test(self):
+        schema = tiny_schema()
+        f = lambda names: schema.situation_from_names(names).flat_index
+        items = ("i1", "i2", "i3", "i4")
+        train_cube = make_cube(
+            schema,
+            [
+                ("u1", "i1", ("a", "x"), 5),
+                ("u1", "i2", ("a", "y"), 4),
+                ("u1", "i3", ("b", "x"), 3),
+                ("u2", "i1", ("a", "x"), 4),
+            ],
+            items=items,
+        )
+        # (a, x) and (b, x) share label 2; (a, y) comes after (a, x) in
+        # flat order but is label 1, so label order is not situation order
+        labels = {f(("a", "x")): 2, f(("a", "y")): 1, f(("b", "x")): 2}
+        clusterings = {
+            "u1": ContextClustering("u1", labels, 2),
+            "u2": ContextClustering("u2", {f(("a", "x")): 1}, 1),
+        }
+        space = build_virtual_space(train_cube, clusterings)
+        user_model = cluster_virtual_users(space, SomConfig(1, seed=0))
+        model = PipelineModel(schema, SomConfig(2), clusterings, space, user_model)
+        test_cube = make_cube(
+            schema,
+            [
+                ("u1", "i2", ("a", "x"), 5),
+                ("u1", "i4", ("a", "x"), 3),  # below the threshold
+                ("u1", "i3", ("a", "y"), 4),
+                ("u1", "i4", ("b", "x"), 4),
+                ("u1", "i1", ("b", "y"), 5),  # (b, y) has no label
+                ("u2", "i2", ("a", "x"), 2),
+            ],
+            users=("u1", "u2"),
+            items=items,
+        )
+        return model, test_cube
+
+    def test_units_group_by_label_in_ascending_order(self):
+        model, test_cube = self.model_and_test()
+        assert model.eval_units("u1", test_cube, 4) == [
+            (("u1", 1), {"i3"}),
+            (("u1", 2), {"i2", "i4"}),
+        ]
+
+    def test_unlabeled_situation_left_out(self):
+        model, test_cube = self.model_and_test()
+        units = model.eval_units("u1", test_cube, 4)
+        assert all("i1" not in relevant for _, relevant in units)
+        # at threshold 5 only (a, x)'s i2 and unlabeled (b, y)'s i1 qualify
+        assert model.eval_units("u1", test_cube, 5) == [(("u1", 2), {"i2"})]
+
+    def test_units_with_nothing_relevant_dropped(self):
+        model, test_cube = self.model_and_test()
+        assert model.eval_units("u2", test_cube, 4) == []
+
+    def test_unknown_user(self):
+        model, test_cube = self.model_and_test()
+        with pytest.raises(UnknownUser, match="no clustering for user 'ghost'"):
+            model.eval_units("ghost", test_cube, 4)
+
+
 def left_sum(values) -> float:
     """A plain left-to-right float sum (``sum`` compensates from Python 3.12)."""
     total = 0.0
@@ -1013,8 +1084,8 @@ class TestFitPipeline:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, blocks):
-                return map(fn, blocks)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(pipeline.os, "cpu_count", lambda: cpus)
@@ -1045,10 +1116,10 @@ class TestFitPipeline:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, cubes):
-                for cube in cubes:
-                    sent.append(cube)
-                    yield fn(cube)
+            def map(self, fn, *iterables):
+                for args in zip(*iterables):
+                    sent.append(args)
+                    yield fn(*args)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(pipeline.os, "cpu_count", lambda: 2)
@@ -1057,9 +1128,9 @@ class TestFitPipeline:
         pooled = fit_pipeline(small_cube, cfg1, SomConfig(6, epochs=10), workers=2)
         users = [u for u in sorted(small_cube.users) if small_cube.user_ratings(u)]
         blocks = pipeline._phase1_blocks(small_cube, users, workers=2)
-        assert [cube.users for cube in sent] == [tuple(block) for block in blocks]
+        assert [(cube.users, block) for cube, block in sent] == [(tuple(b), b) for b in blocks]
         cells = small_cube.cells()
-        for cube in sent:
+        for cube, _ in sent:
             assert cube.items == small_cube.items
             assert cube.cells() == {k: v for k, v in cells.items() if k[0] in cube.users}
         serial = fit_pipeline(small_cube, cfg1, SomConfig(6, epochs=1))
