@@ -393,24 +393,13 @@ def _phase1_blocks(cube: RatingCube, users: list[str], workers: int) -> list[lis
     return [by_count[i : i + size] for i in range(0, len(by_count), size)]
 
 
-def _block_cube(cube: RatingCube, users: Sequence[str]) -> RatingCube:
-    """The cube's ratings by ``users`` alone, over those users and every item."""
-    cells = {
-        (user, flat, item): rating
-        for user in users
-        for flat, ratings in cube.user_ratings(user).items()
-        for item, rating in ratings.items()
-    }
-    return RatingCube(cube.schema, users, cube.items, cells)
-
-
 def fit_phase1(
     train_cube: RatingCube, cfg: SomConfig = SomConfig(DEFAULT_PHASE1_NEURONS), workers: int = 1
 ) -> dict[str, ContextClustering]:
-    """Phase 1: ``cluster_users`` mapped over lockstep blocks of users, in a
-    pool of at most ``os.cpu_count()`` processes (each job sent its block's
-    ratings alone) when ``workers`` > 1.  Seeds derive from user ids and a
-    block's networks do not interact: any grouping gives the same result."""
+    """Phase 1: one ``cluster_users`` job mapped over lockstep blocks of
+    users, in a pool of at most ``os.cpu_count()`` processes when ``workers``
+    > 1.  Seeds derive from user ids and a block's networks do not interact:
+    any grouping gives the same result."""
     # the pool starts every worker at its first task: ask for no more than can run
     workers = max(1, min(workers, os.cpu_count() or 1))
     users = [u for u in sorted(train_cube.users) if train_cube.user_ratings(u)]
@@ -418,15 +407,14 @@ def fit_phase1(
         raise EmptyInput("training cube has no ratings")
     blocks = _phase1_blocks(train_cube, users, workers)
     workers = min(workers, len(blocks))
-    job = partial(cluster_users, cfg=cfg)
+    job = partial(cluster_users, train_cube, cfg=cfg)
     if workers == 1:
-        results = [job(train_cube, block) for block in blocks]
+        results = list(map(job, blocks))
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        cubes = [_block_cube(train_cube, block) for block in blocks]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, cubes, blocks))
+            results = list(pool.map(job, blocks))
     by_user = {user: c for result in results for user, c in result.items()}
     return {user: by_user[user] for user in users}
 

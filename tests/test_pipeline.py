@@ -1099,9 +1099,10 @@ class TestFitPipeline:
         serial = fit_pipeline(small_cube, cfg1, cfg3)
         assert pooled.space.to_json_dict() == serial.space.to_json_dict()
 
-    def test_pooled_job_carries_only_its_blocks_ratings(self, small_cube, monkeypatch):
-        """Each pooled job is sent a cube of its own block's users and their
-        ratings alone, not the whole training cube."""
+    def test_pooled_run_maps_the_serial_job(self, small_cube, monkeypatch):
+        """A pooled run maps one job, bound to the whole training cube, over
+        exactly the blocks the serial run takes: the same calls in other
+        processes."""
         import concurrent.futures
 
         sent = []
@@ -1117,9 +1118,8 @@ class TestFitPipeline:
                 return False
 
             def map(self, fn, *iterables):
-                for args in zip(*iterables):
-                    sent.append(args)
-                    yield fn(*args)
+                sent.append((fn, *iterables))
+                return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(pipeline.os, "cpu_count", lambda: 2)
@@ -1128,11 +1128,12 @@ class TestFitPipeline:
         pooled = fit_pipeline(small_cube, cfg1, SomConfig(6, epochs=10), workers=2)
         users = [u for u in sorted(small_cube.users) if small_cube.user_ratings(u)]
         blocks = pipeline._phase1_blocks(small_cube, users, workers=2)
-        assert [(cube.users, block) for cube, block in sent] == [(tuple(b), b) for b in blocks]
-        cells = small_cube.cells()
-        for cube, _ in sent:
-            assert cube.items == small_cube.items
-            assert cube.cells() == {k: v for k, v in cells.items() if k[0] in cube.users}
+        assert len(sent) == 1 and len(sent[0]) == 2
+        job, mapped = sent[0]
+        assert list(mapped) == blocks
+        assert job.func is pipeline.cluster_users
+        assert len(job.args) == 1 and job.args[0] is small_cube
+        assert job.keywords == {"cfg": cfg1}
         serial = fit_pipeline(small_cube, cfg1, SomConfig(6, epochs=1))
         assert pooled.clusterings == serial.clusterings
 
