@@ -148,7 +148,9 @@ class ContextSchema:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "ContextSchema":
         dims = tuple(ContextDimension(d["name"], d["values"]) for d in data["dimensions"])
-        return cls(dims, int(data["rating_min"]), int(data["rating_max"]))
+        rating_min = jsonio.integer(data["rating_min"], "rating_min")
+        rating_max = jsonio.integer(data["rating_max"], "rating_max")
+        return cls(dims, rating_min, rating_max)
 
 
 def default_schema() -> ContextSchema:

@@ -164,6 +164,6 @@ def write_dataset(cfg: GenConfig, directory: str | Path) -> tuple[Path, Path]:
     return ratings_path, truth_path
 
 
-def scaled_config(cfg: GenConfig, n_users: int, n_items: int, **overrides) -> GenConfig:
+def scaled_config(cfg: GenConfig, n_users: int, n_items: int) -> GenConfig:
     """Convenience: shrink a config for experiments, keeping other knobs."""
-    return replace(cfg, n_users=n_users, n_items=n_items, **overrides)
+    return replace(cfg, n_users=n_users, n_items=n_items)

@@ -84,6 +84,38 @@ def read_json(path: str | Path):
         raise CorruptFile(f"{path} is not valid JSON: {exc}") from None
 
 
+def integer(value, name: str) -> int:
+    """``value`` if it is a JSON integer; a bool, float or string raises."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def numbers(values: Iterable, name: str) -> None:
+    """Raise unless every value is a JSON integer or float (``write_json``
+    writes 1.0 as ``1``): a bool or a string is not a number.  One set of
+    types over all values, cheaper than a call per value on a bundle."""
+    wrong = {type(value) for value in values} - {int, float}
+    if wrong:
+        kinds = ", ".join(sorted(kind.__name__ for kind in wrong))
+        raise TypeError(f"{name} must be numbers, got {kinds}")
+
+
+def number(value, name: str) -> float:
+    """``value`` as a float if it is a JSON integer or float."""
+    numbers((value,), name)
+    return float(value)
+
+
+def index_key(key: str) -> int:
+    """A JSON object key that spells an integer index in canonical decimal:
+    ``"3"``, not ``" 3"``, ``"+3"`` or ``"03"``."""
+    index = int(key)
+    if str(index) != key:
+        raise ValueError(f"index key {key!r} is not a canonical decimal")
+    return index
+
+
 def read_parsed(path: str | Path, parse):
     """A JSON file turned into an object by ``parse``; undecodable contents,
     and any error ``parse`` raises on a wrong shape or value, raise

@@ -176,9 +176,13 @@ class RowSpace:
         rows = data["rows"]
         if not all(isinstance(id_, str) for id_ in [*data["items"], *(r["user"] for r in rows)]):
             raise InvalidConfig("item and user ids must be strings")
-        keys = [(r["user"], int(r["label"])) if "label" in r else r["user"] for r in rows]
+        keys = [
+            (r["user"], jsonio.integer(r["label"], "label")) if "label" in r else r["user"]
+            for r in rows
+        ]
         if len(set(keys)) != len(keys):
             raise InvalidConfig("row keys must be unique")
+        jsonio.numbers((v for r in rows for v in r["ratings"].values()), "stored ratings")
         ratings = {key: r["ratings"] for key, r in zip(keys, rows)}
         return cls(data["items"], ratings)
 
@@ -400,8 +404,10 @@ def fit_phase1(
     users, in a pool of at most ``os.cpu_count()`` processes when ``workers``
     > 1.  Seeds derive from user ids and a block's networks do not interact:
     any grouping gives the same result."""
+    if workers < 1:
+        raise InvalidConfig(f"workers must be >= 1, got {workers}")
     # the pool starts every worker at its first task: ask for no more than can run
-    workers = max(1, min(workers, os.cpu_count() or 1))
+    workers = min(workers, os.cpu_count() or 1)
     users = [u for u in sorted(train_cube.users) if train_cube.user_ratings(u)]
     if not users:
         raise EmptyInput("training cube has no ratings")
@@ -472,8 +478,11 @@ def _clusterings_from_json(
     clusterings = {
         user: ContextClustering(
             user,
-            {int(flat): int(label) for flat, label in entry["labels"].items()},
-            int(entry["m"]),
+            {
+                jsonio.index_key(flat): jsonio.integer(label, "label")
+                for flat, label in entry["labels"].items()
+            },
+            jsonio.integer(entry["m"], "m"),
         )
         for user, entry in data["users"].items()
     }

@@ -68,12 +68,13 @@ class SomConfig:
 
     @classmethod
     def from_json_dict(cls, data) -> "SomConfig":
+        radius0 = data["radius0"]
         return cls(
-            neuron_count=int(data["neuron_count"]),
-            epochs=int(data["epochs"]),
-            alpha0=float(data["alpha0"]),
-            radius0=None if data["radius0"] is None else float(data["radius0"]),
-            seed=int(data["seed"]),
+            neuron_count=jsonio.integer(data["neuron_count"], "neuron_count"),
+            epochs=jsonio.integer(data["epochs"], "epochs"),
+            alpha0=jsonio.number(data["alpha0"], "alpha0"),
+            radius0=None if radius0 is None else jsonio.number(radius0, "radius0"),
+            seed=jsonio.integer(data["seed"], "seed"),
         )
 
 
@@ -335,6 +336,7 @@ def som_to_json_dict(net: SomNetwork) -> dict:
 
 
 def som_from_json_dict(data) -> SomNetwork:
+    jsonio.numbers((v for row in data["weights"] for v in row), "weights")
     weights = np.asarray(data["weights"], dtype=np.float64)
     weights.setflags(write=False)
     return SomNetwork(weights, SomConfig.from_json_dict(data["config"]))

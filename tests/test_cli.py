@@ -198,8 +198,9 @@ class TestSplit:
 # a schema whose first dimension lists its values as one string
 STRING_VALUES_SCHEMA = default_schema().to_json_dict()
 STRING_VALUES_SCHEMA["dimensions"][0]["values"] = "abc"
+SCHEMA = default_schema().to_json_dict()
 # a schema whose integer rating bound is Infinity (the json module writes it)
-INFINITE_BOUND_SCHEMA = {**default_schema().to_json_dict(), "rating_min": float("inf")}
+INFINITE_BOUND_SCHEMA = {**SCHEMA, "rating_min": float("inf")}
 
 
 class TestTrain:
@@ -225,9 +226,14 @@ class TestTrain:
             ({}, "KeyError('dimensions')"),
             ([], "TypeError"),
             ({"rating_min": 1, "rating_max": 5}, "KeyError('dimensions')"),
-            (INFINITE_BOUND_SCHEMA, "OverflowError"),
+            (INFINITE_BOUND_SCHEMA, "rating_min must be an integer, got inf"),
+            ({**SCHEMA, "rating_min": 1.7}, "rating_min must be an integer, got 1.7"),
+            ({**SCHEMA, "rating_max": "5"}, "rating_max must be an integer, got '5'"),
         ],
-        ids=["string-values", "empty-object", "empty-list", "missing-key", "infinite-bound"],
+        ids=[
+            "string-values", "empty-object", "empty-list", "missing-key", "infinite-bound",
+            "float-bound", "string-bound",
+        ],
     )
     def test_schema_of_wrong_shape_is_data_error(
         self, dataset, tmp_path, capsys, command, schema, message
@@ -504,6 +510,11 @@ class TestRecommend:
         assert repr(name) in err
 
 
+def keys_prefixed(prefix):
+    """An edit that puts ``prefix`` before every key of a mapping."""
+    return lambda mapping: {prefix + key: value for key, value in mapping.items()}
+
+
 class TestCorruptBundle:
     """A bundle file cut short is a data error (exit 2, one message line)."""
 
@@ -637,6 +648,51 @@ class TestCorruptBundle:
         data = replaced(jsonio.read_json(bundle / name), path, float("inf"))
         (bundle / name).write_text(json.dumps(data))
         code = self.run_on(command, bundle, dataset, tmp_path)
+        self.assert_one_error_line(capsys, code, name)
+
+    @pytest.mark.parametrize(
+        "name, path, new",
+        [
+            ("clusterings.json", ("users", "u001", "labels", ...), lambda v: v + 0.7),
+            ("clusterings.json", ("users", "u001", "m"), lambda v: v + 0.5),
+            ("clusterings.json", ("users", "u001", "labels"), keys_prefixed(" ")),
+            ("clusterings.json", ("users", "u001", "labels"), keys_prefixed("+")),
+            ("clusterings.json", ("users", "u001", "labels"), keys_prefixed("0")),
+            ("clusterings.json", ("phase1_config", "alpha0"), str),
+            ("user_som.json", ("config", "epochs"), lambda v: v + 0.9),
+            ("user_som.json", ("config", "seed"), lambda v: True),
+            ("user_som.json", ("config", "neuron_count"), str),
+            ("user_som.json", ("weights", 0, 0), lambda v: "0.5"),
+            ("user_som.json", ("weights", 0, 0), lambda v: True),
+            ("virtual_space.json", ("rows", 0, "label"), lambda v: v + 0.5),
+            ("virtual_space.json", ("rows", 0, "ratings", ...), str),
+            ("schema.json", ("rating_min",), lambda v: v + 0.7),
+            ("schema.json", ("rating_max",), str),
+        ],
+        ids=[
+            "label-float", "m-float", "flat-key-space", "flat-key-plus", "flat-key-zero",
+            "alpha0-string", "epochs-float", "seed-bool", "neuron-count-string",
+            "weight-string", "weight-bool", "row-label-float", "rating-string",
+            "rating-min-float", "rating-max-string",
+        ],
+    )
+    def test_integer_or_number_of_the_wrong_type(
+        self, dataset, pipeline_bundle, tmp_path, capsys, name, path, new
+    ):
+        """A value that int() or float() would coerce is refused: an integer
+        field takes a JSON integer, a number field an integer or a float, and
+        a flat-index key is a canonical decimal."""
+        bundle = tmp_path / "model"
+        shutil.copytree(pipeline_bundle, bundle)
+        data = jsonio.read_json(bundle / name)
+        *inner, last = path
+        node = data
+        for key in inner:
+            node = node[next(iter(node)) if key is ... else key]
+        last = next(iter(node)) if last is ... else last
+        node[last] = new(node[last])
+        (bundle / name).write_text(json.dumps(data))
+        code = self.run_on("recommend", bundle, dataset, tmp_path)
         self.assert_one_error_line(capsys, code, name)
 
     @pytest.mark.parametrize("command", ["recommend", "eval"])
@@ -893,7 +949,7 @@ class TestFlagsBeforeFiles:
 
 # what the fuzz test writes over one CSV field or one bundle JSON value
 FIELD_SWAPS = ("", "x", "NaN", "-1")
-VALUE_SWAPS = ({}, [], None, float("nan"), float("inf"))
+VALUE_SWAPS = ({}, [], None, float("nan"), float("inf"), 1.5, True, "1")
 
 
 def run_captured(*argv) -> tuple[object, str]:

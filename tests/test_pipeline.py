@@ -30,6 +30,7 @@ from ctxrec.pipeline import (
     cluster_user_contexts,
     cluster_users,
     cluster_virtual_users,
+    fit_phase1,
     fit_pipeline,
     load_pipeline,
     recommend,
@@ -1042,6 +1043,13 @@ class TestFitPipeline:
             == parallel.user_model.som.weights.tobytes()
         )
         assert serial.user_model.neurons.tolist() == parallel.user_model.neurons.tolist()
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_worker_count_below_one_rejected(self, small_cube, workers):
+        with pytest.raises(InvalidConfig, match="workers"):
+            fit_phase1(small_cube, workers=workers)
+        with pytest.raises(InvalidConfig, match="workers"):
+            fit_pipeline(small_cube, workers=workers)
 
     @pytest.mark.parametrize("block", [1, 4])
     def test_block_size_does_not_change_result(self, small_cube, monkeypatch, block):
