@@ -20,6 +20,8 @@ of ``config.seed``); for N neurons, p inputs and n rows:
 
 Both are integer arithmetic only, so they are identical on every CPU; what
 can differ between BLAS kernels is the products that training computes.
+At the end of every epoch each weight below 2**-1022 (the smallest normal
+float64) in magnitude is set to 0.0, as subnormal arithmetic is slow.
 ``train_many`` trains many same-shaped networks in lockstep; each one is
 bit-identical to training it alone, and ``train`` is its one-network case.
 """
@@ -35,6 +37,8 @@ import numpy as np
 from .errors import EmptyInput, InvalidConfig, LengthMismatch
 from .rng import splitmix64_at
 from . import jsonio
+
+_TINY = np.finfo(np.float64).tiny  # 2**-1022, the smallest normal float64
 
 
 @dataclass(frozen=True)
@@ -186,7 +190,8 @@ def train(inputs: np.ndarray, cfg: SomConfig) -> SomNetwork:
     rectangular radius ``round(radius0 * (1 - e / epochs))`` (half-up), and
     presents the inputs in its own order; the initial weights and the
     orders are the SplitMix64 counter outputs of ``cfg.seed`` that the
-    module docstring lists.
+    module docstring lists.  Each epoch ends by setting every weight below
+    2**-1022 in magnitude to 0.0.
     """
     return train_many([inputs], cfg, [cfg.seed])[0]
 
@@ -201,8 +206,9 @@ def train_many(
     the counter outputs of ``seeds[k]`` alone, drawn for every network at
     once as ``uint64`` arrays (the weights in one expression, the orders one
     epoch at a time), and the batched similarity and update arithmetic is
-    the per-network arithmetic, element for element.  The networks are kept
-    as one ``(lanes, neurons, p)`` tensor, ordered by descending input
+    the per-network arithmetic, element for element, as is the epoch-end
+    flush of subnormal weights, over every lane at once.  The networks are
+    kept as one ``(lanes, neurons, p)`` tensor, ordered by descending input
     count, so the lanes that still present an input at step ``k`` of an
     epoch are a prefix.  Raises ``InvalidConfig`` when numpy cannot create
     the weight array.
@@ -289,6 +295,10 @@ def train_many(
                 hood += step
                 squares = np.multiply(hood, hood, out=step)
                 np.sqrt(np.add.reduce(squares, axis=1, out=hood_norms), out=hood_norms)
+        # a subnormal squares to exactly 0, so no norm moves; the min skips
+        # the scan where no weight is below _TINY, as in phase-1 blocks
+        if weights.min() < _TINY:
+            weights[np.abs(weights) < _TINY] = 0.0
 
     weights.setflags(write=False)
     nets = [None] * lanes

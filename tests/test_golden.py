@@ -37,7 +37,7 @@ COMPARE_JSON_SHA256 = "e09ae39abe3ccbd89cbe90d55c5adc7900acd6d757ae309be03ae3019
 PIPELINE_BUNDLE_SHA256 = {
     "clusterings.json": "965aae43da7ba4a383fce383168dbcdff96fe7c4c3b2e83f3eebae6f644153ba",
     "schema.json": "669da160e1b19e9a826ff7e3f9002d7c2c39fe84c17942b849b8e34b4a0ee6d1",
-    "user_som.json": "1e783f441b0aa7d8b3a3cc6f739ee564d743327ad7f417d60bcecef4aae757af",
+    "user_som.json": "d3549538b403e2b2837f12857b292a82f94943babee729bc858566137ad1b107",
     "virtual_space.json": "09d2d5b6ce443d91e13f8d0bd207685a589f1cc25794d3c2cb9f39b407dff292",
 }
 BASELINE_BUNDLE_SHA256 = {

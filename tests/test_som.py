@@ -29,6 +29,8 @@ from ctxrec.som import (
 
 from conftest import py_permutation, py_weights
 
+TINY = np.finfo(np.float64).tiny  # 2**-1022, the smallest normal float64
+
 
 def net_from_rows(rows, cfg=None) -> SomNetwork:
     weights = np.asarray(rows, dtype=np.float64)
@@ -200,10 +202,13 @@ class TestTrain:
         assert np.all(w <= 1.0)
 
 
-def reference_train(inputs, cfg: SomConfig, steps: list | None = None) -> np.ndarray:
+def reference_train(
+    inputs, cfg: SomConfig, steps: list | None = None, flush: bool = True
+) -> np.ndarray:
     """The per-network training algorithm, written out step by step on the
     plain-Python counter stream: the bytes ``train`` and ``train_many`` must
-    reproduce.
+    reproduce.  At the end of every epoch each weight below the smallest
+    normal float in magnitude is set to 0; ``flush=False`` leaves that out.
 
     ``steps``, if given, gets one entry per step for the raw divide that the
     one-network step tries first: "fallback" when its winner is not in (0,
@@ -231,6 +236,8 @@ def reference_train(inputs, cfg: SomConfig, steps: list | None = None) -> np.nda
                     steps.append("-inf" if np.isneginf(raw).any() else "plain")
             lo, hi = max(0, bmu - radius), min(cfg.neuron_count - 1, bmu + radius)
             weights[lo : hi + 1] += alpha * (x - weights[lo : hi + 1])
+        if flush:
+            weights[np.abs(weights) < TINY] = 0.0
     return weights
 
 
@@ -463,6 +470,118 @@ class TestLeanStep:
         assert kinds["fallback"] > 0 and kinds["-inf"] > 0 and kinds["plain"] > 0
 
 
+# alpha0 near 1 and a radius that moves both neurons in the early epochs
+UNDERFLOW = SomConfig(neuron_count=2, epochs=20, alpha0=0.99, radius0=1.0)
+
+
+def zero_column_rows(seed: int, n: int = 35, p: int = 4) -> np.ndarray:
+    """``n`` rows of ratings 1-5 whose column 0 is 0 in every row.  Under
+    ``UNDERFLOW`` that column's weights only shrink, by 1 - alpha a step,
+    and pass through the subnormals on their way to 0."""
+    rows = np.random.default_rng(seed).integers(1, 6, (n, p)).astype(float)
+    rows[:, 0] = 0.0
+    return rows
+
+
+def subnormals(weights: np.ndarray) -> int:
+    return int(np.count_nonzero((weights != 0.0) & (np.abs(weights) < TINY)))
+
+
+def flushed_reference(rows, cfg: SomConfig) -> np.ndarray:
+    """``reference_train`` of (rows, cfg), once the same run without the
+    flush is seen to end holding a subnormal, so the flush changed it."""
+    unflushed = reference_train(rows, cfg, flush=False)
+    assert subnormals(unflushed) > 0
+    expected = reference_train(rows, cfg)
+    assert expected.tobytes() != unflushed.tobytes()
+    return expected
+
+
+class TestSubnormalFlush:
+    """Training sets every weight below 2**-1022 in magnitude to 0 at the
+    end of every epoch, on inputs that really underflow."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_train_has_the_reference_bytes_and_no_subnormal(self, seed):
+        rows, cfg = zero_column_rows(seed), replace(UNDERFLOW, seed=seed)
+        weights = train(rows, cfg).weights
+        assert weights.tobytes() == flushed_reference(rows, cfg).tobytes()
+        assert subnormals(weights) == 0 and np.count_nonzero(weights == 0.0) > 0
+
+    @pytest.mark.parametrize("part", ["lockstep", "lone tail"])
+    def test_one_underflowing_lane_keeps_every_lane_equal_to_training_it_alone(self, part):
+        """The underflowing lane has 35 rows; in the lone tail it is the
+        longest, in the lockstep part a 40-row lane outlasts it."""
+        rng = np.random.default_rng(3)
+        counts = (40, 3, 12) if part == "lockstep" else (3, 12, 20)
+        sets = [zero_column_rows(2)] + [np.stack(random_inputs(rng, n, 4, 1.0)) for n in counts]
+        seeds = [2, 5, 6, 7]
+        nets = train_many(sets, UNDERFLOW, seeds)
+        for k, (rows, seed, net) in enumerate(zip(sets, seeds, nets)):
+            alone = replace(UNDERFLOW, seed=seed)
+            if k == 0:
+                expected = flushed_reference(rows, alone)
+            else:
+                expected = reference_train(rows, alone, flush=False)
+                assert subnormals(expected) == 0
+            assert net.weights.tobytes() == expected.tobytes()
+            assert net.weights.tobytes() == train(rows, alone).weights.tobytes()
+            assert subnormals(net.weights) == 0
+
+    def test_tiny_negative_weights_flush_and_normal_ones_stay(self):
+        """Column 1's inputs are a negative subnormal and column 2's a
+        negative normal just above 2**-1022; one neuron's weights converge
+        to them."""
+        rows = zero_column_rows(1)
+        rows[:, 1], rows[:, 2], rows[:, 3] = -(2.0**-1040), -4 * TINY, -rows[:, 3]
+        cfg = replace(UNDERFLOW, neuron_count=1, seed=1)
+        unflushed = reference_train(rows, cfg, flush=False)
+        weights = train(rows, cfg).weights
+        assert weights.tobytes() == flushed_reference(rows, cfg).tobytes()
+        assert np.all((unflushed[:, 1] < 0.0) & (unflushed[:, 1] > -TINY))
+        assert np.all(weights[:, 1] == 0.0)
+        assert np.all(weights[:, 2:] <= -TINY)
+        assert weights[:, 2:].tobytes() == np.ascontiguousarray(unflushed[:, 2:]).tobytes()
+
+    def test_weight_norms_after_each_flush_are_those_of_the_flushed_weights(self, monkeypatch):
+        """The norms ``train_many`` keeps equal ``_weight_norms`` of its
+        weights at every epoch start and at the end: a subnormal squares to
+        exactly 0, so a flush moves no norm bit."""
+        held, checks = {}, []
+        draw, norms_of, presentation = som._draw_weights, som._weight_norms, som._orders
+
+        def spy_draw(*args):
+            held["weights"] = draw(*args)
+            return held["weights"]
+
+        def spy_norms(w, squares=None):
+            norms = norms_of(w, squares)
+            held.setdefault("norms", norms)  # the first call: the norms training keeps
+            return norms
+
+        def check():
+            expected = norms_of(held["weights"])
+            checks.append(held["norms"].tobytes() == expected.tobytes())
+
+        def spy_orders(*args):
+            for order in presentation(*args):
+                check()
+                yield order
+            check()
+
+        monkeypatch.setattr(som, "_draw_weights", spy_draw)
+        monkeypatch.setattr(som, "_weight_norms", spy_norms)
+        monkeypatch.setattr(som, "_orders", spy_orders)
+        rows = zero_column_rows(0)
+        sets, seeds = [rows, rows[:9]], [0, 9]
+        flushed_reference(rows, replace(UNDERFLOW, seed=0))
+        train_many(sets, UNDERFLOW, seeds)
+        assert checks == [True] * (UNDERFLOW.epochs + 1)
+        unflushed = reference_train(rows, replace(UNDERFLOW, seed=0), flush=False)
+        cleared = np.where(np.abs(unflushed) < TINY, 0.0, unflushed)
+        assert norms_of(cleared).tobytes() == norms_of(unflushed).tobytes()
+
+
 # One input set trained alone and as lane 0 of a two-lane block of equal row
 # counts, where every step is a lockstep step.
 KERNEL_PROBE = """
@@ -521,8 +640,9 @@ def py_bmu(weights, x) -> tuple[int, float]:
 def py_train(rows, cfg: SomConfig) -> tuple[list[list[float]], float]:
     """``train`` step by step in plain Python: SplitMix64 counter weights,
     then per epoch the rows in counter order, linear alpha decay, a half-up
-    rounded radius and the clipped rectangular neighbourhood.  Returns the
-    weights and the smallest BMU lead met."""
+    rounded radius and the clipped rectangular neighbourhood, and at the end
+    of the epoch every weight below ``sys.float_info.min`` in magnitude set
+    to 0.  Returns the weights and the smallest BMU lead met."""
     p = len(rows[0])
     weights = py_weights(cfg.seed, cfg.neuron_count, p)
     lead = math.inf
@@ -534,6 +654,7 @@ def py_train(rows, cfg: SomConfig) -> tuple[list[list[float]], float]:
             lead = min(lead, gap)
             for k in range(max(0, bmu - radius), min(cfg.neuron_count - 1, bmu + radius) + 1):
                 weights[k] = [w + alpha * (v - w) for w, v in zip(weights[k], rows[i])]
+        weights = [[0.0 if abs(w) < sys.float_info.min else w for w in row] for row in weights]
     return weights, lead
 
 
