@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import IO, Mapping, Sequence
 
@@ -255,6 +256,30 @@ class RatingCube:
         both levels in sorted order."""
         return self._by_user.get(user, {})
 
+    def usage_rows(self, user: str) -> tuple[list[int], np.ndarray, np.ndarray]:
+        """The user's usage rows over the items the user rated: the ascending
+        flat indices of the situations in which the user rated anything, the
+        ascending columns of the items rated in any of them, and one row per
+        such situation, column ``k`` holding the rating of item
+        ``columns[k]`` in it, 0 when unrated there."""
+        if user not in self._user_set:
+            raise UnknownUser(f"unknown user {user!r}")
+        by_flat = self._by_user.get(user, {})
+        items = sorted(set().union(*by_flat.values()), key=self._item_index.__getitem__)
+        position = {item: k for k, item in enumerate(items)}
+        rows = np.zeros((len(by_flat), len(items)))
+        for row, ratings in enumerate(by_flat.values()):
+            for item, rating in ratings.items():
+                rows[row, position[item]] = rating
+        columns = np.array([self._item_index[item] for item in items], dtype=np.intp)
+        return list(by_flat), columns, rows
+
+    @cached_property
+    def widest_support(self) -> int:
+        """The most items that one user rated, over all situations."""
+        supports = (set().union(*flats.values()) for flats in self._by_user.values())
+        return max(map(len, supports), default=0)
+
     def usage_matrix(self, user: str) -> tuple[list[int], np.ndarray]:
         """The ascending flat indices of the situations in which the user
         rated anything, and one length-p row per such situation.
@@ -263,14 +288,10 @@ class RatingCube:
         0 when unrated.  Situations without ratings are skipped (an all-zero
         row has no usable cosine direction).
         """
-        if user not in self._user_set:
-            raise UnknownUser(f"unknown user {user!r}")
-        by_flat = self._by_user.get(user, {})
-        matrix = np.zeros((len(by_flat), self.p))
-        for row, ratings in enumerate(by_flat.values()):
-            for item, rating in ratings.items():
-                matrix[row, self._item_index[item]] = rating
-        return list(by_flat), matrix
+        flats, columns, rows = self.usage_rows(user)
+        matrix = np.zeros((len(flats), self.p))
+        matrix[:, columns] = rows
+        return flats, matrix
 
     def with_cells(
         self, cells: Mapping[tuple[str, int, str], int]

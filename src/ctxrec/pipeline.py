@@ -15,7 +15,7 @@ two systems differ only in how the 2-D space is built.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 from typing import Callable, Hashable, Mapping, Sequence
@@ -25,8 +25,8 @@ import numpy as np
 from .core import ContextSchema, ContextSituation, RatingCube
 from .errors import CorruptFile, EmptyInput, InvalidConfig, UnknownUser
 from .rng import derive_seed
-from .som import SomConfig, SomNetwork, _divide, _mean, assign, train, train_many
-from .som import som_from_json_dict, som_to_json_dict
+from .som import SomConfig, SomNetwork, _divide, _mean, _train_on_support, assign, train
+from .som import som_from_json_dict, som_to_json_dict, train_many
 from . import jsonio
 
 DEFAULT_PHASE1_NEURONS = 6
@@ -51,13 +51,15 @@ class ContextClustering:
 
 
 def cluster_user_contexts(
-    user: str, flats: Sequence[int], usage: np.ndarray, net: SomNetwork | None
+    user: str, flats: Sequence[int], usage: np.ndarray | None, net: SomNetwork | None
 ) -> ContextClustering:
     """Phase-1 labels of one user's rated situations ``flats``: the BMUs of
-    their usage rows ``usage`` on the user's SOM ``net``, compacted to 1..m.
+    their usage rows ``usage`` (the rows ``net`` trained on) on the user's
+    SOM ``net``, compacted to 1..m.
 
     ``cluster_users`` trains ``net``.  A user who rated in one situation
-    gets label 1 without a SOM, the label any SOM gives one input.
+    gets label 1 without a SOM (``usage`` and ``net`` are None), the label
+    any SOM gives one input.
     """
     if len(flats) == 1:
         return ContextClustering(user, {flats[0]: 1}, 1)
@@ -77,27 +79,45 @@ def cluster_users(
     by usage pattern, the SOMs of those who rated in two or more situations
     trained in lockstep.
 
-    A user's SOM seed derives from ``cfg.seed`` and the user id, and the
-    networks of one ``train_many`` call do not interact, so no clustering
-    depends on the block it was trained in: one user's is
-    ``cluster_users(cube, [user], cfg)[user]``.
+    A network trains on its user's support, the items the user rated in any
+    situation, plus one rest column that stands for all other items
+    (``som._train_on_support``), and labels the same compact rows.  Every
+    network of the cube gets the same width, the cube's widest support plus
+    the rest column; where that is not below p, the networks train on the
+    p-wide usage rows (``train_many``).  A user's SOM seed derives from
+    ``cfg.seed`` and the user id, and the networks of one block do not
+    interact, so no clustering depends on the block it was trained in: one
+    user's is ``cluster_users(cube, [user], cfg)[user]``.
     """
-    usages = [_usage_matrix(cube, user) for user in users]
-    trained = [k for k, (flats, _) in enumerate(usages) if len(flats) > 1]
-    inputs = [usages[k][1] for k in trained]
+    usages = [_usage_rows(cube, user) for user in users]
+    # lanes in descending situation count, the order lockstep training takes
+    trained = sorted(
+        (k for k, (flats, _, _) in enumerate(usages) if len(flats) > 1),
+        key=lambda k: -len(usages[k][0]),
+    )
     seeds = [derive_seed(cfg.seed, "phase1", users[k]) for k in trained]
-    nets = dict(zip(trained, train_many(inputs, cfg, seeds))) if trained else {}
+    width = cube.widest_support + 1
+    if not trained:
+        rows, nets = [], []
+    elif width < cube.p:
+        supports, values = [usages[k][1] for k in trained], [usages[k][2] for k in trained]
+        rows, weights = _train_on_support(values, supports, cube.p, width, cfg, seeds)
+        nets = [SomNetwork(w, replace(cfg, seed=seed)) for w, seed in zip(weights, seeds)]
+    else:
+        rows = [cube.usage_matrix(users[k])[1] for k in trained]
+        nets = train_many(rows, cfg, seeds)
+    lanes = dict(zip(trained, zip(rows, nets)))
     return {
-        user: cluster_user_contexts(user, *usages[k], nets.get(k))
+        user: cluster_user_contexts(user, usages[k][0], *lanes.get(k, (None, None)))
         for k, user in enumerate(users)
     }
 
 
-def _usage_matrix(cube: RatingCube, user: str) -> tuple[list[int], np.ndarray]:
-    flats, matrix = cube.usage_matrix(user)  # raises UnknownUser
-    if not flats:
+def _usage_rows(cube: RatingCube, user: str) -> tuple[list[int], np.ndarray, np.ndarray]:
+    usage = cube.usage_rows(user)  # raises UnknownUser
+    if not usage[0]:
         raise EmptyInput(f"user {user!r} has no ratings")
-    return flats, matrix
+    return usage
 
 
 class RowSpace:
@@ -382,10 +402,12 @@ class PipelineModel:
         return [((user, label), relevant[label]) for label in sorted(relevant)]
 
 
-# users whose phase-1 SOMs train together in one train_many call.  It bounds
-# the block's (users x neurons x p) arrays: at 630 users x 384 items a block
-# of 64 adds about 5 MB of RSS in phase 1, well under the 12 MB phase 3
-# adds, while 128 added 10 MB and raised the run's peak.
+# users whose phase-1 SOMs train together in one lockstep call.  At 630 users
+# x 400 items a block of 64 adds about 3.5 MB of RSS in phase 1, most of it the
+# p-wide initial draw the compact weights are gathered from.  128 adds 7 MB and
+# trained phase 1 in 0.134 s against 0.147 s (medians of 8 alternating
+# processes, 2-vCPU VM), a gain inside the host's noise; one block of all users
+# took 0.124 s but adds 20 MB, more than phase 3 adds to the run's peak.
 PHASE1_BLOCK = 64
 
 

@@ -24,6 +24,10 @@ At the end of every epoch each weight below 2**-1022 (the smallest normal
 float64) in magnitude is set to 0.0, as subnormal arithmetic is slow.
 ``train_many`` trains many same-shaped networks in lockstep; each one is
 bit-identical to training it alone, and ``train`` is its one-network case.
+Phase 1 trains its networks, whose rows are 0 outside the few items a user
+rated, on those items plus one rest column that carries the root of the
+squares of all other weights of a neuron (``_train_on_support``): the same
+network in real arithmetic, at a fraction of the width.
 """
 
 from __future__ import annotations
@@ -221,19 +225,87 @@ def train_many(
     p = matrices[0].shape[1]
     if any(matrix.shape[1] != p for matrix in matrices):
         raise LengthMismatch("networks trained together need equal input lengths")
-    configs = [replace(cfg, seed=seed) for seed in seeds]
     by_count = sorted(range(len(seeds)), key=lambda k: -matrices[k].shape[0])
-    counts = [matrices[k].shape[0] for k in by_count]
-    lanes = len(by_count)
-
     lane_seeds = [seeds[k] for k in by_count]
+    weights = _initial_weights(lane_seeds, cfg.neuron_count, p)
+    _train_lanes([matrices[k] for k in by_count], cfg, lane_seeds, weights, cfg.neuron_count * p)
+    nets = [None] * len(seeds)
+    for i, k in enumerate(by_count):
+        nets[k] = SomNetwork(weights[i], replace(cfg, seed=seeds[k]))
+    return nets
+
+
+def _initial_weights(seeds: Sequence[int], neuron_count: int, p: int) -> np.ndarray:
+    """``_draw_weights``, or ``InvalidConfig`` when numpy cannot create the array."""
     try:
-        weights = _draw_weights(lane_seeds, cfg.neuron_count, p)
+        return _draw_weights(seeds, neuron_count, p)
     except (ValueError, MemoryError):  # numpy cannot create the weight array
         raise InvalidConfig(
-            f"cannot allocate SOM weights for {cfg.neuron_count} neurons of input length {p}"
+            f"cannot allocate SOM weights for {neuron_count} neurons of input length {p}"
         ) from None
-    flat = matrices[0] if lanes == 1 else np.concatenate([matrices[k] for k in by_count])
+
+
+def _train_on_support(
+    inputs: Sequence[np.ndarray],
+    supports: Sequence[np.ndarray],
+    p: int,
+    width: int,
+    cfg: SomConfig,
+    seeds: Sequence[int],
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """The networks ``train_many`` trains on p-wide rows that are 0 outside
+    the ascending columns ``supports[k]``, each trained on ``width`` columns
+    instead; lanes in descending row count, ``inputs[k]`` holding lane k's
+    rows over its support.
+
+    A column that is 0 in every row only shrinks: each update scales its
+    hood weights by 1 - alpha.  So the root of the squares of a neuron's
+    weights outside the support evolves as one more column whose input is
+    always 0, the rest column, and the cosines, hence the BMUs, are those of
+    the p-wide network.  Lane k's columns are its support, zero padding up
+    to ``width - 1`` and the rest column last.  The initial weights are the
+    p-wide draw: its support columns, and the ``_weight_norms`` of the rest.
+    Epoch orders keep the p-wide counter offset ``N*p``.  Padding stays 0
+    and adds nothing to a dot or a norm, but ``width`` sets how the sums
+    are grouped, so a lane's bits depend on it (and not on the other
+    lanes).  The forms agree in real arithmetic only: float sums differ in
+    their last bits, so a BMU within an ulp of its runner-up can differ,
+    and the epoch-end flush sees the rest column as one value.  Returns
+    each lane's (n, width) rows and the trained (lanes, N, width) weights.
+    """
+    neurons = cfg.neuron_count
+    full = _initial_weights(seeds, neurons, p)
+    sizes = [len(columns) for columns in supports]
+    lane = np.repeat(np.arange(len(seeds)), sizes)
+    column = np.concatenate(supports)
+    position = np.concatenate([np.arange(size) for size in sizes])
+    weights = np.zeros((len(seeds), neurons, width))
+    weights[lane, :, position] = full[lane, :, column]
+    full[lane, :, column] = 0.0
+    weights[:, :, -1] = _weight_norms(full)
+    rows = []
+    for values in inputs:
+        row = np.zeros((len(values), width))
+        row[:, : values.shape[1]] = values
+        rows.append(row)
+    _train_lanes(rows, cfg, seeds, weights, neurons * p)
+    return rows, weights
+
+
+def _train_lanes(
+    matrices: Sequence[np.ndarray],
+    cfg: SomConfig,
+    seeds: Sequence[int],
+    weights: np.ndarray,
+    skip: int,
+) -> None:
+    """Train the (lanes, N, q) ``weights`` in place, then make them read-only:
+    lane i on the (n_i, q) rows ``matrices[i]``, lanes in descending row
+    count, epoch e presenting lane i's rows sorted by SplitMix64 outputs
+    ``skip + e*n_i + r + 1`` of ``seeds[i]`` (``_orders``)."""
+    counts = [len(matrix) for matrix in matrices]
+    lanes = len(matrices)
+    flat = matrices[0] if lanes == 1 else np.concatenate(matrices)
     # input norms once and weight-row norms kept current, as assign takes them
     flat_norms = _row_norms(flat)
     norms = _weight_norms(weights)
@@ -248,7 +320,7 @@ def train_many(
     dots, denom = np.empty(cfg.neuron_count), np.empty(cfg.neuron_count)
     x_norms = flat_norms.tolist()
 
-    orders = _orders(lane_seeds, counts, cfg.neuron_count * p, cfg.epochs)
+    orders = _orders(seeds, counts, skip, cfg.epochs)
     for epoch, rows in enumerate(orders):
         decay = 1.0 - epoch / cfg.epochs
         alpha = cfg.alpha0 * decay
@@ -296,15 +368,11 @@ def train_many(
                 squares = np.multiply(hood, hood, out=step)
                 np.sqrt(np.add.reduce(squares, axis=1, out=hood_norms), out=hood_norms)
         # a subnormal squares to exactly 0, so no norm moves; the min skips
-        # the scan where no weight is below _TINY, as in phase-1 blocks
+        # the scan where no weight is below _TINY (zero padding always runs it)
         if weights.min() < _TINY:
             weights[np.abs(weights) < _TINY] = 0.0
 
     weights.setflags(write=False)
-    nets = [None] * lanes
-    for i, k in enumerate(by_count):
-        nets[k] = SomNetwork(weights[i], configs[k])
-    return nets
 
 
 def _input_cosines(net: SomNetwork, inputs: np.ndarray) -> np.ndarray:

@@ -231,6 +231,45 @@ class TestClusterUsers:
         for user in users:
             assert block[user] == cluster_one(small_cube, user, cfg)
 
+    def test_narrow_supports_train_compact_and_wide_ones_full_width(self, small_cube, monkeypatch):
+        """The compact form where the cube's widest support plus the rest
+        column is below p, the p-wide usage rows where it is not."""
+        users = [u for u in small_cube.users if len(small_cube.user_ratings(u)) > 1]
+        assert small_cube.widest_support + 1 < small_cube.p
+        expected = {user: trained_clustering(small_cube, user, self.CFG) for user in users}
+
+        def no_training(*args):
+            raise AssertionError("the other form was trained")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(pipeline, "train_many", no_training)
+            assert cluster_users(small_cube, users, self.CFG) == expected
+        user = users[0]  # alone with the items it rated: its support is all of p
+        cells = {key: r for key, r in small_cube.cells().items() if key[0] == user}
+        items = sorted({item for _, _, item in cells})
+        wide = RatingCube(small_cube.schema, [user], items, cells)
+        assert wide.widest_support == wide.p
+        monkeypatch.setattr(pipeline, "_train_on_support", no_training)
+        assert cluster_users(wide, [user], self.CFG) == {
+            user: trained_clustering(wide, user, self.CFG)
+        }
+
+    def test_every_block_trains_at_the_cube_width(self, small_cube, monkeypatch):
+        """A lane's bits depend on the width it is padded to, so the width is
+        the cube's, whatever users share the block."""
+        widths = []
+        train_on_support = pipeline._train_on_support
+        monkeypatch.setattr(
+            pipeline,
+            "_train_on_support",
+            lambda *args: widths.append(args[3]) or train_on_support(*args),
+        )
+        users = [u for u in small_cube.users if len(small_cube.user_ratings(u)) > 1]
+        cluster_users(small_cube, users, self.CFG)
+        for user in users:
+            cluster_users(small_cube, [user], self.CFG)
+        assert widths == [small_cube.widest_support + 1] * (len(users) + 1)
+
     def test_unknown_user_in_block(self, small_cube):
         with pytest.raises(UnknownUser):
             cluster_users(small_cube, ["nobody"])

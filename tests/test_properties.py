@@ -1,8 +1,10 @@
-"""Property tests of the data model: CSV round trip, split, encoding, phase 2."""
+"""Property tests of the data model: CSV round trip, split, encoding, usage
+rows, phase 2."""
 
 import io
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -92,6 +94,24 @@ class TestEncoding:
         for flat, indices in enumerate(decoded):
             assert all(0 <= i < k for i, k in zip(indices, schema.cardinalities))
             assert schema.encode(indices) == flat
+
+
+class TestUsageRows:
+    @settings(max_examples=150, deadline=None)
+    @given(cube=cubes())
+    def test_support_rows_are_the_rated_columns_of_the_usage_matrix(self, cube):
+        """Every rating lies in 1..9, so the usage matrix is nonzero exactly
+        where a rating is."""
+        widest = 0
+        for user in cube.users:
+            flats, columns, rows = cube.usage_rows(user)
+            dense_flats, matrix = cube.usage_matrix(user)
+            assert flats == dense_flats == list(cube.user_ratings(user))
+            assert columns.tolist() == sorted(set(matrix.nonzero()[1].tolist()))
+            assert rows.tobytes() == np.ascontiguousarray(matrix[:, columns]).tobytes()
+            assert not np.delete(matrix, columns, axis=1).any()
+            widest = max(widest, len(columns))
+        assert cube.widest_support == widest
 
 
 class TestPhase2Conservation:

@@ -11,10 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ctxrec.core import ContextDimension, ContextSchema, RatingCube
+from ctxrec.datagen import GenConfig, generate
 from ctxrec.errors import EmptyInput, InvalidConfig, LengthMismatch
+from ctxrec.rng import derive_seed
 from ctxrec import jsonio, som
 from ctxrec.som import (
     SomConfig,
@@ -203,30 +206,46 @@ class TestTrain:
 
 
 def reference_train(
-    inputs, cfg: SomConfig, steps: list | None = None, flush: bool = True
+    inputs,
+    cfg: SomConfig,
+    steps: list | None = None,
+    flush: bool = True,
+    initial: np.ndarray | None = None,
+    skip: int | None = None,
+    bmus: list | None = None,
 ) -> np.ndarray:
     """The per-network training algorithm, written out step by step on the
     plain-Python counter stream: the bytes ``train`` and ``train_many`` must
     reproduce.  At the end of every epoch each weight below the smallest
     normal float in magnitude is set to 0; ``flush=False`` leaves that out.
+    ``initial`` replaces the drawn weights and ``skip`` the order offset
+    ``N*p``, as ``som._train_on_support`` does; ``bmus``, if given, gets
+    each step's BMU.
 
     ``steps``, if given, gets one entry per step for the raw divide that the
     one-network step tries first: "fallback" when its winner is not in (0,
     inf), "-inf" when it is but some cosine is -inf, else "plain"."""
     matrix = np.asarray(inputs, dtype=np.float64)
     n, p = matrix.shape
-    weights = np.array(py_weights(cfg.seed, cfg.neuron_count, p))
+    if initial is None:
+        weights = np.array(py_weights(cfg.seed, cfg.neuron_count, p))
+    else:
+        weights = np.array(initial, dtype=np.float64)
+    if skip is None:
+        skip = cfg.neuron_count * p
     for epoch in range(cfg.epochs):
         decay = 1.0 - epoch / cfg.epochs
         alpha = cfg.alpha0 * decay
         radius = int(math.floor(cfg.effective_radius0 * decay + 0.5))
-        for i in py_permutation(cfg.seed, n, cfg.neuron_count * p + epoch * n):
+        for i in py_permutation(cfg.seed, n, skip + epoch * n):
             x = matrix[i]
             denom = np.linalg.norm(weights, axis=1) * np.linalg.norm(x)
             sims = np.zeros(cfg.neuron_count)
             nonzero = denom > 0.0
             sims[nonzero] = (weights @ x)[nonzero] / denom[nonzero]
             bmu = int(np.argmax(sims))
+            if bmus is not None:
+                bmus.append(bmu)
             if steps is not None:
                 with np.errstate(divide="ignore", invalid="ignore"):
                     raw = (weights @ x) / denom
@@ -714,6 +733,199 @@ class TestPlainPythonReference:
                 assert_matches_reference(net, rows, expected)
                 checked += 1
         assert checked >= 9
+
+
+PHASE1_SCHEMA = ContextSchema(
+    (ContextDimension("d1", ("a", "b")), ContextDimension("d2", ("x", "y", "z"))), 1, 5
+)
+
+# The rest column against the root of the squares of the trained p-wide
+# weights outside the support.  Both shrink by 1 - alpha in each hood update
+# (two roundings, at alpha0 <= 0.5 a relative error of at most 3 ulp an
+# update), over at most 5 epochs x 6 rows, and the p-wide norm adds up to 24
+# more roundings: about 2e-14 in all.
+REST_RTOL = 1e-12
+
+
+@st.composite
+def phase1_cubes(draw):
+    """1-4 users, each rating 1-3 of 20-24 items in each of 2-6 of the six
+    situations (so every support is narrower than p - 1), and a config of
+    up to 8 neurons, 5 epochs and alpha0 <= 0.5."""
+    p = draw(st.integers(20, 24))
+    items = [f"i{j:02d}" for j in range(p)]
+    users = [f"u{k}" for k in range(draw(st.integers(1, 4)))]
+    cells = {}
+    for user in users:
+        for flat in draw(st.lists(st.integers(0, 5), min_size=2, max_size=6, unique=True)):
+            for j in draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=3, unique=True)):
+                cells[(user, flat, items[j])] = draw(st.integers(1, 5))
+    neurons = draw(st.integers(1, 8))
+    cfg = SomConfig(
+        neuron_count=neurons,
+        epochs=draw(st.integers(1, 5)),
+        alpha0=draw(st.sampled_from((0.2, 0.5))),
+        radius0=float(draw(st.integers(0, neurons))),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+    return RatingCube(PHASE1_SCHEMA, users, items, cells), cfg
+
+
+def trained_users(cube: RatingCube) -> list[str]:
+    """The users who rated in two or more situations, in descending
+    situation count: the lanes of one phase-1 block."""
+    users = [user for user in cube.users if len(cube.user_ratings(user)) > 1]
+    return sorted(users, key=lambda user: -len(cube.user_ratings(user)))
+
+
+def support_lanes(cube: RatingCube, cfg: SomConfig) -> list[dict]:
+    """Phase 1's compact training of the cube's ``trained_users``, as
+    ``cluster_users`` runs it (at the cube's widest support plus the rest
+    column), with each lane's config, p-wide usage rows, support, compact
+    rows and weights, and the weights of the p-wide ``train``."""
+    users = trained_users(cube)
+    usages = [cube.usage_rows(user) for user in users]
+    seeds = [derive_seed(cfg.seed, "phase1", user) for user in users]
+    width = cube.widest_support + 1
+    assert width < cube.p
+    values, supports = [usage[2] for usage in usages], [usage[1] for usage in usages]
+    rows, weights = som._train_on_support(values, supports, cube.p, width, cfg, seeds)
+    lanes = []
+    for user, support, seed, compact, trained in zip(users, supports, seeds, rows, weights):
+        alone = replace(cfg, seed=seed)
+        dense = cube.usage_matrix(user)[1]
+        full = train(dense, alone).weights
+        lanes.append(
+            dict(cfg=alone, dense=dense, support=support, rows=compact, weights=trained, full=full)
+        )
+    return lanes
+
+
+def compact_initial(cfg: SomConfig, p: int, support: np.ndarray, width: int) -> np.ndarray:
+    """The p-wide counter draw's support columns, zero padding, and the
+    ``_weight_norms`` of its other columns last."""
+    drawn = np.array(py_weights(cfg.seed, cfg.neuron_count, p))
+    initial = np.zeros((cfg.neuron_count, width))
+    initial[:, : len(support)] = drawn[:, support]
+    drawn[:, support] = 0.0
+    initial[:, -1] = som._weight_norms(drawn)
+    return initial
+
+
+class TestTrainOnSupport:
+    """Phase 1's compact networks (support columns, zero padding, one rest
+    column) against the p-wide ``train`` of the same usage rows, on random
+    cubes whose p-wide training meets no BMU within ``SEPARATION`` of a
+    runner-up: the two forms agree in real arithmetic only."""
+
+    @staticmethod
+    def clear_lanes(case) -> list[dict]:
+        lanes = support_lanes(*case)
+        for lane in lanes:
+            assume(py_train(lane["dense"].tolist(), lane["cfg"])[1] > SEPARATION)
+        return lanes
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(case=phase1_cubes())
+    def test_same_bmus_at_every_step(self, case):
+        for lane in self.clear_lanes(case):
+            cfg, p = lane["cfg"], lane["dense"].shape[1]
+            full_bmus, compact_bmus = [], []
+            reference_train(lane["dense"], cfg, bmus=full_bmus)
+            initial = compact_initial(cfg, p, lane["support"], lane["rows"].shape[1])
+            skip = cfg.neuron_count * p
+            expected = reference_train(
+                lane["rows"], cfg, initial=initial, skip=skip, bmus=compact_bmus
+            )
+            assert lane["weights"].tobytes() == expected.tobytes()
+            assert compact_bmus == full_bmus
+            net = SomNetwork(lane["weights"], cfg)
+            full = SomNetwork(lane["full"], cfg)
+            assert assign(net, lane["rows"]) == assign(full, lane["dense"])
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(case=phase1_cubes())
+    def test_support_weights_are_the_full_width_bits(self, case):
+        """Through the same BMUs each support weight takes the same updates
+        in the same order, so no tolerance is needed."""
+        for lane in self.clear_lanes(case):
+            compact = lane["weights"][:, : len(lane["support"])]
+            full = np.ascontiguousarray(lane["full"][:, lane["support"]])
+            assert compact.tobytes() == full.tobytes()
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(case=phase1_cubes())
+    def test_rest_column_is_the_norm_of_the_unrated_weights(self, case):
+        for lane in self.clear_lanes(case):
+            unrated = lane["full"].copy()
+            unrated[:, lane["support"]] = 0.0
+            expected = som._weight_norms(unrated)
+            assert np.all(expected > 0.0)
+            np.testing.assert_allclose(lane["weights"][:, -1], expected, rtol=REST_RTOL, atol=0.0)
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(case=phase1_cubes())
+    def test_padding_is_exactly_zero(self, case):
+        lanes = support_lanes(*case)
+        for lane in lanes:
+            padding = lane["weights"][:, len(lane["support"]) : -1]
+            assert padding.tobytes() == bytes(padding.nbytes)  # +0.0, not -0.0
+            assert not lane["rows"][:, len(lane["support"]) :].any()
+
+    def test_lane_presents_its_rows_in_the_full_width_order(self, monkeypatch):
+        """The compact lanes' epoch orders are those of ``train_many`` on the
+        p-wide rows, from the same counter offset ``N*p``."""
+        calls = []
+        presentation = som._orders
+
+        def spy_orders(seeds, counts, skip, epochs):  # training moves the orders in place
+            orders = list(presentation(seeds, counts, skip, epochs))
+            calls.append((list(seeds), list(counts), skip, [order.copy() for order in orders]))
+            return iter(orders)
+
+        monkeypatch.setattr(som, "_orders", spy_orders)
+        cube = generate(GenConfig(n_users=30, n_items=60, density=0.02, seed=2))
+        cfg = SomConfig(neuron_count=5, epochs=6, seed=9)
+        lanes = support_lanes(cube, cfg)
+        assert len(lanes) > 2 and len({len(lane["rows"]) for lane in lanes}) > 1
+        compact_call = calls[0]  # then one call per lane's p-wide train
+        seeds = [lane["cfg"].seed for lane in lanes]
+        calls.clear()
+        train_many([lane["dense"] for lane in lanes], cfg, seeds)
+        (full_call,) = calls
+        assert compact_call[0] == full_call[0] == seeds
+        assert compact_call[2] == full_call[2] == cfg.neuron_count * cube.p
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(compact_call[3], full_call[3]))
+        for i, (seed, n) in enumerate(zip(seeds, compact_call[1])):
+            for epoch, order in enumerate(compact_call[3]):
+                skip = cfg.neuron_count * cube.p + epoch * n
+                assert order[i, :n].tolist() == py_permutation(seed, n, skip)
+
+    def test_any_grouping_of_lanes_gives_the_same_bits(self):
+        cube = generate(GenConfig(n_users=30, n_items=60, density=0.02, seed=2))
+        cfg = SomConfig(neuron_count=6, epochs=8, seed=3)
+        users = trained_users(cube)
+        usages = [cube.usage_rows(user) for user in users]
+        seeds = [derive_seed(cfg.seed, "phase1", user) for user in users]
+        width = cube.widest_support + 1
+
+        def lanes(ks):
+            values, supports = [usages[k][2] for k in ks], [usages[k][1] for k in ks]
+            lane_seeds = [seeds[k] for k in ks]
+            return som._train_on_support(values, supports, cube.p, width, cfg, lane_seeds)
+
+        rows, block = lanes(range(len(users)))
+        assert len(users) > 10 and not block.flags.writeable
+        for k in range(len(users)):
+            alone_rows, alone = lanes([k])
+            assert alone[0].tobytes() == block[k].tobytes()
+            assert alone_rows[0].tobytes() == rows[k].tobytes()
+
+    def test_the_full_width_draw_keeps_the_allocation_guard(self):
+        cfg = SomConfig(neuron_count=10**18)
+        message = "cannot allocate SOM weights for 1000000000000000000 neurons of input length 40"
+        with pytest.raises(InvalidConfig, match=message):
+            som._train_on_support([np.ones((2, 3))], [np.arange(3)], 40, 5, cfg, [1])
 
 
 def one_step(cfg: SomConfig, bmu: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
