@@ -15,7 +15,7 @@ two systems differ only in how the 2-D space is built.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import Callable, Hashable, Mapping, Sequence
@@ -26,7 +26,8 @@ from .core import ContextSchema, ContextSituation, RatingCube
 from .errors import CorruptFile, EmptyInput, InvalidConfig, UnknownUser
 from .rng import derive_seed
 from .som import SomConfig, SomNetwork, _divide, _mean, _train_on_support, assign, train
-from .som import som_from_json_dict, som_to_json_dict, train_many
+from .som import som_from_json_dict, som_to_json_dict
+from .som import train_many  # not called here; tests stub it to show that no SOM trains
 from . import jsonio
 
 DEFAULT_PHASE1_NEURONS = 6
@@ -83,29 +84,21 @@ def cluster_users(
     situation, plus one rest column that stands for all other items
     (``som._train_on_support``), and labels the same compact rows.  Every
     network of the cube gets the same width, the cube's widest support plus
-    the rest column; where that is not below p, the networks train on the
-    p-wide usage rows (``train_many``).  A user's SOM seed derives from
-    ``cfg.seed`` and the user id, and the networks of one block do not
-    interact, so no clustering depends on the block it was trained in: one
-    user's is ``cluster_users(cube, [user], cfg)[user]``.
+    the rest column.  A user's SOM seed derives from ``cfg.seed`` and the
+    user id, and the networks of one block do not interact, so no
+    clustering depends on the block it was trained in: one user's is
+    ``cluster_users(cube, [user], cfg)[user]``.  The width does depend on
+    the other users of the cube: it sets how the float sums are grouped, so
+    a user's SOM weights can differ in their last bits between two cubes
+    whose widest supports differ, and so can its labels where two neurons'
+    cosines to an input lie within an ulp of each other.
     """
     usages = [_usage_rows(cube, user) for user in users]
-    # lanes in descending situation count, the order lockstep training takes
-    trained = sorted(
-        (k for k, (flats, _, _) in enumerate(usages) if len(flats) > 1),
-        key=lambda k: -len(usages[k][0]),
-    )
+    trained = [k for k, (flats, _, _) in enumerate(usages) if len(flats) > 1]
     seeds = [derive_seed(cfg.seed, "phase1", users[k]) for k in trained]
+    supports, values = [usages[k][1] for k in trained], [usages[k][2] for k in trained]
     width = cube.widest_support + 1
-    if not trained:
-        rows, nets = [], []
-    elif width < cube.p:
-        supports, values = [usages[k][1] for k in trained], [usages[k][2] for k in trained]
-        rows, weights = _train_on_support(values, supports, cube.p, width, cfg, seeds)
-        nets = [SomNetwork(w, replace(cfg, seed=seed)) for w, seed in zip(weights, seeds)]
-    else:
-        rows = [cube.usage_matrix(users[k])[1] for k in trained]
-        nets = train_many(rows, cfg, seeds)
+    rows, nets = _train_on_support(values, supports, cube.p, width, cfg, seeds)
     lanes = dict(zip(trained, zip(rows, nets)))
     return {
         user: cluster_user_contexts(user, usages[k][0], *lanes.get(k, (None, None)))

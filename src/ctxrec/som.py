@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -225,14 +225,11 @@ def train_many(
     p = matrices[0].shape[1]
     if any(matrix.shape[1] != p for matrix in matrices):
         raise LengthMismatch("networks trained together need equal input lengths")
-    by_count = sorted(range(len(seeds)), key=lambda k: -matrices[k].shape[0])
-    lane_seeds = [seeds[k] for k in by_count]
-    weights = _initial_weights(lane_seeds, cfg.neuron_count, p)
-    _train_lanes([matrices[k] for k in by_count], cfg, lane_seeds, weights, cfg.neuron_count * p)
-    nets = [None] * len(seeds)
-    for i, k in enumerate(by_count):
-        nets[k] = SomNetwork(weights[i], replace(cfg, seed=seeds[k]))
-    return nets
+
+    def initial(order: list[int]) -> np.ndarray:
+        return _initial_weights([seeds[k] for k in order], cfg.neuron_count, p)
+
+    return _train_lanes(matrices, cfg, seeds, initial, cfg.neuron_count * p)
 
 
 def _initial_weights(seeds: Sequence[int], neuron_count: int, p: int) -> np.ndarray:
@@ -252,11 +249,10 @@ def _train_on_support(
     width: int,
     cfg: SomConfig,
     seeds: Sequence[int],
-) -> tuple[list[np.ndarray], np.ndarray]:
+) -> tuple[list[np.ndarray], list[SomNetwork]]:
     """The networks ``train_many`` trains on p-wide rows that are 0 outside
     the ascending columns ``supports[k]``, each trained on ``width`` columns
-    instead; lanes in descending row count, ``inputs[k]`` holding lane k's
-    rows over its support.
+    instead, ``inputs[k]`` holding network k's rows over its support.
 
     A column that is 0 in every row only shrinks: each update scales its
     hood weights by 1 - alpha.  So the root of the squares of a neuron's
@@ -271,38 +267,49 @@ def _train_on_support(
     lanes).  The forms agree in real arithmetic only: float sums differ in
     their last bits, so a BMU within an ulp of its runner-up can differ,
     and the epoch-end flush sees the rest column as one value.  Returns
-    each lane's (n, width) rows and the trained (lanes, N, width) weights.
+    each network's (n, width) rows and the trained networks, in input order.
     """
+    if not seeds:
+        return [], []
     neurons = cfg.neuron_count
-    full = _initial_weights(seeds, neurons, p)
-    sizes = [len(columns) for columns in supports]
-    lane = np.repeat(np.arange(len(seeds)), sizes)
-    column = np.concatenate(supports)
-    position = np.concatenate([np.arange(size) for size in sizes])
-    weights = np.zeros((len(seeds), neurons, width))
-    weights[lane, :, position] = full[lane, :, column]
-    full[lane, :, column] = 0.0
-    weights[:, :, -1] = _weight_norms(full)
+
+    def initial(order: list[int]) -> np.ndarray:
+        full = _initial_weights([seeds[k] for k in order], neurons, p)
+        sizes = [len(supports[k]) for k in order]
+        lane = np.repeat(np.arange(len(order)), sizes)
+        column = np.concatenate([supports[k] for k in order])
+        position = np.concatenate([np.arange(size) for size in sizes])
+        weights = np.zeros((len(order), neurons, width))
+        weights[lane, :, position] = full[lane, :, column]
+        full[lane, :, column] = 0.0
+        weights[:, :, -1] = _weight_norms(full)
+        return weights
+
     rows = []
     for values in inputs:
         row = np.zeros((len(values), width))
         row[:, : values.shape[1]] = values
         rows.append(row)
-    _train_lanes(rows, cfg, seeds, weights, neurons * p)
-    return rows, weights
+    return rows, _train_lanes(rows, cfg, seeds, initial, neurons * p)
 
 
 def _train_lanes(
     matrices: Sequence[np.ndarray],
     cfg: SomConfig,
     seeds: Sequence[int],
-    weights: np.ndarray,
+    initial: Callable[[list[int]], np.ndarray],
     skip: int,
-) -> None:
-    """Train the (lanes, N, q) ``weights`` in place, then make them read-only:
-    lane i on the (n_i, q) rows ``matrices[i]``, lanes in descending row
-    count, epoch e presenting lane i's rows sorted by SplitMix64 outputs
-    ``skip + e*n_i + r + 1`` of ``seeds[i]`` (``_orders``)."""
+) -> list[SomNetwork]:
+    """Network k trained on the (n_k, q) rows ``matrices[k]``, epoch e
+    presenting them sorted by SplitMix64 outputs ``skip + e*n_k + r + 1`` of
+    ``seeds[k]`` (``_orders``).  The networks train as one tensor in
+    descending row count, so the lanes that still present an input at step
+    ``k`` of an epoch are a prefix: ``initial(order)`` gives the (lanes, N,
+    q) initial weights of networks ``order``, in that order.  The tensor is
+    read-only after training; the networks return in input order."""
+    by_count = sorted(range(len(seeds)), key=lambda k: -len(matrices[k]))
+    weights = initial(by_count)
+    matrices = [matrices[k] for k in by_count]
     counts = [len(matrix) for matrix in matrices]
     lanes = len(matrices)
     flat = matrices[0] if lanes == 1 else np.concatenate(matrices)
@@ -320,7 +327,7 @@ def _train_lanes(
     dots, denom = np.empty(cfg.neuron_count), np.empty(cfg.neuron_count)
     x_norms = flat_norms.tolist()
 
-    orders = _orders(seeds, counts, skip, cfg.epochs)
+    orders = _orders([seeds[k] for k in by_count], counts, skip, cfg.epochs)
     for epoch, rows in enumerate(orders):
         decay = 1.0 - epoch / cfg.epochs
         alpha = cfg.alpha0 * decay
@@ -373,6 +380,10 @@ def _train_lanes(
             weights[np.abs(weights) < _TINY] = 0.0
 
     weights.setflags(write=False)
+    nets = [None] * len(seeds)
+    for i, k in enumerate(by_count):
+        nets[k] = SomNetwork(weights[i], replace(cfg, seed=seeds[k]))
+    return nets
 
 
 def _input_cosines(net: SomNetwork, inputs: np.ndarray) -> np.ndarray:

@@ -231,28 +231,34 @@ class TestClusterUsers:
         for user in users:
             assert block[user] == cluster_one(small_cube, user, cfg)
 
-    def test_narrow_supports_train_compact_and_wide_ones_full_width(self, small_cube, monkeypatch):
-        """The compact form where the cube's widest support plus the rest
-        column is below p, the p-wide usage rows where it is not."""
+    def test_supports_spanning_p_train_compact_too(self, small_cube, monkeypatch):
+        """A user alone with the items it rated has the cube's widest support
+        equal to p, so its network is p + 1 columns wide, the rest column
+        starting and staying 0; its labels are still the p-wide ones."""
+        monkeypatch.setattr(pipeline, "train_many", None)
+        monkeypatch.setattr(pipeline, "train", None)
+        for user in [u for u in small_cube.users if len(small_cube.user_ratings(u)) > 1]:
+            cells = {key: r for key, r in small_cube.cells().items() if key[0] == user}
+            items = sorted({item for _, _, item in cells})
+            wide = RatingCube(small_cube.schema, [user], items, cells)
+            assert wide.widest_support == wide.p
+            assert cluster_users(wide, [user], self.CFG) == {
+                user: trained_clustering(wide, user, self.CFG)
+            }
+
+    def test_labels_hold_when_other_users_change_the_width(self, small_cube):
+        """Each user alone in a cube over the same items trains at its own
+        support plus one, not at the shared cube's width; the bits may move,
+        and on this cube no label does."""
         users = [u for u in small_cube.users if len(small_cube.user_ratings(u)) > 1]
-        assert small_cube.widest_support + 1 < small_cube.p
-        expected = {user: trained_clustering(small_cube, user, self.CFG) for user in users}
-
-        def no_training(*args):
-            raise AssertionError("the other form was trained")
-
-        with monkeypatch.context() as patched:
-            patched.setattr(pipeline, "train_many", no_training)
-            assert cluster_users(small_cube, users, self.CFG) == expected
-        user = users[0]  # alone with the items it rated: its support is all of p
-        cells = {key: r for key, r in small_cube.cells().items() if key[0] == user}
-        items = sorted({item for _, _, item in cells})
-        wide = RatingCube(small_cube.schema, [user], items, cells)
-        assert wide.widest_support == wide.p
-        monkeypatch.setattr(pipeline, "_train_on_support", no_training)
-        assert cluster_users(wide, [user], self.CFG) == {
-            user: trained_clustering(wide, user, self.CFG)
-        }
+        shared = cluster_users(small_cube, users, self.CFG)
+        narrower = 0
+        for user in users:
+            cells = {key: r for key, r in small_cube.cells().items() if key[0] == user}
+            alone = RatingCube(small_cube.schema, [user], small_cube.items, cells)
+            narrower += alone.widest_support < small_cube.widest_support
+            assert cluster_one(alone, user, self.CFG) == shared[user]
+        assert narrower > len(users) // 2
 
     def test_every_block_trains_at_the_cube_width(self, small_cube, monkeypatch):
         """A lane's bits depend on the width it is padded to, so the width is

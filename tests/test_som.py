@@ -772,10 +772,9 @@ def phase1_cubes(draw):
 
 
 def trained_users(cube: RatingCube) -> list[str]:
-    """The users who rated in two or more situations, in descending
-    situation count: the lanes of one phase-1 block."""
-    users = [user for user in cube.users if len(cube.user_ratings(user)) > 1]
-    return sorted(users, key=lambda user: -len(cube.user_ratings(user)))
+    """The users who rated in two or more situations: the lanes of one
+    phase-1 block."""
+    return [user for user in cube.users if len(cube.user_ratings(user)) > 1]
 
 
 def support_lanes(cube: RatingCube, cfg: SomConfig) -> list[dict]:
@@ -789,14 +788,15 @@ def support_lanes(cube: RatingCube, cfg: SomConfig) -> list[dict]:
     width = cube.widest_support + 1
     assert width < cube.p
     values, supports = [usage[2] for usage in usages], [usage[1] for usage in usages]
-    rows, weights = som._train_on_support(values, supports, cube.p, width, cfg, seeds)
+    rows, nets = som._train_on_support(values, supports, cube.p, width, cfg, seeds)
     lanes = []
-    for user, support, seed, compact, trained in zip(users, supports, seeds, rows, weights):
+    for user, support, seed, compact, net in zip(users, supports, seeds, rows, nets):
         alone = replace(cfg, seed=seed)
+        assert net.config == alone
         dense = cube.usage_matrix(user)[1]
         full = train(dense, alone).weights
         lanes.append(
-            dict(cfg=alone, dense=dense, support=support, rows=compact, weights=trained, full=full)
+            dict(cfg=alone, dense=dense, support=support, rows=compact, weights=net.weights, full=full)
         )
     return lanes
 
@@ -893,15 +893,17 @@ class TestTrainOnSupport:
         calls.clear()
         train_many([lane["dense"] for lane in lanes], cfg, seeds)
         (full_call,) = calls
-        assert compact_call[0] == full_call[0] == seeds
+        by_count = sorted(lanes, key=lambda lane: -len(lane["rows"]))
+        assert compact_call[0] == full_call[0] == [lane["cfg"].seed for lane in by_count]
+        assert compact_call[1] == full_call[1] == [len(lane["rows"]) for lane in by_count]
         assert compact_call[2] == full_call[2] == cfg.neuron_count * cube.p
         assert all(a.tobytes() == b.tobytes() for a, b in zip(compact_call[3], full_call[3]))
-        for i, (seed, n) in enumerate(zip(seeds, compact_call[1])):
+        for i, (seed, n) in enumerate(zip(compact_call[0], compact_call[1])):
             for epoch, order in enumerate(compact_call[3]):
                 skip = cfg.neuron_count * cube.p + epoch * n
                 assert order[i, :n].tolist() == py_permutation(seed, n, skip)
 
-    def test_any_grouping_of_lanes_gives_the_same_bits(self):
+    def test_any_grouping_or_order_of_lanes_gives_the_same_bits(self):
         cube = generate(GenConfig(n_users=30, n_items=60, density=0.02, seed=2))
         cfg = SomConfig(neuron_count=6, epochs=8, seed=3)
         users = trained_users(cube)
@@ -915,11 +917,16 @@ class TestTrainOnSupport:
             return som._train_on_support(values, supports, cube.p, width, cfg, lane_seeds)
 
         rows, block = lanes(range(len(users)))
-        assert len(users) > 10 and not block.flags.writeable
+        counts = [len(usage[0]) for usage in usages]
+        assert len(users) > 10 and counts != sorted(counts, reverse=True)
+        assert not any(net.weights.flags.writeable for net in block)
+        backwards_rows, backwards = lanes(range(len(users))[::-1])
         for k in range(len(users)):
             alone_rows, alone = lanes([k])
-            assert alone[0].tobytes() == block[k].tobytes()
-            assert alone_rows[0].tobytes() == rows[k].tobytes()
+            for got, got_rows in ((alone[0], alone_rows[0]), (backwards[-1 - k], backwards_rows[-1 - k])):
+                assert got.config == block[k].config
+                assert got.weights.tobytes() == block[k].weights.tobytes()
+                assert got_rows.tobytes() == rows[k].tobytes()
 
     def test_the_full_width_draw_keeps_the_allocation_guard(self):
         cfg = SomConfig(neuron_count=10**18)
