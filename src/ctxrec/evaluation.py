@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .baseline import BaselineModel, flatten_cube
 from .core import RatingCube

@@ -27,7 +27,6 @@ from .errors import CorruptFile, EmptyInput, InvalidConfig, UnknownUser
 from .rng import derive_seed
 from .som import SomConfig, SomNetwork, _divide, _mean, _train_on_support, assign, train
 from .som import som_from_json_dict, som_to_json_dict
-from .som import train_many  # not called here; tests stub it to show that no SOM trains
 from . import jsonio
 
 DEFAULT_PHASE1_NEURONS = 6

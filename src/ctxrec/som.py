@@ -22,19 +22,19 @@ Both are integer arithmetic only, so they are identical on every CPU; what
 can differ between BLAS kernels is the products that training computes.
 At the end of every epoch each weight below 2**-1022 (the smallest normal
 float64) in magnitude is set to 0.0, as subnormal arithmetic is slow.
-``train_many`` trains many same-shaped networks in lockstep; each one is
-bit-identical to training it alone, and ``train`` is its one-network case.
-Phase 1 trains its networks, whose rows are 0 outside the few items a user
-rated, on those items plus one rest column that carries the root of the
-squares of all other weights of a neuron (``_train_on_support``): the same
-network in real arithmetic, at a fraction of the width.
+One trainer, ``_train_lanes``, runs many same-shaped networks in lockstep,
+each bit-identical to training it alone; ``train`` is its one-network
+case.  Phase 1 trains its networks, whose rows are 0 outside the few items
+a user rated, on those items plus one rest column that carries the root of
+the squares of all other weights of a neuron (``_train_on_support``): the
+same network in real arithmetic, at a fraction of the width.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -195,41 +195,13 @@ def train(inputs: np.ndarray, cfg: SomConfig) -> SomNetwork:
     presents the inputs in its own order; the initial weights and the
     orders are the SplitMix64 counter outputs of ``cfg.seed`` that the
     module docstring lists.  Each epoch ends by setting every weight below
-    2**-1022 in magnitude to 0.0.
+    2**-1022 in magnitude to 0.0.  Raises ``InvalidConfig`` when numpy
+    cannot create the weight array.
     """
-    return train_many([inputs], cfg, [cfg.seed])[0]
-
-
-def train_many(
-    inputs_per_net: Sequence[np.ndarray], cfg: SomConfig, seeds: Sequence[int]
-) -> list[SomNetwork]:
-    """Train one network per input set, all in lockstep.
-
-    Network ``k`` is bit-identical to ``train(inputs_per_net[k],
-    replace(cfg, seed=seeds[k]))``: its initial weights and epoch orders are
-    the counter outputs of ``seeds[k]`` alone, drawn for every network at
-    once as ``uint64`` arrays (the weights in one expression, the orders one
-    epoch at a time), and the batched similarity and update arithmetic is
-    the per-network arithmetic, element for element, as is the epoch-end
-    flush of subnormal weights, over every lane at once.  The networks are
-    kept as one ``(lanes, neurons, p)`` tensor, ordered by descending input
-    count, so the lanes that still present an input at step ``k`` of an
-    epoch are a prefix.  Raises ``InvalidConfig`` when numpy cannot create
-    the weight array.
-    """
-    if len(inputs_per_net) != len(seeds):
-        raise LengthMismatch(f"{len(inputs_per_net)} input sets but {len(seeds)} seeds")
-    if not seeds:
-        return []
-    matrices = [_as_input_matrix(inputs) for inputs in inputs_per_net]
-    p = matrices[0].shape[1]
-    if any(matrix.shape[1] != p for matrix in matrices):
-        raise LengthMismatch("networks trained together need equal input lengths")
-
-    def initial(order: list[int]) -> np.ndarray:
-        return _initial_weights([seeds[k] for k in order], cfg.neuron_count, p)
-
-    return _train_lanes(matrices, cfg, seeds, initial, cfg.neuron_count * p)
+    matrix = _as_input_matrix(inputs)
+    p = matrix.shape[1]
+    weights = _initial_weights([cfg.seed], cfg.neuron_count, p)
+    return _train_lanes([matrix], cfg, [cfg.seed], weights, cfg.neuron_count * p)[0]
 
 
 def _initial_weights(seeds: Sequence[int], neuron_count: int, p: int) -> np.ndarray:
@@ -250,9 +222,10 @@ def _train_on_support(
     cfg: SomConfig,
     seeds: Sequence[int],
 ) -> tuple[list[np.ndarray], list[SomNetwork]]:
-    """The networks ``train_many`` trains on p-wide rows that are 0 outside
-    the ascending columns ``supports[k]``, each trained on ``width`` columns
-    instead, ``inputs[k]`` holding network k's rows over its support.
+    """The networks ``train`` trains on p-wide rows that are 0 outside the
+    ascending columns ``supports[k]``, network k seeded ``seeds[k]``, each
+    trained on ``width`` columns instead, ``inputs[k]`` holding its rows
+    over its support.
 
     A column that is 0 in every row only shrinks: each update scales its
     hood weights by 1 - alpha.  So the root of the squares of a neuron's
@@ -272,43 +245,42 @@ def _train_on_support(
     if not seeds:
         return [], []
     neurons = cfg.neuron_count
-
-    def initial(order: list[int]) -> np.ndarray:
-        full = _initial_weights([seeds[k] for k in order], neurons, p)
-        sizes = [len(supports[k]) for k in order]
-        lane = np.repeat(np.arange(len(order)), sizes)
-        column = np.concatenate([supports[k] for k in order])
-        position = np.concatenate([np.arange(size) for size in sizes])
-        weights = np.zeros((len(order), neurons, width))
-        weights[lane, :, position] = full[lane, :, column]
-        full[lane, :, column] = 0.0
-        weights[:, :, -1] = _weight_norms(full)
-        return weights
+    full = _initial_weights(seeds, neurons, p)
+    sizes = [len(support) for support in supports]
+    lane = np.repeat(np.arange(len(seeds)), sizes)
+    column = np.concatenate(supports)
+    position = np.concatenate([np.arange(size) for size in sizes])
+    weights = np.zeros((len(seeds), neurons, width))
+    weights[lane, :, position] = full[lane, :, column]
+    full[lane, :, column] = 0.0
+    weights[:, :, -1] = _weight_norms(full)
 
     rows = []
     for values in inputs:
         row = np.zeros((len(values), width))
         row[:, : values.shape[1]] = values
         rows.append(row)
-    return rows, _train_lanes(rows, cfg, seeds, initial, neurons * p)
+    return rows, _train_lanes(rows, cfg, seeds, weights, neurons * p)
 
 
 def _train_lanes(
     matrices: Sequence[np.ndarray],
     cfg: SomConfig,
     seeds: Sequence[int],
-    initial: Callable[[list[int]], np.ndarray],
+    weights: np.ndarray,
     skip: int,
 ) -> list[SomNetwork]:
-    """Network k trained on the (n_k, q) rows ``matrices[k]``, epoch e
-    presenting them sorted by SplitMix64 outputs ``skip + e*n_k + r + 1`` of
-    ``seeds[k]`` (``_orders``).  The networks train as one tensor in
-    descending row count, so the lanes that still present an input at step
-    ``k`` of an epoch are a prefix: ``initial(order)`` gives the (lanes, N,
-    q) initial weights of networks ``order``, in that order.  The tensor is
-    read-only after training; the networks return in input order."""
+    """Network k trained on the (n_k, q) rows ``matrices[k]`` from the (N, q)
+    initial weights ``weights[k]``, epoch e presenting the rows sorted by
+    SplitMix64 outputs ``skip + e*n_k + r + 1`` of ``seeds[k]``
+    (``_orders``).  The networks train as one tensor, a copy of ``weights``
+    in descending row count, so the lanes that still present an input at
+    step ``k`` of an epoch are a prefix; each lane's arithmetic is that of
+    the network alone, element for element, so it keeps that network's
+    bits.  The tensor is read-only after training; the networks return in
+    input order."""
     by_count = sorted(range(len(seeds)), key=lambda k: -len(matrices[k]))
-    weights = initial(by_count)
+    weights = weights[by_count]
     matrices = [matrices[k] for k in by_count]
     counts = [len(matrix) for matrix in matrices]
     lanes = len(matrices)

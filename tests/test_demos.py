@@ -1,6 +1,6 @@
 """Every demo script runs to completion from an empty working directory,
-README's imports resolve, and every public name of the package is used
-outside the tests."""
+README's imports resolve, every public name of the package is used
+outside the tests, and every module uses the names it imports."""
 
 import ast
 import os
@@ -76,3 +76,27 @@ def test_public_names_named_outside_tests():
             if not any(word.search(t) for t in [rest, *others, *elsewhere]):
                 unnamed.append(f"{path.name}: {node.name}")
     assert unnamed == []
+
+
+def test_every_import_is_used():
+    """Each name a module of ``src/ctxrec`` imports is named again in that
+    module; ``__init__.py`` (which re-exports) and ``from __future__`` are
+    left out.  No linter is assumed, so an unused import fails here."""
+    unused = []
+    for path in sorted(ROOT.glob("src/ctxrec/*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used
+        ]
+    assert unused == []

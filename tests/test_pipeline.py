@@ -202,20 +202,34 @@ class TestClusterUsers:
     CFG = SomConfig(DEFAULT_PHASE1_NEURONS, epochs=15, seed=4)
 
     def test_one_situation_users_train_no_som(self, small_cube, monkeypatch):
-        single = [u for u in small_cube.users if len(small_cube.user_ratings(u)) == 1]
-        assert len(single) > 1
+        """No one-situation user is ever a lane of phase 1's trainer, alone,
+        in a block of its kind or beside users who train; the lanes are
+        told apart by their seeds."""
+        users = [u for u in small_cube.users if small_cube.user_ratings(u)]
+        single = [u for u in users if len(small_cube.user_ratings(u)) == 1]
+        assert len(single) > 1 and len(users) > len(single)
         expected = {user: trained_clustering(small_cube, user, self.CFG) for user in single}
+        lane_seeds = []
+        train_on_support = pipeline._train_on_support
+
+        def spy(*args):
+            lane_seeds.extend(args[5])
+            return train_on_support(*args)
 
         def no_training(*args):
-            raise AssertionError("a SOM was trained")
+            raise AssertionError("a p-wide SOM was trained")
 
+        monkeypatch.setattr(pipeline, "_train_on_support", spy)
         monkeypatch.setattr(pipeline, "train", no_training)
-        monkeypatch.setattr(pipeline, "train_many", no_training)
         for user in single:
             (flat,) = small_cube.user_ratings(user)
             clustering = cluster_one(small_cube, user, self.CFG)
             assert clustering == ContextClustering(user, {flat: 1}, 1) == expected[user]
         assert cluster_users(small_cube, single, self.CFG) == expected
+        assert lane_seeds == []
+        cluster_users(small_cube, users, self.CFG)
+        trained = [user for user in users if user not in single]
+        assert lane_seeds == [derive_seed(self.CFG.seed, "phase1", user) for user in trained]
 
     def test_mixed_block_equals_the_trained_path(self, small_cube):
         users = [u for u in small_cube.users if small_cube.user_ratings(u)]
@@ -235,7 +249,13 @@ class TestClusterUsers:
         """A user alone with the items it rated has the cube's widest support
         equal to p, so its network is p + 1 columns wide, the rest column
         starting and staying 0; its labels are still the p-wide ones."""
-        monkeypatch.setattr(pipeline, "train_many", None)
+        widths = []
+        train_on_support = pipeline._train_on_support
+        monkeypatch.setattr(
+            pipeline,
+            "_train_on_support",
+            lambda *args: widths.append(args[3]) or train_on_support(*args),
+        )
         monkeypatch.setattr(pipeline, "train", None)
         for user in [u for u in small_cube.users if len(small_cube.user_ratings(u)) > 1]:
             cells = {key: r for key, r in small_cube.cells().items() if key[0] == user}
@@ -245,6 +265,7 @@ class TestClusterUsers:
             assert cluster_users(wide, [user], self.CFG) == {
                 user: trained_clustering(wide, user, self.CFG)
             }
+            assert widths.pop() == wide.p + 1
 
     def test_labels_hold_when_other_users_change_the_width(self, small_cube):
         """Each user alone in a cube over the same items trains at its own

@@ -27,7 +27,6 @@ from ctxrec.som import (
     som_from_json_dict,
     som_to_json_dict,
     train,
-    train_many,
 )
 
 from conftest import py_permutation, py_weights
@@ -215,9 +214,10 @@ def reference_train(
     bmus: list | None = None,
 ) -> np.ndarray:
     """The per-network training algorithm, written out step by step on the
-    plain-Python counter stream: the bytes ``train`` and ``train_many`` must
-    reproduce.  At the end of every epoch each weight below the smallest
-    normal float in magnitude is set to 0; ``flush=False`` leaves that out.
+    plain-Python counter stream: the bytes ``train`` and each lane of
+    ``lockstep`` must reproduce.  At the end of every epoch each weight
+    below the smallest normal float in magnitude is set to 0;
+    ``flush=False`` leaves that out.
     ``initial`` replaces the drawn weights and ``skip`` the order offset
     ``N*p``, as ``som._train_on_support`` does; ``bmus``, if given, gets
     each step's BMU.
@@ -284,13 +284,35 @@ def input_sets(p: int) -> list[list[np.ndarray]]:
 LANE_SEEDS = [0, (1 << 64) - 1, 5, 1 << 40, 99, 3, 12, 77, 1 << 63, 8, 2, 41]
 
 
+def lockstep(sets, cfg: SomConfig, seeds) -> list[SomNetwork]:
+    """One network per input set, lane k drawn and ordered from ``seeds[k]``,
+    trained together by ``som._train_lanes``: ``train`` with many lanes."""
+    matrices = [np.asarray(rows, dtype=np.float64) for rows in sets]
+    p = matrices[0].shape[1]
+    weights = som._initial_weights(seeds, cfg.neuron_count, p)
+    return som._train_lanes(matrices, cfg, seeds, weights, cfg.neuron_count * p)
+
+
+def train_ones(lanes: int, cfg: SomConfig) -> None:
+    """``train`` of two 3-wide rows for one lane, else phase 1's trainer on
+    ``lanes`` networks whose supports span the 3 columns."""
+    if lanes == 1:
+        train(np.ones((2, 3)), cfg)
+    else:
+        supports = [np.arange(3)] * lanes
+        som._train_on_support([np.ones((2, 3))] * lanes, supports, 3, 4, cfg, list(range(lanes)))
+
+
 class TestTrainMany:
+    """Networks trained together in lockstep: each lane has the bits of
+    training it alone."""
+
     @pytest.mark.parametrize("p", [7, 384])
     @pytest.mark.parametrize("neurons,radius0", [(6, None), (6, 0.0), (9, 3.0), (1, 2.0)])
     def test_each_network_equals_training_it_alone(self, p, neurons, radius0):
         cfg = SomConfig(neuron_count=neurons, epochs=12, radius0=radius0)
         sets = input_sets(p)
-        nets = train_many(sets, cfg, LANE_SEEDS)
+        nets = lockstep(sets, cfg, LANE_SEEDS)
         for inputs, seed, net in zip(sets, LANE_SEEDS, nets):
             alone = replace(cfg, seed=seed)
             expected = reference_train(inputs, alone)
@@ -310,40 +332,26 @@ class TestTrainMany:
     def test_lane_order_and_blocks_do_not_matter(self):
         cfg = SomConfig(neuron_count=6, epochs=10)
         sets = input_sets(40)
-        whole = [net.weights.tobytes() for net in train_many(sets, cfg, LANE_SEEDS)]
+        whole = [net.weights.tobytes() for net in lockstep(sets, cfg, LANE_SEEDS)]
         order = list(np.random.default_rng(3).permutation(len(sets)))
-        shuffled = train_many([sets[k] for k in order], cfg, [LANE_SEEDS[k] for k in order])
+        shuffled = lockstep([sets[k] for k in order], cfg, [LANE_SEEDS[k] for k in order])
         assert [net.weights.tobytes() for net in shuffled] == [whole[k] for k in order]
         for cut in (1, 5, 11):
-            split = train_many(sets[:cut], cfg, LANE_SEEDS[:cut]) + train_many(
+            split = lockstep(sets[:cut], cfg, LANE_SEEDS[:cut]) + lockstep(
                 sets[cut:], cfg, LANE_SEEDS[cut:]
             )
             assert [net.weights.tobytes() for net in split] == whole
 
     def test_no_networks(self):
-        assert train_many([], SomConfig(neuron_count=2), []) == []
-
-    def test_seed_count_must_match(self):
-        with pytest.raises(LengthMismatch):
-            train_many([[np.ones(3)]], SomConfig(neuron_count=2), [1, 2])
-
-    def test_networks_need_equal_input_lengths(self):
-        with pytest.raises(LengthMismatch):
-            train_many([[np.ones(3)], [np.ones(4)]], SomConfig(neuron_count=2), [1, 2])
-
-    def test_empty_input_set_rejected(self):
-        with pytest.raises(EmptyInput):
-            train_many([[np.ones(3)], []], SomConfig(neuron_count=2), [1, 2])
+        """Phase 1 calls its trainer for a block in which no user trains."""
+        assert som._train_on_support([], [], 3, 2, SomConfig(neuron_count=2), []) == ([], [])
 
     @pytest.mark.parametrize("lanes", [1, 2])
     def test_unallocatable_weights_are_invalid_config(self, lanes):
         cfg = SomConfig(neuron_count=10**18)
         message = "cannot allocate SOM weights for 1000000000000000000 neurons of input length 3"
         with pytest.raises(InvalidConfig, match=message):
-            train_many([np.ones((2, 3))] * lanes, cfg, list(range(lanes)))
-        if lanes == 1:
-            with pytest.raises(InvalidConfig, match=message):
-                train(np.ones((2, 3)), cfg)
+            train_ones(lanes, cfg)
 
     def test_out_of_memory_is_invalid_config(self, monkeypatch):
         def no_memory(*args):
@@ -353,27 +361,27 @@ class TestTrainMany:
         cfg = SomConfig(neuron_count=7)
         for lanes in (1, 2):
             with pytest.raises(InvalidConfig, match="7 neurons of input length 3"):
-                train_many([np.ones((2, 3))] * lanes, cfg, list(range(lanes)))
+                train_ones(lanes, cfg)
 
 
 SPEC_SEEDS = [0, 1, 1 << 63, (1 << 64) - 1]
 
 
 class TestCounterSpec:
-    """The initial weights and every epoch's order that ``train_many`` uses
-    are the plain-Python SplitMix64 spec exactly, with no uint64 overflow
+    """The initial weights and every epoch's order that lockstep training
+    uses are the plain-Python SplitMix64 spec exactly, with no uint64 overflow
     warning, for ragged blocks and for one network of 1, 2 or 7 rows."""
 
     def test_weights_and_orders_follow_the_spec(self, monkeypatch):
         drawn, orders = [], []
         draw, presentation = som._draw_weights, som._orders
 
-        def spy_draw(*args):  # copies, as training moves weights and orders in place
-            weights = draw(*args)
-            drawn.append(weights.copy())
-            return weights
+        def spy_draw(*args):
+            drawn.append(draw(*args))
+            return drawn[-1]
 
         monkeypatch.setattr(som, "_draw_weights", spy_draw)
+        # copies, as training moves the orders in place
         monkeypatch.setattr(
             som, "_orders", lambda *args: (orders.append(o.copy()) or o for o in presentation(*args))
         )
@@ -386,13 +394,14 @@ class TestCounterSpec:
             orders.clear()
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                train_many([rng.uniform(0.0, 5.0, (n, p)) for n in counts], cfg, seeds)
+                lockstep([rng.uniform(0.0, 5.0, (n, p)) for n in counts], cfg, seeds)
             assert len(drawn) == 1 and len(orders) == cfg.epochs
-            # lanes run in descending row count, ties in input order
+            # weights are drawn in input order; lanes run in descending row
+            # count, ties in input order
             lanes = sorted(range(len(counts)), key=lambda k: -counts[k])
             for i, k in enumerate(lanes):
                 expected = np.array(py_weights(seeds[k], cfg.neuron_count, p))
-                assert drawn[0][i].tobytes() == expected.tobytes()
+                assert drawn[0][k].tobytes() == expected.tobytes()
                 for epoch, order in enumerate(orders):
                     n = counts[k]
                     skip = cfg.neuron_count * p + epoch * n
@@ -449,7 +458,7 @@ def underflow_case(seed: int) -> tuple[np.ndarray, SomConfig]:
 
 class TestLeanStep:
     """Each step at which one network alone presents an input (all of a
-    one-network ``train``, the tail of a ``train_many`` block) has the bytes
+    one-network ``train``, the tail of a ``lockstep`` block) has the bytes
     of ``reference_train``."""
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -466,7 +475,7 @@ class TestLeanStep:
         counts = short + [data.draw(st.integers(8, 12))]
         sets = [rating_rows(data.draw, n, p) for n in counts]
         seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=len(sets), max_size=len(sets)))
-        for rows, seed, net in zip(sets, seeds, train_many(sets, cfg, seeds)):
+        for rows, seed, net in zip(sets, seeds, lockstep(sets, cfg, seeds)):
             expected = reference_train(rows, replace(cfg, seed=seed))
             assert net.weights.tobytes() == expected.tobytes()
 
@@ -535,7 +544,7 @@ class TestSubnormalFlush:
         counts = (40, 3, 12) if part == "lockstep" else (3, 12, 20)
         sets = [zero_column_rows(2)] + [np.stack(random_inputs(rng, n, 4, 1.0)) for n in counts]
         seeds = [2, 5, 6, 7]
-        nets = train_many(sets, UNDERFLOW, seeds)
+        nets = lockstep(sets, UNDERFLOW, seeds)
         for k, (rows, seed, net) in enumerate(zip(sets, seeds, nets)):
             alone = replace(UNDERFLOW, seed=seed)
             if k == 0:
@@ -563,19 +572,17 @@ class TestSubnormalFlush:
         assert weights[:, 2:].tobytes() == np.ascontiguousarray(unflushed[:, 2:]).tobytes()
 
     def test_weight_norms_after_each_flush_are_those_of_the_flushed_weights(self, monkeypatch):
-        """The norms ``train_many`` keeps equal ``_weight_norms`` of its
-        weights at every epoch start and at the end: a subnormal squares to
-        exactly 0, so a flush moves no norm bit."""
+        """The norms lockstep training keeps equal ``_weight_norms`` of the
+        weights it trains at every epoch start and at the end: a subnormal
+        squares to exactly 0, so a flush moves no norm bit."""
         held, checks = {}, []
-        draw, norms_of, presentation = som._draw_weights, som._weight_norms, som._orders
-
-        def spy_draw(*args):
-            held["weights"] = draw(*args)
-            return held["weights"]
+        norms_of, presentation = som._weight_norms, som._orders
 
         def spy_norms(w, squares=None):
             norms = norms_of(w, squares)
-            held.setdefault("norms", norms)  # the first call: the norms training keeps
+            # the first call: the tensor training moves and the norms it keeps
+            held.setdefault("weights", w)
+            held.setdefault("norms", norms)
             return norms
 
         def check():
@@ -588,13 +595,12 @@ class TestSubnormalFlush:
                 yield order
             check()
 
-        monkeypatch.setattr(som, "_draw_weights", spy_draw)
         monkeypatch.setattr(som, "_weight_norms", spy_norms)
         monkeypatch.setattr(som, "_orders", spy_orders)
         rows = zero_column_rows(0)
         sets, seeds = [rows, rows[:9]], [0, 9]
         flushed_reference(rows, replace(UNDERFLOW, seed=0))
-        train_many(sets, UNDERFLOW, seeds)
+        lockstep(sets, UNDERFLOW, seeds)
         assert checks == [True] * (UNDERFLOW.epochs + 1)
         unflushed = reference_train(rows, replace(UNDERFLOW, seed=0), flush=False)
         cleared = np.where(np.abs(unflushed) < TINY, 0.0, unflushed)
@@ -605,11 +611,12 @@ class TestSubnormalFlush:
 # counts, where every step is a lockstep step.
 KERNEL_PROBE = """
 import numpy as np
-from ctxrec.som import SomConfig, train, train_many
+from ctxrec.som import SomConfig, train
+from test_som import lockstep
 a, b = np.random.default_rng(5).uniform(0.0, 5.0, (2, 600, 387))
 cfg = SomConfig(neuron_count=21, epochs=10, seed=17)
 alone = train(a, cfg).weights
-print(alone.tobytes() == train_many([a, b], cfg, [17, 18])[0].weights.tobytes())
+print(alone.tobytes() == lockstep([a, b], cfg, [17, 18])[0].weights.tobytes())
 """
 
 
@@ -620,8 +627,9 @@ class TestCrossKernel:
 
     @pytest.mark.parametrize("kernel", ["Haswell", "Prescott"])
     def test_lone_step_equals_its_lockstep_lane(self, kernel):
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        here = Path(__file__).resolve().parent  # the probe imports lockstep from here
+        parts = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]
+        path = os.pathsep.join(filter(None, parts))
         env = dict(os.environ, OPENBLAS_CORETYPE=kernel, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
         proc = subprocess.run(
             [sys.executable, "-c", KERNEL_PROBE],
@@ -707,7 +715,7 @@ def assert_matches_reference(net: SomNetwork, rows, expected) -> None:
 
 
 class TestPlainPythonReference:
-    """``train``, ``train_many`` and ``assign`` against a plain-Python trainer
+    """``train``, ``lockstep`` and ``assign`` against a plain-Python trainer
     that shares no arithmetic with them, on inputs whose every BMU is clear
     by more than ``SEPARATION``."""
 
@@ -724,7 +732,7 @@ class TestPlainPythonReference:
         cases = small_cases(12, seed=12, width=4)
         cfg = SomConfig(neuron_count=5, epochs=4, alpha0=0.7)
         seeds = [case_cfg.seed for _, case_cfg in cases]
-        nets = train_many([np.asarray(rows) for rows, _ in cases], cfg, seeds)
+        nets = lockstep([np.asarray(rows) for rows, _ in cases], cfg, seeds)
         assert len({len(rows) for rows, _ in cases}) > 2
         checked = 0
         for (rows, _), seed, net in zip(cases, seeds, nets):
@@ -873,7 +881,7 @@ class TestTrainOnSupport:
             assert not lane["rows"][:, len(lane["support"]) :].any()
 
     def test_lane_presents_its_rows_in_the_full_width_order(self, monkeypatch):
-        """The compact lanes' epoch orders are those of ``train_many`` on the
+        """The compact lanes' epoch orders are those of ``lockstep`` on the
         p-wide rows, from the same counter offset ``N*p``."""
         calls = []
         presentation = som._orders
@@ -891,7 +899,7 @@ class TestTrainOnSupport:
         compact_call = calls[0]  # then one call per lane's p-wide train
         seeds = [lane["cfg"].seed for lane in lanes]
         calls.clear()
-        train_many([lane["dense"] for lane in lanes], cfg, seeds)
+        lockstep([lane["dense"] for lane in lanes], cfg, seeds)
         (full_call,) = calls
         by_count = sorted(lanes, key=lambda lane: -len(lane["rows"]))
         assert compact_call[0] == full_call[0] == [lane["cfg"].seed for lane in by_count]
