@@ -234,14 +234,24 @@ def build_virtual_space(
 
 @dataclass
 class UserClusterModel:
-    """Phase-3 SOM over a 2-D space plus each row's neuron, by row.
+    """Phase-3 SOM over a 2-D space, each row's neuron, and the peer index.
 
-    That is all the scorer reads besides the space: a query finds its
-    neuron's members and their rated entries in the space's own arrays.
+    The index is built once, at fit and at load, from ``neurons`` and the
+    space's ``starts``.  Neuron ``k``'s members are ``members[bounds[k]:
+    bounds[k + 1]]``, in ascending row order; member ``i`` has ``counts[i]``
+    rated entries, and ``offsets[i]`` is its first entry's index in the
+    space's arrays less the entries of the members before it on its neuron.
+    It holds no copy of the space's columns or values.  That and the space
+    are all the scorer reads: a query takes its neuron's slice of the index,
+    then the members' entries in the space's own arrays.
     """
 
     som: SomNetwork
     neurons: np.ndarray = field(repr=False, compare=False)
+    members: np.ndarray = field(repr=False, compare=False)
+    bounds: np.ndarray = field(repr=False, compare=False)
+    counts: np.ndarray = field(repr=False, compare=False)
+    offsets: np.ndarray = field(repr=False, compare=False)
 
 
 def _rows(space: RowSpace) -> np.ndarray:
@@ -251,8 +261,18 @@ def _rows(space: RowSpace) -> np.ndarray:
     return space.matrix
 
 
-def _cluster_model(net: SomNetwork, matrix: np.ndarray) -> UserClusterModel:
-    return UserClusterModel(net, np.asarray(assign(net, matrix), int))
+def _cluster_model(net: SomNetwork, space: RowSpace, neurons) -> UserClusterModel:
+    """The model whose rows sit on ``neurons``, with its peer index."""
+    neurons = np.array(neurons, int)
+    members = np.argsort(neurons, kind="stable")
+    sizes = np.bincount(neurons, minlength=net.neuron_count)
+    bounds = np.concatenate(([0], sizes.cumsum()))
+    counts = np.diff(space.starts)[members]
+    before = counts.cumsum() - counts  # entries of the members before, on any neuron
+    offsets = space.starts[members] - (before - before[bounds[neurons[members]]])
+    for array in (neurons, members, bounds, counts, offsets):
+        array.setflags(write=False)
+    return UserClusterModel(net, neurons, members, bounds, counts, offsets)
 
 
 def cluster_virtual_users(
@@ -260,7 +280,8 @@ def cluster_virtual_users(
 ) -> UserClusterModel:
     """Phase 3: cluster the rows of a 2-D space (virtual users or plain users)."""
     matrix = _rows(space)
-    return _cluster_model(train(matrix, cfg), matrix)
+    net = train(matrix, cfg)
+    return _cluster_model(net, space, assign(net, matrix))
 
 
 def _score(model: UserClusterModel, space: RowSpace, key) -> tuple[np.ndarray, np.ndarray]:
@@ -269,21 +290,22 @@ def _score(model: UserClusterModel, space: RowSpace, key) -> tuple[np.ndarray, n
     Peers are the other rows on the same neuron, in row order; each item's
     score is the cosine-similarity-weighted mean of the peers that rated it.
     When no peer rated the item (or total similarity is zero), the neuron's
-    weight component stands in.  Norms are the space's ``norms``; every
-    other sum is an ``np.bincount`` over the members' rated entries, member
-    after member in row order and each member's entries in column order, so
-    each score has the bits of a plain left-to-right loop over the peers
-    and their entries.  The own row is a member too; its entries lie in its
-    own rated columns, which are not returned.
+    weight component stands in.  A query reads its neuron's members, their
+    entry counts and offsets from the model's peer index, and the members'
+    entries, norms and its own row from the space.  Every sum is an
+    ``np.bincount`` over the members' rated entries, member after member in
+    row order and each member's entries in column order, and norms are the
+    space's ``norms``, so each score has the bits of a plain left-to-right
+    loop over the peers and their entries.  The own row is a member too; its
+    entries lie in its own rated columns, which are not returned.
     """
     row = space.row(key)  # raises for unknown keys
     neuron = model.neurons[row]
-    members = (model.neurons == neuron).nonzero()[0]
-    firsts, lasts = space.starts[members], space.starts[members + 1]
-    counts = lasts - firsts
+    peers = slice(model.bounds[neuron], model.bounds[neuron + 1])
+    members, counts = model.members[peers], model.counts[peers]
     member_of = np.arange(len(members)).repeat(counts)
-    # gathered entry k of member m is space entry k + lasts[m] - (entries of members 0..m)
-    take = np.arange(len(member_of)) + (lasts - counts.cumsum()).repeat(counts)
+    # gathered entry k of member m is space entry k + offsets[m]
+    take = np.arange(len(member_of)) + model.offsets[peers].repeat(counts)
     columns, values = space.columns[take], space.values[take]
     p, n = len(space.items), len(members)
     span = slice(space.starts[row], space.starts[row + 1])
@@ -483,7 +505,7 @@ def _load_bundle(directory: str | Path, space_file: str):
     stored = space.values
     if not np.all((stored >= schema.rating_min) & (stored <= schema.rating_max)):
         raise CorruptFile(f"{space_path} holds a rating outside the schema's range")
-    return schema, space, _cluster_model(net, _rows(space))
+    return schema, space, _cluster_model(net, space, assign(net, _rows(space)))
 
 
 def _clusterings_from_json(

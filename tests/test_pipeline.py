@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctxrec.baseline import BaselineModel, fit_baseline, flatten_cube
+from ctxrec.baseline import BaselineModel, fit_baseline, flatten_cube, load_baseline, save_baseline
 from ctxrec.core import RatingCube, default_schema
 from ctxrec.datagen import GenConfig, generate
 from ctxrec import jsonio
@@ -575,11 +575,58 @@ class TestClusterVirtualUsers:
         labels = assign(small_model.user_model.som, space.matrix)
         assert small_model.user_model.neurons.tolist() == labels
 
-    def test_scorer_state_is_the_som_and_neurons(self, small_model):
+    def test_scorer_state_is_the_som_neurons_and_peer_index(
+        self, small_model, small_cube, tmp_path
+    ):
         # the scorer reads nothing else from the model
         model = small_model.user_model
-        assert [f.name for f in fields(model)] == ["som", "neurons"]
+        assert [f.name for f in fields(model)] == [
+            "som", "neurons", "members", "bounds", "counts", "offsets"
+        ]
         assert model.neurons.tolist() == assign(model.som, small_model.space.matrix)
+        assert_peer_index(model, small_model.space)
+        save_pipeline(small_model, tmp_path / "pipeline")
+        loaded = load_pipeline(tmp_path / "pipeline")
+        assert loaded.user_model.neurons.tolist() == model.neurons.tolist()
+        assert_peer_index(loaded.user_model, loaded.space)
+        flat = fit_baseline(small_cube, SomConfig(5, epochs=5))
+        assert_peer_index(flat.user_model, flat.space)
+        save_baseline(flat, tmp_path / "baseline")
+        loaded = load_baseline(tmp_path / "baseline")
+        assert loaded.user_model.neurons.tolist() == flat.user_model.neurons.tolist()
+        assert_peer_index(loaded.user_model, loaded.space)
+
+    def test_peer_index_of_an_empty_neuron_and_a_row_without_entries(self):
+        space = RowSpace(
+            ("i1", "i2", "i3"),
+            {"a": {"i1": 4.0, "i3": 2.0}, "b": {}, "c": {"i2": 5.0}, "d": {"i1": 1.0}},
+        )
+        net = SomNetwork(np.ones((4, 3)), SomConfig(4))
+        model = pipeline._cluster_model(net, space, [3, 0, 3, 0])
+        assert model.bounds.tolist() == [0, 2, 2, 2, 4]  # neurons 1 and 2 are empty
+        assert model.members.tolist() == [1, 3, 0, 2]
+        assert model.counts.tolist() == [0, 1, 2, 1]
+        assert model.offsets.tolist() == [2, 3, 0, 0]
+        assert_peer_index(model, space)
+
+
+def assert_peer_index(model, space) -> None:
+    """The model's peer index is the partition of ``neurons`` into members in
+    row order, each with its entry count from ``space.starts`` and its offset:
+    its first entry less the entries of the members before it on its neuron.
+    The index is read-only and sized by the rows and neurons, not the entries."""
+    starts, neurons = space.starts.tolist(), model.neurons.tolist()
+    assert len(model.bounds) == model.som.neuron_count + 1
+    assert len(model.members) == len(model.counts) == len(model.offsets) == len(space.keys)
+    for array in (model.neurons, model.members, model.bounds, model.counts, model.offsets):
+        assert not array.flags.writeable
+    for k in range(model.som.neuron_count):
+        peers = slice(model.bounds[k], model.bounds[k + 1])
+        members = model.members[peers].tolist()
+        counts, offsets = model.counts[peers].tolist(), model.offsets[peers].tolist()
+        assert members == [r for r, n in enumerate(neurons) if n == k]
+        assert counts == [starts[r + 1] - starts[r] for r in members]
+        assert offsets == [starts[r] - sum(counts[:i]) for i, r in enumerate(members)]
 
 
 def cosine(x, w) -> float:
@@ -662,7 +709,8 @@ def prototype_ranking(items, weights, n, rated=None) -> list[tuple[str, float]]:
     ``weights`` on the items it has not ``rated``."""
     space = RowSpace(items, {("u1", 1): rated or {}})
     net = SomNetwork(np.array([weights], dtype=np.float64), SomConfig(1))
-    return pipeline._ranked(pipeline._cluster_model(net, space.matrix), space, ("u1", 1), n)
+    user_model = pipeline._cluster_model(net, space, assign(net, space.matrix))
+    return pipeline._ranked(user_model, space, ("u1", 1), n)
 
 
 class TestRankItems:
@@ -942,10 +990,10 @@ def scored_systems(schema, items, users_m, flats, matrix, weights):
     }
     net = SomNetwork(np.asarray(weights, dtype=np.float64), SomConfig(len(weights)))
     space = RowSpace(items, rows_of(keys, items, matrix))
-    user_model = pipeline._cluster_model(net, space.matrix)
+    user_model = pipeline._cluster_model(net, space, assign(net, space.matrix))
     model = PipelineModel(schema, SomConfig(2), clusterings, space, user_model)
     flat_space = RowSpace(items, rows_of([f"f{r}" for r in range(len(keys))], items, matrix))
-    flat_model = pipeline._cluster_model(net, flat_space.matrix)
+    flat_model = pipeline._cluster_model(net, flat_space, assign(net, flat_space.matrix))
     return model, BaselineModel(schema, flat_space, flat_model)
 
 

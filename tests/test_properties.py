@@ -1,5 +1,5 @@
 """Property tests of the data model: CSV round trip, split, encoding, usage
-rows, phase 2."""
+rows, phase 2, and scoring through the peer index."""
 
 import io
 import math
@@ -16,7 +16,16 @@ from ctxrec.core import (
     write_ratings,
 )
 from ctxrec.evaluation import SplitConfig, split
-from ctxrec.pipeline import ContextClustering, build_virtual_space
+from ctxrec.pipeline import (
+    ContextClustering,
+    RowSpace,
+    _cluster_model,
+    _score,
+    build_virtual_space,
+)
+from ctxrec.som import SomConfig, SomNetwork
+
+from test_pipeline import py_score
 
 # ids and value names include CSV metacharacters so quoting is exercised
 NAMES = st.text(alphabet='ab,"; é', min_size=1, max_size=4)
@@ -136,3 +145,31 @@ class TestPhase2Conservation:
             for item, ratings in per_item.items():
                 assert row[item] == sum(ratings) / len(ratings)
         assert set(space.keys) == set(mapped)
+
+
+@st.composite
+def labeled_spaces(draw):
+    """A small space, a SOM of 1-4 neurons and any labeling of its rows:
+    rows repeat or hold no entry, and a neuron holds no row, one or several."""
+    p = draw(st.integers(1, 5))
+    items = tuple(f"i{j}" for j in range(p))
+    value = st.sampled_from([0.0, 0.0, 1.0, 2.5, 4.0, 5.0])
+    matrix = draw(st.lists(st.lists(value, min_size=p, max_size=p), min_size=1, max_size=8))
+    n = draw(st.integers(1, 4))
+    weight = st.sampled_from([0.0, 0.3, 1.0])
+    weights = draw(st.lists(st.lists(weight, min_size=p, max_size=p), min_size=n, max_size=n))
+    neurons = draw(st.lists(st.integers(0, n - 1), min_size=len(matrix), max_size=len(matrix)))
+    rows = {f"u{r}": {i: v for i, v in zip(items, row) if v} for r, row in enumerate(matrix)}
+    space = RowSpace(items, rows)
+    return _cluster_model(SomNetwork(np.array(weights), SomConfig(n)), space, neurons), space
+
+
+class TestPeerIndexScorer:
+    @settings(max_examples=200, deadline=None)
+    @given(case=labeled_spaces())
+    def test_scores_through_the_index_equal_the_reference(self, case):
+        model, space = case
+        for key in space.keys:
+            columns, scores = _score(model, space, key)
+            got = [(space.items[j], s.hex()) for j, s in zip(columns.tolist(), scores.tolist())]
+            assert got == [(item, s.hex()) for item, s in py_score(model, space, key).items()]
