@@ -234,24 +234,28 @@ def build_virtual_space(
 
 @dataclass
 class UserClusterModel:
-    """Phase-3 SOM over a 2-D space, each row's neuron, and the peer index.
+    """Phase-3 SOM over a 2-D space, each row's neuron, and each neuron's block.
 
-    The index is built once, at fit and at load, from ``neurons`` and the
-    space's ``starts``.  Neuron ``k``'s members are ``members[bounds[k]:
-    bounds[k + 1]]``, in ascending row order; member ``i`` has ``counts[i]``
-    rated entries, and ``offsets[i]`` is its first entry's index in the
-    space's arrays less the entries of the members before it on its neuron.
-    It holds no copy of the space's columns or values.  That and the space
-    are all the scorer reads: a query takes its neuron's slice of the index,
-    then the members' entries in the space's own arrays.
+    The blocks are built once, at fit and at load, from ``neurons`` and the
+    space: a permuted copy of the space's entries, grouped by neuron.
+    Neuron ``k``'s members are its rows in ascending row order, and their
+    norms (the space's ``norms``) are ``norms[bounds[k]:bounds[k + 1]]``.
+    Its entries are ``columns`` and ``values`` over ``entry_bounds[k]:
+    entry_bounds[k + 1]``, member after member, each member's entries in
+    column order, and ``member_of`` holds each entry's member position
+    within its neuron.  With V rows, N neurons and E entries that is
+    ``8 * (3 * E + 2 * V + 2 * (N + 1))`` bytes.  Every array is read-only.
+    That and the space's own row are all the scorer reads.
     """
 
     som: SomNetwork
     neurons: np.ndarray = field(repr=False, compare=False)
-    members: np.ndarray = field(repr=False, compare=False)
     bounds: np.ndarray = field(repr=False, compare=False)
-    counts: np.ndarray = field(repr=False, compare=False)
-    offsets: np.ndarray = field(repr=False, compare=False)
+    entry_bounds: np.ndarray = field(repr=False, compare=False)
+    columns: np.ndarray = field(repr=False, compare=False)
+    values: np.ndarray = field(repr=False, compare=False)
+    member_of: np.ndarray = field(repr=False, compare=False)
+    norms: np.ndarray = field(repr=False, compare=False)
 
 
 def _rows(space: RowSpace) -> np.ndarray:
@@ -262,17 +266,21 @@ def _rows(space: RowSpace) -> np.ndarray:
 
 
 def _cluster_model(net: SomNetwork, space: RowSpace, neurons) -> UserClusterModel:
-    """The model whose rows sit on ``neurons``, with its peer index."""
+    """The model whose rows sit on ``neurons``, with each neuron's block."""
     neurons = np.array(neurons, int)
     members = np.argsort(neurons, kind="stable")
     sizes = np.bincount(neurons, minlength=net.neuron_count)
     bounds = np.concatenate(([0], sizes.cumsum()))
     counts = np.diff(space.starts)[members]
-    before = counts.cumsum() - counts  # entries of the members before, on any neuron
-    offsets = space.starts[members] - (before - before[bounds[neurons[members]]])
-    for array in (neurons, members, bounds, counts, offsets):
+    firsts = np.concatenate(([0], counts.cumsum()))  # each member's first entry in the blocks
+    # block entry k of member i is space entry k + starts[members[i]] - firsts[i]
+    take = np.arange(len(space.columns)) + (space.starts[members] - firsts[:-1]).repeat(counts)
+    position = np.arange(len(members)) - bounds[neurons[members]]
+    blocks = (firsts[bounds], space.columns[take], space.values[take], position.repeat(counts))
+    arrays = (neurons, bounds, *blocks, space.norms[members])
+    for array in arrays:
         array.setflags(write=False)
-    return UserClusterModel(net, neurons, members, bounds, counts, offsets)
+    return UserClusterModel(net, *arrays)
 
 
 def cluster_virtual_users(
@@ -290,29 +298,26 @@ def _score(model: UserClusterModel, space: RowSpace, key) -> tuple[np.ndarray, n
     Peers are the other rows on the same neuron, in row order; each item's
     score is the cosine-similarity-weighted mean of the peers that rated it.
     When no peer rated the item (or total similarity is zero), the neuron's
-    weight component stands in.  A query reads its neuron's members, their
-    entry counts and offsets from the model's peer index, and the members'
-    entries, norms and its own row from the space.  Every sum is an
-    ``np.bincount`` over the members' rated entries, member after member in
-    row order and each member's entries in column order, and norms are the
-    space's ``norms``, so each score has the bits of a plain left-to-right
-    loop over the peers and their entries.  The own row is a member too; its
-    entries lie in its own rated columns, which are not returned.
+    weight component stands in.  A query slices its neuron's block from the
+    model (the members' entries, member positions and norms) and reads its
+    own row from the space.  Every sum is an ``np.bincount`` over the block,
+    member after member in row order and each member's entries in column
+    order, and norms are the space's ``norms``, so each score has the bits
+    of a plain left-to-right loop over the peers and their entries.  The own
+    row is a member too; its entries lie in its own rated columns, which are
+    not returned.
     """
     row = space.row(key)  # raises for unknown keys
     neuron = model.neurons[row]
-    peers = slice(model.bounds[neuron], model.bounds[neuron + 1])
-    members, counts = model.members[peers], model.counts[peers]
-    member_of = np.arange(len(members)).repeat(counts)
-    # gathered entry k of member m is space entry k + offsets[m]
-    take = np.arange(len(member_of)) + model.offsets[peers].repeat(counts)
-    columns, values = space.columns[take], space.values[take]
-    p, n = len(space.items), len(members)
+    block = slice(model.entry_bounds[neuron], model.entry_bounds[neuron + 1])
+    columns, values, member_of = model.columns[block], model.values[block], model.member_of[block]
+    norms = model.norms[model.bounds[neuron] : model.bounds[neuron + 1]]
+    p = len(space.items)
     span = slice(space.starts[row], space.starts[row + 1])
     own_vec = np.zeros(p)
     own_vec[space.columns[span]] = space.values[span]
-    dots = np.bincount(member_of, own_vec[columns] * values, minlength=n)
-    weights = _divide(dots, space.norms[members] * space.norms[row])[member_of]
+    dots = np.bincount(member_of, own_vec[columns] * values, minlength=len(norms))
+    weights = _divide(dots, norms * space.norms[row])[member_of]
     num = np.bincount(columns, weights * values, minlength=p)
     den = np.bincount(columns, weights, minlength=p)
     prototype = model.som.weights[neuron]

@@ -581,7 +581,7 @@ class TestClusterVirtualUsers:
         # the scorer reads nothing else from the model
         model = small_model.user_model
         assert [f.name for f in fields(model)] == [
-            "som", "neurons", "members", "bounds", "counts", "offsets"
+            "som", "neurons", "bounds", "entry_bounds", "columns", "values", "member_of", "norms"
         ]
         assert model.neurons.tolist() == assign(model.som, small_model.space.matrix)
         assert_peer_index(model, small_model.space)
@@ -596,6 +596,23 @@ class TestClusterVirtualUsers:
         assert loaded.user_model.neurons.tolist() == flat.user_model.neurons.tolist()
         assert_peer_index(loaded.user_model, loaded.space)
 
+    def test_blocks_are_a_permutation_of_the_space_entries(
+        self, small_model, small_cube, tmp_path
+    ):
+        flat = fit_baseline(small_cube, SomConfig(5, epochs=5))
+        save_pipeline(small_model, tmp_path / "pipeline")
+        save_baseline(flat, tmp_path / "baseline")
+        pairs = [
+            (small_model, load_pipeline(tmp_path / "pipeline")),
+            (flat, load_baseline(tmp_path / "baseline")),
+        ]
+        for fitted, loaded in pairs:
+            for system in (fitted, loaded):
+                assert_blocks_permute_entries(system.user_model, system.space)
+            for f in fields(fitted.user_model)[1:]:
+                got, want = getattr(loaded.user_model, f.name), getattr(fitted.user_model, f.name)
+                assert got.dtype == want.dtype and got.tolist() == want.tolist(), f.name
+
     def test_peer_index_of_an_empty_neuron_and_a_row_without_entries(self):
         space = RowSpace(
             ("i1", "i2", "i3"),
@@ -603,30 +620,79 @@ class TestClusterVirtualUsers:
         )
         net = SomNetwork(np.ones((4, 3)), SomConfig(4))
         model = pipeline._cluster_model(net, space, [3, 0, 3, 0])
-        assert model.bounds.tolist() == [0, 2, 2, 2, 4]  # neurons 1 and 2 are empty
-        assert model.members.tolist() == [1, 3, 0, 2]
-        assert model.counts.tolist() == [0, 1, 2, 1]
-        assert model.offsets.tolist() == [2, 3, 0, 0]
+        # neuron 0 holds b (no entries), d; neuron 3 holds a, c; 1 and 2 are empty
+        assert model.bounds.tolist() == [0, 2, 2, 2, 4]
+        assert model.entry_bounds.tolist() == [0, 1, 1, 1, 4]
+        assert model.columns.tolist() == [0, 0, 2, 1]
+        assert model.values.tolist() == [1.0, 4.0, 2.0, 5.0]
+        assert model.member_of.tolist() == [1, 0, 0, 1]
+        assert model.norms.tolist() == [0.0, 1.0, math.sqrt(20.0), 5.0]
         assert_peer_index(model, space)
+
+    def test_blocks_of_rows_without_entries(self):
+        # every row empty: no entries at all
+        empty = RowSpace(("i1", "i2"), {"a": {}, "b": {}, "c": {}})
+        net = SomNetwork(np.array([[1.0, 0.5], [0.25, 0.0], [0.0, 2.0]]), SomConfig(3))
+        model = pipeline._cluster_model(net, empty, [1, 0, 1])
+        assert model.bounds.tolist() == [0, 1, 3, 3]
+        assert model.entry_bounds.tolist() == [0, 0, 0, 0]
+        assert model.columns.tolist() == model.values.tolist() == model.member_of.tolist() == []
+        assert model.norms.tolist() == [0.0, 0.0, 0.0]
+        assert_peer_index(model, empty)
+        # neuron 2's members have no entries, neuron 0's do
+        space = RowSpace(("i1", "i2"), {"a": {"i2": 3.0}, "b": {}, "c": {}, "d": {"i1": 2.0}})
+        mixed = pipeline._cluster_model(net, space, [0, 2, 2, 0])
+        assert mixed.bounds.tolist() == [0, 2, 2, 4]
+        assert mixed.entry_bounds.tolist() == [0, 2, 2, 2]
+        assert mixed.member_of.tolist() == [0, 1]
+        assert_peer_index(mixed, space)
+        for model, space in ((model, empty), (mixed, space)):
+            for key in space.keys:
+                columns, scores = pipeline._score(model, space, key)
+                got = [(space.items[j], s) for j, s in zip(columns.tolist(), scores.tolist())]
+                assert bits(got) == bits(py_score(model, space, key).items())
 
 
 def assert_peer_index(model, space) -> None:
-    """The model's peer index is the partition of ``neurons`` into members in
-    row order, each with its entry count from ``space.starts`` and its offset:
-    its first entry less the entries of the members before it on its neuron.
-    The index is read-only and sized by the rows and neurons, not the entries."""
+    """Each neuron's block holds its members in row order, each member's
+    entries in column order with its position on the neuron, and the
+    members' norms.  Every array is read-only, sized by the rows, neurons
+    and entries."""
     starts, neurons = space.starts.tolist(), model.neurons.tolist()
-    assert len(model.bounds) == model.som.neuron_count + 1
-    assert len(model.members) == len(model.counts) == len(model.offsets) == len(space.keys)
-    for array in (model.neurons, model.members, model.bounds, model.counts, model.offsets):
-        assert not array.flags.writeable
+    assert len(model.bounds) == len(model.entry_bounds) == model.som.neuron_count + 1
+    assert len(model.norms) == len(space.keys)
+    assert len(model.columns) == len(model.values) == len(model.member_of) == len(space.columns)
+    for f in fields(model)[1:]:
+        assert not getattr(model, f.name).flags.writeable
     for k in range(model.som.neuron_count):
-        peers = slice(model.bounds[k], model.bounds[k + 1])
-        members = model.members[peers].tolist()
-        counts, offsets = model.counts[peers].tolist(), model.offsets[peers].tolist()
-        assert members == [r for r, n in enumerate(neurons) if n == k]
-        assert counts == [starts[r + 1] - starts[r] for r in members]
-        assert offsets == [starts[r] - sum(counts[:i]) for i, r in enumerate(members)]
+        members = [r for r, n in enumerate(neurons) if n == k]
+        assert model.bounds[k + 1] - model.bounds[k] == len(members)
+        assert model.norms[model.bounds[k] : model.bounds[k + 1]].tolist() == [
+            space.norms[r] for r in members
+        ]
+        block = slice(model.entry_bounds[k], model.entry_bounds[k + 1])
+        spans = [range(starts[r], starts[r + 1]) for r in members]
+        assert model.columns[block].tolist() == [space.columns[e] for s in spans for e in s]
+        assert model.values[block].tolist() == [space.values[e] for s in spans for e in s]
+        assert model.member_of[block].tolist() == [i for i, s in enumerate(spans) for _ in s]
+
+
+def assert_blocks_permute_entries(model, space) -> None:
+    """Every entry of the space appears in the blocks exactly once, on its
+    row's neuron (a block entry's row is read from its neuron's members), and
+    the model takes ``8 * (3E + 2V + 2(N + 1))`` bytes beside its SOM."""
+    rows = np.repeat(np.arange(len(space.keys)), np.diff(space.starts))
+    entries = sorted(zip(rows.tolist(), space.columns.tolist(), space.values.tolist()))
+    placed = []
+    for k in range(model.som.neuron_count):
+        members = np.flatnonzero(model.neurons == k)
+        block = slice(model.entry_bounds[k], model.entry_bounds[k + 1])
+        member_rows = members[model.member_of[block]].tolist()
+        placed += zip(member_rows, model.columns[block].tolist(), model.values[block].tolist())
+    assert sorted(placed) == entries
+    v, n, e = len(space.keys), model.som.neuron_count, len(space.columns)
+    nbytes = sum(getattr(model, f.name).nbytes for f in fields(model)[1:])
+    assert nbytes == 8 * (3 * e + 2 * v + 2 * (n + 1))
 
 
 def cosine(x, w) -> float:
