@@ -298,24 +298,26 @@ def _train_lanes(
     scratch = np.empty_like(lone)
     dots, denom = np.empty(cfg.neuron_count), np.empty(cfg.neuron_count)
     x_norms = flat_norms.tolist()
+    dot, add_reduce = lone.dot, np.add.reduce
+    add, subtract, multiply, divide, sqrt = np.add, np.subtract, np.multiply, np.divide, np.sqrt
 
     orders = _orders([seeds[k] for k in by_count], counts, skip, cfg.epochs)
     for epoch, rows in enumerate(orders):
         decay = 1.0 - epoch / cfg.epochs
         alpha = cfg.alpha0 * decay
         radius = int(math.floor(radius0 * decay + 0.5))
-        offsets = np.arange(-radius, radius + 1)
         rows += starts[:, None]
+        # each BMU's neighbour row and which of them exist, for every position
+        neighbours = np.arange(cfg.neuron_count)[:, None] + np.arange(-radius, radius + 1)
+        in_range = (neighbours >= 0) & (neighbours < cfg.neuron_count)
         for position, n_active in enumerate(active):
             picked = rows[:n_active, position]
             x = flat[picked]
             sims = _cosines(weights[:n_active], norms[:n_active], x, flat_norms[picked])
             bmus = sims.argmax(axis=1)
             # every lane's neighbourhood rows at once: gather, move, scatter
-            neighbours = bmus[:, None] + offsets
-            inside = (neighbours >= 0) & (neighbours < cfg.neuron_count)
-            lane = np.broadcast_to(np.arange(n_active)[:, None], inside.shape)[inside]
-            neuron = neighbours[inside]
+            lane, offset = in_range[bmus].nonzero()
+            neuron = neighbours[bmus[lane], offset]
             # in place, so a step allocates two (rows, p) arrays, not five
             hood = weights[lane, neuron]
             step = x[lane]
@@ -328,24 +330,30 @@ def _train_lanes(
         # divide is raw, so a zero norm product gives -inf, +inf or NaN where
         # _divide gives 0; a winner in (0, inf) rules out NaN and +inf, and a
         # -inf loses as a 0 would, so only other winners go through _divide.
-        # np.dot(lone, x) is _cosines' gemv; views are built once an epoch.
+        # lone.dot(x, dots) is _cosines' gemv; views are built once an epoch.
+        # Each call makes the IEEE operations of its plain spelling
+        # (np.dot(lone, x, out=dots), step *= alpha, ...) on the same
+        # operands in the same order; only the way numpy is called changes:
+        # the bound method skips np.dot's dispatcher, positional outs skip
+        # keyword parsing, and the 0-d rate spares a float conversion a step.
         hoods = [slice(max(0, bmu - radius), bmu + radius + 1) for bmu in range(cfg.neuron_count)]
         views = [(lone[h], scratch[: len(lone[h])], lone_norms[h]) for h in hoods]
+        rate = np.array(alpha)
         with np.errstate(divide="ignore", invalid="ignore"):
             for i in rows[0, shared:].tolist():
                 x = flat[i]
-                np.dot(lone, x, out=dots)
-                np.divide(dots, np.multiply(lone_norms, x_norms[i], out=denom), out=dots)
+                dot(x, dots)
+                divide(dots, multiply(lone_norms, x_norms[i], denom), dots)
                 bmu = dots.argmax()
-                if not 0.0 < dots[bmu] < math.inf:
+                if not 0.0 < dots.item(bmu) < math.inf:
                     bmu = _divide(lone @ x, denom).argmax()
                 hood, step, hood_norms = views[bmu]
                 step[...] = x
-                step -= hood
-                step *= alpha
-                hood += step
-                squares = np.multiply(hood, hood, out=step)
-                np.sqrt(np.add.reduce(squares, axis=1, out=hood_norms), out=hood_norms)
+                subtract(step, hood, step)
+                multiply(step, rate, step)
+                add(hood, step, hood)
+                multiply(hood, hood, step)
+                sqrt(add_reduce(step, 1, None, hood_norms), hood_norms)
         # a subnormal squares to exactly 0, so no norm moves; the min skips
         # the scan where no weight is below _TINY (zero padding always runs it)
         if weights.min() < _TINY:

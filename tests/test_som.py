@@ -79,6 +79,8 @@ def kernel_cosine(x, w) -> float:
 
 
 class TestCosineSimilarity:
+    """The ``_cosines`` kernel on one input and one weight row."""
+
     def test_identical_vectors(self):
         x = [1.0, 2.0, 3.0]
         assert kernel_cosine(x, x) == pytest.approx(1.0, abs=1e-12)
@@ -108,6 +110,9 @@ class TestCosineSimilarity:
 
 
 class TestFindBmu:
+    """``assign``'s best-matching unit: highest cosine, ties to the lowest
+    index."""
+
     def test_matching_row_wins(self):
         net = net_from_rows([[0.2, 0.9], [3.0, 1.0], [0.9, 0.2]])
         assert assign(net, [np.array([3.0, 1.0])])[0] == 1
@@ -190,6 +195,24 @@ class TestTrain:
         cfg = SomConfig(neuron_count=3, seed=2)
         from_list = train([row.copy() for row in matrix], cfg)
         assert train(matrix, cfg).weights.tobytes() == from_list.weights.tobytes()
+
+    def test_memory_layout_of_the_inputs_does_not_matter(self):
+        """C-ordered, Fortran-ordered and strided-view inputs of the same
+        200 x 100 rating rows train the same weight bytes and get the same
+        labels: the step reads each row through the view it is given."""
+        rng = np.random.default_rng(6)
+        rows = np.where(rng.random((200, 100)) < 0.1, rng.integers(1, 6, (200, 100)), 0.0)
+        wide = np.full((400, 300), np.nan)
+        wide[::2, 1::3] = rows
+        layouts = [rows, np.asfortranarray(rows), wide[::2, 1::3]]
+        assert [m.flags.c_contiguous for m in layouts] == [True, False, False]
+        assert [m.flags.f_contiguous for m in layouts] == [False, True, False]
+        cfg = SomConfig(neuron_count=9, epochs=10, seed=8)
+        nets = [train(m, cfg) for m in layouts]
+        for net, m in zip(nets, layouts):
+            assert net.weights.tobytes() == nets[0].weights.tobytes()
+            assert assign(net, m) == assign(nets[0], rows)
+        assert len(set(assign(nets[0], rows))) > 1
 
     def test_weights_stay_finite_and_nonnegative(self):
         rng = np.random.default_rng(5)
@@ -304,8 +327,8 @@ def train_ones(lanes: int, cfg: SomConfig) -> None:
 
 
 class TestTrainMany:
-    """Networks trained together in lockstep: each lane has the bits of
-    training it alone."""
+    """Networks trained together in lockstep lanes (``_train_lanes``): each
+    lane has the bits of training it alone."""
 
     @pytest.mark.parametrize("p", [7, 384])
     @pytest.mark.parametrize("neurons,radius0", [(6, None), (6, 0.0), (9, 3.0), (1, 2.0)])
@@ -621,9 +644,11 @@ print(alone.tobytes() == lockstep([a, b], cfg, [17, 18])[0].weights.tobytes())
 
 
 class TestCrossKernel:
-    """The one-network step's ``np.dot`` has the bits of the lockstep
-    ``_cosines`` gemv on kernels without AVX-512 too.  ``OPENBLAS_CORETYPE``
-    is set on the child process only."""
+    """The one-network step's bound ``lone.dot`` has the bits of the
+    lockstep ``_cosines`` gemv on kernels without AVX-512 too: the step
+    makes the same operations on the same operands in the same order, and
+    only the way numpy is called differs.  ``OPENBLAS_CORETYPE`` is set on
+    the child process only."""
 
     @pytest.mark.parametrize("kernel", ["Haswell", "Prescott"])
     def test_lone_step_equals_its_lockstep_lane(self, kernel):
@@ -952,7 +977,7 @@ def one_step(cfg: SomConfig, bmu: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return start, x, train([x], cfg).weights
 
 
-class TestUpdateNeighborhood:
+class TestUpdateRule:
     """The update rule through ``train``: one epoch keeps alpha and the
     radius at ``alpha0`` and ``radius0`` for every step."""
 
