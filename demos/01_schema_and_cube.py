@@ -53,12 +53,13 @@ def main():
         names = schema.value_names(schema.situation_from_flat(flat))
         print(f"  ana @ {names}: {dict(sorted(item_ratings.items()))}")
 
-    # -- usage pattern matrix --------------------------------------------
-    # One row per situation the user rated in; column i is the rating of
-    # item i (0 = unrated).  This matrix is the input to per-user clustering.
-    print("\nusage pattern matrix for ana:")
-    flats, matrix = cube.usage_matrix("ana")
-    for flat, row in zip(flats, matrix):
+    # -- usage rows ------------------------------------------------------
+    # One row per situation the user rated in, over the items the user rated
+    # anywhere (the support); column k is the rating of item columns[k]
+    # (0 = unrated there).  These rows are the input to per-user clustering.
+    flats, columns, rows = cube.usage_rows("ana")
+    print(f"\nusage rows for ana over {[cube.items[j] for j in columns]}:")
+    for flat, row in zip(flats, rows):
         print(f"  {schema.value_names(schema.situation_from_flat(flat))}: {row}")
 
     # -- CSV round trip ---------------------------------------------------

@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 from typing import IO, Mapping, Sequence
 
@@ -273,25 +272,6 @@ class RatingCube:
                 rows[row, position[item]] = rating
         columns = np.array([self._item_index[item] for item in items], dtype=np.intp)
         return list(by_flat), columns, rows
-
-    @cached_property
-    def widest_support(self) -> int:
-        """The most items that one user rated, over all situations."""
-        supports = (set().union(*flats.values()) for flats in self._by_user.values())
-        return max(map(len, supports), default=0)
-
-    def usage_matrix(self, user: str) -> tuple[list[int], np.ndarray]:
-        """The ascending flat indices of the situations in which the user
-        rated anything, and one length-p row per such situation.
-
-        Column ``i`` of a row is the rating of item ``i`` in that situation,
-        0 when unrated.  Situations without ratings are skipped (an all-zero
-        row has no usable cosine direction).
-        """
-        flats, columns, rows = self.usage_rows(user)
-        matrix = np.zeros((len(flats), self.p))
-        matrix[:, columns] = rows
-        return flats, matrix
 
     def with_cells(
         self, cells: Mapping[tuple[str, int, str], int]

@@ -80,24 +80,19 @@ def cluster_users(
     trained in lockstep.
 
     A network trains on its user's support, the items the user rated in any
-    situation, plus one rest column that stands for all other items
-    (``som._train_on_support``), and labels the same compact rows.  Every
-    network of the cube gets the same width, the cube's widest support plus
-    the rest column.  A user's SOM seed derives from ``cfg.seed`` and the
-    user id, and the networks of one block do not interact, so no
-    clustering depends on the block it was trained in: one user's is
-    ``cluster_users(cube, [user], cfg)[user]``.  The width does depend on
-    the other users of the cube: it sets how the float sums are grouped, so
-    a user's SOM weights can differ in their last bits between two cubes
-    whose widest supports differ, and so can its labels where two neurons'
-    cosines to an input lie within an ulp of each other.
+    situation, plus one rest column that stands for all other items, padded
+    to a width set by the support's size alone (``som._train_on_support``),
+    and labels the same compact rows.  A user's SOM seed derives from
+    ``cfg.seed`` and the user id, and the networks of one block do not
+    interact, so a user's clustering is a function of its own ratings and
+    the cube's items: ``cluster_users(cube, [user], cfg)[user]``, whatever
+    the other users of the cube or the block.
     """
     usages = [_usage_rows(cube, user) for user in users]
     trained = [k for k, (flats, _, _) in enumerate(usages) if len(flats) > 1]
     seeds = [derive_seed(cfg.seed, "phase1", users[k]) for k in trained]
     supports, values = [usages[k][1] for k in trained], [usages[k][2] for k in trained]
-    width = cube.widest_support + 1
-    rows, nets = _train_on_support(values, supports, cube.p, width, cfg, seeds)
+    rows, nets = _train_on_support(values, supports, cube.p, cfg, seeds)
     lanes = dict(zip(trained, zip(rows, nets)))
     return {
         user: cluster_user_contexts(user, usages[k][0], *lanes.get(k, (None, None)))
@@ -431,11 +426,18 @@ PHASE1_BLOCK = 64
 
 
 def _phase1_blocks(cube: RatingCube, users: list[str], workers: int) -> list[list[str]]:
-    """Users sorted by input count, cut into blocks of at most PHASE1_BLOCK
-    (smaller when that gives every worker a block)."""
-    by_count = sorted(users, key=lambda user: len(cube.user_ratings(user)))
+    """Users sorted by support size, then input count, cut into blocks of at
+    most PHASE1_BLOCK (smaller when that gives every worker a block).  A
+    network's width grows with its support (``som._train_on_support``), so
+    a block's lanes mostly share one width."""
+
+    def support_and_count(user: str) -> tuple[int, int]:
+        by_flat = cube.user_ratings(user)
+        return len(set().union(*by_flat.values())), len(by_flat)
+
+    by_size = sorted(users, key=support_and_count)
     size = min(PHASE1_BLOCK, -(-len(users) // workers))
-    return [by_count[i : i + size] for i in range(0, len(by_count), size)]
+    return [by_size[i : i + size] for i in range(0, len(by_size), size)]
 
 
 def fit_phase1(

@@ -218,49 +218,55 @@ def _train_on_support(
     inputs: Sequence[np.ndarray],
     supports: Sequence[np.ndarray],
     p: int,
-    width: int,
     cfg: SomConfig,
     seeds: Sequence[int],
 ) -> tuple[list[np.ndarray], list[SomNetwork]]:
     """The networks ``train`` trains on p-wide rows that are 0 outside the
     ascending columns ``supports[k]``, network k seeded ``seeds[k]``, each
-    trained on ``width`` columns instead, ``inputs[k]`` holding its rows
-    over its support.
+    trained on a few columns instead, ``inputs[k]`` holding its rows over
+    its support.
 
     A column that is 0 in every row only shrinks: each update scales its
     hood weights by 1 - alpha.  So the root of the squares of a neuron's
     weights outside the support evolves as one more column whose input is
     always 0, the rest column, and the cosines, hence the BMUs, are those of
-    the p-wide network.  Lane k's columns are its support, zero padding up
-    to ``width - 1`` and the rest column last.  The initial weights are the
-    p-wide draw: its support columns, and the ``_weight_norms`` of the rest.
-    Epoch orders keep the p-wide counter offset ``N*p``.  Padding stays 0
-    and adds nothing to a dot or a norm, but ``width`` sets how the sums
-    are grouped, so a lane's bits depend on it (and not on the other
-    lanes).  The forms agree in real arithmetic only: float sums differ in
-    their last bits, so a BMU within an ulp of its runner-up can differ,
-    and the epoch-end flush sees the rest column as one value.  Returns
-    each network's (n, width) rows and the trained networks, in input order.
+    the p-wide network.  Lane k is ``1 << len(supports[k]).bit_length()``
+    columns wide, the smallest power of two above its support: its support,
+    zero padding and the rest column last.  The lanes of one width train in
+    one ``_train_lanes`` call.  The initial weights are the p-wide draw: its
+    support columns, and the ``_weight_norms`` of the rest.  Epoch orders
+    keep the p-wide counter offset ``N*p``.  Padding stays 0 and adds
+    nothing to a dot or a norm, but the width sets how the sums are grouped,
+    so a lane's bits depend on its own support size, p and its seed, and on
+    nothing else.  The forms agree in real arithmetic only: float sums
+    differ in their last bits, so a BMU within an ulp of its runner-up can
+    differ, and the epoch-end flush sees the rest column as one value.
+    Returns each network's (n, width) rows and the trained networks, in
+    input order.
     """
-    if not seeds:
-        return [], []
     neurons = cfg.neuron_count
-    full = _initial_weights(seeds, neurons, p)
-    sizes = [len(support) for support in supports]
-    lane = np.repeat(np.arange(len(seeds)), sizes)
-    column = np.concatenate(supports)
-    position = np.concatenate([np.arange(size) for size in sizes])
-    weights = np.zeros((len(seeds), neurons, width))
-    weights[lane, :, position] = full[lane, :, column]
-    full[lane, :, column] = 0.0
-    weights[:, :, -1] = _weight_norms(full)
-
-    rows = []
-    for values in inputs:
+    widths = [1 << len(support).bit_length() for support in supports]
+    rows, nets = [], [None] * len(seeds)
+    for values, width in zip(inputs, widths):
         row = np.zeros((len(values), width))
         row[:, : values.shape[1]] = values
         rows.append(row)
-    return rows, _train_lanes(rows, cfg, seeds, weights, neurons * p)
+    for width in sorted(set(widths)):
+        group = [k for k, lane_width in enumerate(widths) if lane_width == width]
+        group_seeds = [seeds[k] for k in group]
+        full = _initial_weights(group_seeds, neurons, p)
+        sizes = [len(supports[k]) for k in group]
+        lane = np.repeat(np.arange(len(group)), sizes)
+        column = np.concatenate([supports[k] for k in group])
+        position = np.concatenate([np.arange(size) for size in sizes])
+        weights = np.zeros((len(group), neurons, width))
+        weights[lane, :, position] = full[lane, :, column]
+        full[lane, :, column] = 0.0
+        weights[:, :, -1] = _weight_norms(full)
+        trained = _train_lanes([rows[k] for k in group], cfg, group_seeds, weights, neurons * p)
+        for k, net in zip(group, trained):
+            nets[k] = net
+    return rows, nets
 
 
 def _train_lanes(

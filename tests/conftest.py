@@ -1,6 +1,7 @@
 """Shared fixtures: tiny schemas, hand-built rating cubes, and the plain-Python
 SplitMix64 spec of every seeded draw."""
 
+import numpy as np
 import pytest
 
 from ctxrec.core import (
@@ -35,6 +36,20 @@ def make_cube(schema, rows, users=None, items=None) -> RatingCube:
     if items is None:
         items = sorted({item for _, _, item in cells})
     return RatingCube(schema, users, items, cells)
+
+
+def usage_matrix(cube: RatingCube, user: str) -> tuple[list[int], np.ndarray]:
+    """The dense reference of ``cube.usage_rows(user)``, built from
+    ``user_ratings``: the ascending flat indices of the situations in which
+    the user rated anything, and one length-p row per such situation whose
+    column ``i`` is the rating of item ``i`` there (0 when unrated)."""
+    by_flat = cube.user_ratings(user)
+    column = {item: i for i, item in enumerate(cube.items)}
+    matrix = np.zeros((len(by_flat), cube.p))
+    for row, ratings in enumerate(by_flat.values()):
+        for item, rating in ratings.items():
+            matrix[row, column[item]] = rating
+    return list(by_flat), matrix
 
 
 MASK64 = (1 << 64) - 1

@@ -235,11 +235,12 @@ class TestUsagePatternVectors:
             [("u1", "i2", ("a", "x"), 4)],
             items=("i1", "i2", "i3"),
         )
-        flats, matrix = cube.usage_matrix("u1")
+        flats, columns, rows = cube.usage_rows("u1")
         assert len(flats) == 1
         situation = schema2x2.situation_from_flat(flats[0])
         assert schema2x2.value_names(situation) == ("a", "x")
-        assert matrix.tolist() == [[0.0, 4.0, 0.0]]
+        assert columns.tolist() == [1]
+        assert rows.tolist() == [[4.0]]
 
     def test_user_with_no_ratings_gives_empty_list(self, schema2x2):
         cube = make_cube(
@@ -248,9 +249,10 @@ class TestUsagePatternVectors:
             users=("u1", "u2"),
             items=("i1",),
         )
-        flats, matrix = cube.usage_matrix("u2")
+        flats, columns, rows = cube.usage_rows("u2")
         assert flats == []
-        assert matrix.shape == (0, 1)
+        assert columns.shape == (0,)
+        assert rows.shape == (0, 0)
 
     def test_one_vector_per_rated_situation(self, restaurant_schema):
         names = [
@@ -260,21 +262,22 @@ class TestUsagePatternVectors:
         ]
         rows = [("u1", f"i{k}", ctx, 3) for k, ctx in enumerate(names)]
         cube = make_cube(restaurant_schema, rows)
-        flats, matrix = cube.usage_matrix("u1")
+        flats, columns, usage = cube.usage_rows("u1")
         encoded = [restaurant_schema.situation_from_names(n).flat_index for n in names]
         assert flats == sorted(encoded)
+        assert columns.tolist() == [0, 1, 2]
         # item i<k> is rated 3 in situation k, and in no other
-        for flat, row in zip(flats, matrix):
+        for flat, row in zip(flats, usage):
             k = encoded.index(flat)
             assert row.tolist() == [3.0 if j == k else 0.0 for j in range(3)]
 
     def test_unknown_user_rejected(self, schema2x2):
         cube = make_cube(schema2x2, [("u1", "i1", ("a", "x"), 3)])
         with pytest.raises(UnknownUser):
-            cube.usage_matrix("nobody")
+            cube.usage_rows("nobody")
 
     def test_nonzero_components_sum_to_cell_count(self, restaurant_schema):
-        # invariant: per user, nonzeros in the usage matrix == that user's cells
+        # invariant: per user, nonzeros in the usage rows == that user's cells
         rng = np.random.default_rng(7)
         cells = {}
         for _ in range(200):
@@ -288,7 +291,7 @@ class TestUsagePatternVectors:
         items = sorted({item for _, _, item in cells})
         cube = RatingCube(restaurant_schema, users, items, cells)
         for user in cube.users:
-            total = int(np.count_nonzero(cube.usage_matrix(user)[1]))
+            total = int(np.count_nonzero(cube.usage_rows(user)[2]))
             expected = sum(
                 len(items) for items in cube.user_ratings(user).values()
             )

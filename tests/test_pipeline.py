@@ -19,7 +19,7 @@ from ctxrec.core import RatingCube, default_schema
 from ctxrec.datagen import GenConfig, generate
 from ctxrec import jsonio
 from ctxrec.errors import CorruptFile, EmptyInput, InvalidConfig, UnknownUser
-from ctxrec import pipeline
+from ctxrec import pipeline, som
 from ctxrec.pipeline import (
     DEFAULT_PHASE1_NEURONS,
     DEFAULT_PHASE3_NEURONS,
@@ -39,7 +39,7 @@ from ctxrec.pipeline import (
 from ctxrec.rng import derive_seed
 from ctxrec.som import SomConfig, SomNetwork, assign, train
 
-from conftest import make_cube, tiny_schema
+from conftest import make_cube, tiny_schema, usage_matrix
 
 SMALL_GEN = GenConfig(n_users=15, n_items=25, density=0.01, seed=3)
 
@@ -190,7 +190,7 @@ class TestClusterUserContexts:
 def trained_clustering(cube, user: str, cfg: SomConfig) -> ContextClustering:
     """Phase 1 for one user through a SOM trained on its usage matrix and its
     compacted BMUs, whatever the number of situations."""
-    flats, matrix = cube.usage_matrix(user)
+    flats, matrix = usage_matrix(cube, user)
     net = train(matrix, replace(cfg, seed=derive_seed(cfg.seed, "phase1", user)))
     raw = assign(net, matrix)
     occupied = sorted(set(raw))
@@ -213,7 +213,7 @@ class TestClusterUsers:
         train_on_support = pipeline._train_on_support
 
         def spy(*args):
-            lane_seeds.extend(args[5])
+            lane_seeds.extend(args[4])
             return train_on_support(*args)
 
         def no_training(*args):
@@ -246,56 +246,84 @@ class TestClusterUsers:
             assert block[user] == cluster_one(small_cube, user, cfg)
 
     def test_supports_spanning_p_train_compact_too(self, small_cube, monkeypatch):
-        """A user alone with the items it rated has the cube's widest support
-        equal to p, so its network is p + 1 columns wide, the rest column
-        starting and staying 0; its labels are still the p-wide ones."""
-        widths = []
+        """A user alone with the items it rated has a support of all p items,
+        so its network has a rest column that starts and stays 0, at the
+        width of its support; its labels are still the p-wide ones."""
+        trained = []
         train_on_support = pipeline._train_on_support
         monkeypatch.setattr(
             pipeline,
             "_train_on_support",
-            lambda *args: widths.append(args[3]) or train_on_support(*args),
+            lambda *args: trained.append(train_on_support(*args)) or trained[-1],
         )
         monkeypatch.setattr(pipeline, "train", None)
         for user in [u for u in small_cube.users if len(small_cube.user_ratings(u)) > 1]:
             cells = {key: r for key, r in small_cube.cells().items() if key[0] == user}
             items = sorted({item for _, _, item in cells})
             wide = RatingCube(small_cube.schema, [user], items, cells)
-            assert wide.widest_support == wide.p
             assert cluster_users(wide, [user], self.CFG) == {
                 user: trained_clustering(wide, user, self.CFG)
             }
-            assert widths.pop() == wide.p + 1
+            ([rows], [net]) = trained.pop()
+            assert rows.shape[1] == net.p == 1 << wide.p.bit_length()
+            assert not net.weights[:, -1].any()
 
-    def test_labels_hold_when_other_users_change_the_width(self, small_cube):
-        """Each user alone in a cube over the same items trains at its own
-        support plus one, not at the shared cube's width; the bits may move,
-        and on this cube no label does."""
+    def test_lane_bits_ignore_the_other_users_of_the_cube(self, small_cube, monkeypatch):
+        """A user's lane trained in a cube where other users have wider
+        supports has the weight bytes and labels of the same user trained
+        alone in a one-user cube over the same items."""
+        weights = {}
+        train_on_support = pipeline._train_on_support
+
+        def spy(*args):
+            rows, nets = train_on_support(*args)
+            weights.update((net.config.seed, net.weights.tobytes()) for net in nets)
+            return rows, nets
+
+        monkeypatch.setattr(pipeline, "_train_on_support", spy)
         users = [u for u in small_cube.users if len(small_cube.user_ratings(u)) > 1]
         shared = cluster_users(small_cube, users, self.CFG)
-        narrower = 0
+        in_cube = dict(weights)
+        supports = {u: len(small_cube.usage_rows(u)[1]) for u in users}
+        assert sum(size < max(supports.values()) for size in supports.values()) > len(users) // 2
         for user in users:
             cells = {key: r for key, r in small_cube.cells().items() if key[0] == user}
             alone = RatingCube(small_cube.schema, [user], small_cube.items, cells)
-            narrower += alone.widest_support < small_cube.widest_support
+            weights.clear()
             assert cluster_one(alone, user, self.CFG) == shared[user]
-        assert narrower > len(users) // 2
+            seed = derive_seed(self.CFG.seed, "phase1", user)
+            assert weights == {seed: in_cube[seed]}
 
-    def test_every_block_trains_at_the_cube_width(self, small_cube, monkeypatch):
-        """A lane's bits depend on the width it is padded to, so the width is
-        the cube's, whatever users share the block."""
-        widths = []
-        train_on_support = pipeline._train_on_support
-        monkeypatch.setattr(
-            pipeline,
-            "_train_on_support",
-            lambda *args: widths.append(args[3]) or train_on_support(*args),
-        )
+    def test_each_lane_is_padded_by_its_own_support(self, small_cube, monkeypatch):
+        """In any block, lane k is ``1 << len(support).bit_length()`` columns
+        wide, its support, zero padding and the rest column, and the lanes of
+        one width train in one ``_train_lanes`` call, narrowest first."""
+        calls = []
+        train_lanes = som._train_lanes
+
+        def spy(matrices, cfg, seeds, weights, skip):
+            calls.append((weights.shape[2], {m.shape[1] for m in matrices}, list(seeds)))
+            return train_lanes(matrices, cfg, seeds, weights, skip)
+
+        monkeypatch.setattr(som, "_train_lanes", spy)
         users = [u for u in small_cube.users if len(small_cube.user_ratings(u)) > 1]
-        cluster_users(small_cube, users, self.CFG)
+        expected = {}
         for user in users:
-            cluster_users(small_cube, [user], self.CFG)
-        assert widths == [small_cube.widest_support + 1] * (len(users) + 1)
+            support = small_cube.usage_rows(user)[1]
+            expected[derive_seed(self.CFG.seed, "phase1", user)] = 1 << len(support).bit_length()
+        assert len(set(expected.values())) > 1
+        # the whole block, one user a block, two interleaved halves, reversed
+        for blocks in ([users], [[u] for u in users], [users[::2], users[1::2]], [users[::-1]]):
+            width_of = {}
+            for block in blocks:
+                calls.clear()
+                cluster_users(small_cube, block, self.CFG)
+                widths = [width for width, _, _ in calls]
+                assert widths == sorted(set(widths))
+                for width, row_widths, seeds in calls:
+                    assert row_widths == {width}
+                    width_of.update((seed, width) for seed in seeds)
+            assert width_of == expected
 
     def test_unknown_user_in_block(self, small_cube):
         with pytest.raises(UnknownUser):
@@ -1243,14 +1271,17 @@ class TestFitPipeline:
         assert blocked.space.to_json_dict() == whole.space.to_json_dict()
 
     def test_blocks_sorted_by_input_count(self, small_cube, monkeypatch):
+        """Blocks take the users sorted by support size first, then by input
+        count."""
         monkeypatch.setattr(pipeline, "PHASE1_BLOCK", 4)
         users = [u for u in sorted(small_cube.users) if small_cube.user_ratings(u)]
         blocks = pipeline._phase1_blocks(small_cube, users, workers=1)
         assert [len(b) for b in blocks[:-1]] == [4] * (len(blocks) - 1)
         flat = [u for block in blocks for u in block]
         assert sorted(flat) == users
-        counts = [len(small_cube.user_ratings(u)) for u in flat]
-        assert counts == sorted(counts)
+        sizes = [(len(small_cube.usage_rows(u)[1]), len(small_cube.user_ratings(u))) for u in flat]
+        assert sizes == sorted(sizes)
+        assert [count for _, count in sizes] != sorted(count for _, count in sizes)
         # with more workers than full blocks, every worker gets a block
         assert len(pipeline._phase1_blocks(small_cube, users[:6], workers=3)) == 3
 

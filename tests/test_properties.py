@@ -25,6 +25,7 @@ from ctxrec.pipeline import (
 )
 from ctxrec.som import SomConfig, SomNetwork
 
+from conftest import usage_matrix
 from test_pipeline import py_score
 
 # ids and value names include CSV metacharacters so quoting is exercised
@@ -111,16 +112,13 @@ class TestUsageRows:
     def test_support_rows_are_the_rated_columns_of_the_usage_matrix(self, cube):
         """Every rating lies in 1..9, so the usage matrix is nonzero exactly
         where a rating is."""
-        widest = 0
         for user in cube.users:
             flats, columns, rows = cube.usage_rows(user)
-            dense_flats, matrix = cube.usage_matrix(user)
+            dense_flats, matrix = usage_matrix(cube, user)
             assert flats == dense_flats == list(cube.user_ratings(user))
             assert columns.tolist() == sorted(set(matrix.nonzero()[1].tolist()))
             assert rows.tobytes() == np.ascontiguousarray(matrix[:, columns]).tobytes()
             assert not np.delete(matrix, columns, axis=1).any()
-            widest = max(widest, len(columns))
-        assert cube.widest_support == widest
 
 
 class TestPhase2Conservation:

@@ -29,7 +29,7 @@ from ctxrec.som import (
     train,
 )
 
-from conftest import py_permutation, py_weights
+from conftest import py_permutation, py_weights, usage_matrix
 
 TINY = np.finfo(np.float64).tiny  # 2**-1022, the smallest normal float64
 
@@ -78,7 +78,7 @@ def kernel_cosine(x, w) -> float:
     return float(som._cosines(w, som._weight_norms(w), x, som._row_norms(x))[0, 0])
 
 
-class TestCosineSimilarity:
+class TestCosinesKernel:
     """The ``_cosines`` kernel on one input and one weight row."""
 
     def test_identical_vectors(self):
@@ -323,7 +323,7 @@ def train_ones(lanes: int, cfg: SomConfig) -> None:
         train(np.ones((2, 3)), cfg)
     else:
         supports = [np.arange(3)] * lanes
-        som._train_on_support([np.ones((2, 3))] * lanes, supports, 3, 4, cfg, list(range(lanes)))
+        som._train_on_support([np.ones((2, 3))] * lanes, supports, 3, cfg, list(range(lanes)))
 
 
 class TestTrainMany:
@@ -367,7 +367,7 @@ class TestTrainMany:
 
     def test_no_networks(self):
         """Phase 1 calls its trainer for a block in which no user trains."""
-        assert som._train_on_support([], [], 3, 2, SomConfig(neuron_count=2), []) == ([], [])
+        assert som._train_on_support([], [], 3, SomConfig(neuron_count=2), []) == ([], [])
 
     @pytest.mark.parametrize("lanes", [1, 2])
     def test_unallocatable_weights_are_invalid_config(self, lanes):
@@ -812,21 +812,21 @@ def trained_users(cube: RatingCube) -> list[str]:
 
 def support_lanes(cube: RatingCube, cfg: SomConfig) -> list[dict]:
     """Phase 1's compact training of the cube's ``trained_users``, as
-    ``cluster_users`` runs it (at the cube's widest support plus the rest
-    column), with each lane's config, p-wide usage rows, support, compact
+    ``cluster_users`` runs it (each lane at the power of two above its
+    support), with each lane's config, p-wide usage rows, support, compact
     rows and weights, and the weights of the p-wide ``train``."""
     users = trained_users(cube)
     usages = [cube.usage_rows(user) for user in users]
     seeds = [derive_seed(cfg.seed, "phase1", user) for user in users]
-    width = cube.widest_support + 1
-    assert width < cube.p
     values, supports = [usage[2] for usage in usages], [usage[1] for usage in usages]
-    rows, nets = som._train_on_support(values, supports, cube.p, width, cfg, seeds)
+    rows, nets = som._train_on_support(values, supports, cube.p, cfg, seeds)
     lanes = []
     for user, support, seed, compact, net in zip(users, supports, seeds, rows, nets):
         alone = replace(cfg, seed=seed)
         assert net.config == alone
-        dense = cube.usage_matrix(user)[1]
+        assert len(support) < cube.p
+        assert compact.shape[1] == net.p == 1 << len(support).bit_length()
+        dense = usage_matrix(cube, user)[1]
         full = train(dense, alone).weights
         lanes.append(
             dict(cfg=alone, dense=dense, support=support, rows=compact, weights=net.weights, full=full)
@@ -906,8 +906,9 @@ class TestTrainOnSupport:
             assert not lane["rows"][:, len(lane["support"]) :].any()
 
     def test_lane_presents_its_rows_in_the_full_width_order(self, monkeypatch):
-        """The compact lanes' epoch orders are those of ``lockstep`` on the
-        p-wide rows, from the same counter offset ``N*p``."""
+        """The compact lanes' epoch orders, one call per width, are those of
+        ``lockstep`` on the p-wide rows of the lanes of that width, from the
+        same counter offset ``N*p``."""
         calls = []
         presentation = som._orders
 
@@ -921,20 +922,23 @@ class TestTrainOnSupport:
         cfg = SomConfig(neuron_count=5, epochs=6, seed=9)
         lanes = support_lanes(cube, cfg)
         assert len(lanes) > 2 and len({len(lane["rows"]) for lane in lanes}) > 1
-        compact_call = calls[0]  # then one call per lane's p-wide train
-        seeds = [lane["cfg"].seed for lane in lanes]
-        calls.clear()
-        lockstep([lane["dense"] for lane in lanes], cfg, seeds)
-        (full_call,) = calls
-        by_count = sorted(lanes, key=lambda lane: -len(lane["rows"]))
-        assert compact_call[0] == full_call[0] == [lane["cfg"].seed for lane in by_count]
-        assert compact_call[1] == full_call[1] == [len(lane["rows"]) for lane in by_count]
-        assert compact_call[2] == full_call[2] == cfg.neuron_count * cube.p
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(compact_call[3], full_call[3]))
-        for i, (seed, n) in enumerate(zip(compact_call[0], compact_call[1])):
-            for epoch, order in enumerate(compact_call[3]):
-                skip = cfg.neuron_count * cube.p + epoch * n
-                assert order[i, :n].tolist() == py_permutation(seed, n, skip)
+        widths = sorted({lane["rows"].shape[1] for lane in lanes})
+        assert len(widths) > 1
+        compact_calls = calls[: len(widths)]  # then one call per lane's p-wide train
+        for width, compact_call in zip(widths, compact_calls):
+            group = [lane for lane in lanes if lane["rows"].shape[1] == width]
+            calls.clear()
+            lockstep([lane["dense"] for lane in group], cfg, [lane["cfg"].seed for lane in group])
+            (full_call,) = calls
+            by_count = sorted(group, key=lambda lane: -len(lane["rows"]))
+            assert compact_call[0] == full_call[0] == [lane["cfg"].seed for lane in by_count]
+            assert compact_call[1] == full_call[1] == [len(lane["rows"]) for lane in by_count]
+            assert compact_call[2] == full_call[2] == cfg.neuron_count * cube.p
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(compact_call[3], full_call[3]))
+            for i, (seed, n) in enumerate(zip(compact_call[0], compact_call[1])):
+                for epoch, order in enumerate(compact_call[3]):
+                    skip = cfg.neuron_count * cube.p + epoch * n
+                    assert order[i, :n].tolist() == py_permutation(seed, n, skip)
 
     def test_any_grouping_or_order_of_lanes_gives_the_same_bits(self):
         cube = generate(GenConfig(n_users=30, n_items=60, density=0.02, seed=2))
@@ -942,12 +946,11 @@ class TestTrainOnSupport:
         users = trained_users(cube)
         usages = [cube.usage_rows(user) for user in users]
         seeds = [derive_seed(cfg.seed, "phase1", user) for user in users]
-        width = cube.widest_support + 1
 
         def lanes(ks):
             values, supports = [usages[k][2] for k in ks], [usages[k][1] for k in ks]
             lane_seeds = [seeds[k] for k in ks]
-            return som._train_on_support(values, supports, cube.p, width, cfg, lane_seeds)
+            return som._train_on_support(values, supports, cube.p, cfg, lane_seeds)
 
         rows, block = lanes(range(len(users)))
         counts = [len(usage[0]) for usage in usages]
@@ -965,7 +968,7 @@ class TestTrainOnSupport:
         cfg = SomConfig(neuron_count=10**18)
         message = "cannot allocate SOM weights for 1000000000000000000 neurons of input length 40"
         with pytest.raises(InvalidConfig, match=message):
-            som._train_on_support([np.ones((2, 3))], [np.arange(3)], 40, 5, cfg, [1])
+            som._train_on_support([np.ones((2, 3))], [np.arange(3)], 40, cfg, [1])
 
 
 def one_step(cfg: SomConfig, bmu: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
