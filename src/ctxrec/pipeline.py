@@ -75,18 +75,18 @@ def cluster_users(
     users: Sequence[str],
     cfg: SomConfig = SomConfig(DEFAULT_PHASE1_NEURONS),
 ) -> dict[str, ContextClustering]:
-    """Phase 1 for a block of users: each user's rated situations clustered
+    """Phase 1 for any set of users: each user's rated situations clustered
     by usage pattern, the SOMs of those who rated in two or more situations
-    trained in lockstep.
+    trained in lockstep, one ``_train_lanes`` call per width.
 
     A network trains on its user's support, the items the user rated in any
     situation, plus one rest column that stands for all other items, padded
     to a width set by the support's size alone (``som._train_on_support``),
     and labels the same compact rows.  A user's SOM seed derives from
-    ``cfg.seed`` and the user id, and the networks of one block do not
+    ``cfg.seed`` and the user id, and the networks of one call do not
     interact, so a user's clustering is a function of its own ratings and
     the cube's items: ``cluster_users(cube, [user], cfg)[user]``, whatever
-    the other users of the cube or the block.
+    the other users of the cube or of the call.
     """
     usages = [_usage_rows(cube, user) for user in users]
     trained = [k for k, (flats, _, _) in enumerate(usages) if len(flats) > 1]
@@ -416,54 +416,28 @@ class PipelineModel:
         return [((user, label), relevant[label]) for label in sorted(relevant)]
 
 
-# users whose phase-1 SOMs train together in one lockstep call.  At 630 users
-# x 400 items a block of 64 adds about 3.5 MB of RSS in phase 1, most of it the
-# p-wide initial draw the compact weights are gathered from.  128 adds 7 MB and
-# trained phase 1 in 0.134 s against 0.147 s (medians of 8 alternating
-# processes, 2-vCPU VM), a gain inside the host's noise; one block of all users
-# took 0.124 s but adds 20 MB, more than phase 3 adds to the run's peak.
-PHASE1_BLOCK = 64
-
-
-def _phase1_blocks(cube: RatingCube, users: list[str], workers: int) -> list[list[str]]:
-    """Users sorted by support size, then input count, cut into blocks of at
-    most PHASE1_BLOCK (smaller when that gives every worker a block).  A
-    network's width grows with its support (``som._train_on_support``), so
-    a block's lanes mostly share one width."""
-
-    def support_and_count(user: str) -> tuple[int, int]:
-        by_flat = cube.user_ratings(user)
-        return len(set().union(*by_flat.values())), len(by_flat)
-
-    by_size = sorted(users, key=support_and_count)
-    size = min(PHASE1_BLOCK, -(-len(users) // workers))
-    return [by_size[i : i + size] for i in range(0, len(by_size), size)]
-
-
 def fit_phase1(
     train_cube: RatingCube, cfg: SomConfig = SomConfig(DEFAULT_PHASE1_NEURONS), workers: int = 1
 ) -> dict[str, ContextClustering]:
-    """Phase 1: one ``cluster_users`` job mapped over lockstep blocks of
-    users, in a pool of at most ``os.cpu_count()`` processes when ``workers``
-    > 1.  Seeds derive from user ids and a block's networks do not interact:
-    any grouping gives the same result."""
+    """Phase 1: one ``cluster_users`` call over every user with ratings, or,
+    when ``workers`` > 1, the same job mapped over ``workers`` interleaved
+    slices of the users in a pool of at most ``os.cpu_count()`` processes.
+    Seeds derive from user ids and the networks of one call do not
+    interact: any split of the users gives the same result."""
     if workers < 1:
         raise InvalidConfig(f"workers must be >= 1, got {workers}")
-    # the pool starts every worker at its first task: ask for no more than can run
-    workers = min(workers, os.cpu_count() or 1)
     users = [u for u in sorted(train_cube.users) if train_cube.user_ratings(u)]
     if not users:
         raise EmptyInput("training cube has no ratings")
-    blocks = _phase1_blocks(train_cube, users, workers)
-    workers = min(workers, len(blocks))
+    # the pool starts every worker at its first task: ask for no more than can run
+    workers = min(workers, os.cpu_count() or 1, len(users))
     job = partial(cluster_users, train_cube, cfg=cfg)
     if workers == 1:
-        results = list(map(job, blocks))
-    else:
-        from concurrent.futures import ProcessPoolExecutor
+        return job(users)
+    from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, blocks))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(job, [users[w::workers] for w in range(workers)]))
     by_user = {user: c for result in results for user, c in result.items()}
     return {user: by_user[user] for user in users}
 

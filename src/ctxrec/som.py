@@ -232,41 +232,46 @@ def _train_on_support(
     always 0, the rest column, and the cosines, hence the BMUs, are those of
     the p-wide network.  Lane k is ``1 << len(supports[k]).bit_length()``
     columns wide, the smallest power of two above its support: its support,
-    zero padding and the rest column last.  The lanes of one width train in
-    one ``_train_lanes`` call.  The initial weights are the p-wide draw: its
-    support columns, and the ``_weight_norms`` of the rest.  Epoch orders
-    keep the p-wide counter offset ``N*p``.  Padding stays 0 and adds
-    nothing to a dot or a norm, but the width sets how the sums are grouped,
-    so a lane's bits depend on its own support size, p and its seed, and on
-    nothing else.  The forms agree in real arithmetic only: float sums
-    differ in their last bits, so a BMU within an ulp of its runner-up can
-    differ, and the epoch-end flush sees the rest column as one value.
-    Returns each network's (n, width) rows and the trained networks, in
-    input order.
+    zero padding and the rest column last.  This is the one place that
+    groups phase-1 lanes: all the lanes of one width train in one
+    ``_train_lanes`` call, narrowest first.  Each lane's initial weights
+    are its own p-wide draw, made one lane at a time: its support columns,
+    and the ``_weight_norms`` of the rest, so phase 1 holds one (N, p) draw
+    at a time.  Epoch orders keep the p-wide counter offset ``N*p``.
+    Padding stays 0 and adds nothing to a dot or a norm, but the width sets
+    how the sums are grouped, so a lane's bits depend on its own support
+    size, p and its seed, and on nothing else.  The forms agree in real
+    arithmetic only: float sums differ in their last bits, so a BMU within
+    an ulp of its runner-up can differ, and the epoch-end flush sees the
+    rest column as one value.  Returns each network's (n, width) rows and
+    the trained networks, in input order.
     """
     neurons = cfg.neuron_count
     widths = [1 << len(support).bit_length() for support in supports]
-    rows, nets = [], [None] * len(seeds)
+    rows, nets = [], {}
     for values, width in zip(inputs, widths):
         row = np.zeros((len(values), width))
         row[:, : values.shape[1]] = values
         rows.append(row)
     for width in sorted(set(widths)):
         group = [k for k, lane_width in enumerate(widths) if lane_width == width]
-        group_seeds = [seeds[k] for k in group]
-        full = _initial_weights(group_seeds, neurons, p)
-        sizes = [len(supports[k]) for k in group]
-        lane = np.repeat(np.arange(len(group)), sizes)
-        column = np.concatenate([supports[k] for k in group])
-        position = np.concatenate([np.arange(size) for size in sizes])
-        weights = np.zeros((len(group), neurons, width))
-        weights[lane, :, position] = full[lane, :, column]
-        full[lane, :, column] = 0.0
-        weights[:, :, -1] = _weight_norms(full)
-        trained = _train_lanes([rows[k] for k in group], cfg, group_seeds, weights, neurons * p)
-        for k, net in zip(group, trained):
-            nets[k] = net
-    return rows, nets
+        group_rows, group_seeds = [rows[k] for k in group], [seeds[k] for k in group]
+        # stacked in the call, not named here, so _train_lanes' sorted copy frees it
+        initial = (_support_weights(seeds[k], supports[k], p, neurons, width) for k in group)
+        trained = _train_lanes(group_rows, cfg, group_seeds, np.stack(list(initial)), neurons * p)
+        nets.update(zip(group, trained))
+    return rows, [nets[k] for k in range(len(seeds))]
+
+
+def _support_weights(seed: int, support: np.ndarray, p: int, neurons: int, width: int):
+    """A lane's (N, width) initial weights: the support columns of its p-wide
+    draw, zero padding, and the ``_weight_norms`` of the other columns last."""
+    (full,) = _initial_weights([seed], neurons, p)
+    weights = np.zeros((neurons, width))
+    weights[:, : len(support)] = full[:, support]
+    full[:, support] = 0.0
+    weights[:, -1] = _weight_norms(full)
+    return weights
 
 
 def _train_lanes(

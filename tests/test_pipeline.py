@@ -1259,31 +1259,49 @@ class TestFitPipeline:
         with pytest.raises(InvalidConfig, match="workers"):
             fit_pipeline(small_cube, workers=workers)
 
-    @pytest.mark.parametrize("block", [1, 4])
-    def test_block_size_does_not_change_result(self, small_cube, monkeypatch, block):
-        cfg1 = SomConfig(DEFAULT_PHASE1_NEURONS, epochs=10)
-        cfg3 = SomConfig(6, epochs=10)
-        whole = fit_pipeline(small_cube, cfg1, cfg3)
-        monkeypatch.setattr(pipeline, "PHASE1_BLOCK", block)
-        blocked = fit_pipeline(small_cube, cfg1, cfg3, workers=2)
-        assert blocked.clusterings == whole.clusterings
-        assert list(blocked.clusterings) == sorted(blocked.clusterings)
-        assert blocked.space.to_json_dict() == whole.space.to_json_dict()
+    def test_each_lane_is_drawn_alone(self, small_cube, monkeypatch):
+        """Phase 1 draws each lane's p-wide initial weights on its own, so it
+        holds one (N, p) draw at a time, whatever the number of users."""
+        drawn = []
+        draw = som._draw_weights
 
-    def test_blocks_sorted_by_input_count(self, small_cube, monkeypatch):
-        """Blocks take the users sorted by support size first, then by input
-        count."""
-        monkeypatch.setattr(pipeline, "PHASE1_BLOCK", 4)
-        users = [u for u in sorted(small_cube.users) if small_cube.user_ratings(u)]
-        blocks = pipeline._phase1_blocks(small_cube, users, workers=1)
-        assert [len(b) for b in blocks[:-1]] == [4] * (len(blocks) - 1)
-        flat = [u for block in blocks for u in block]
-        assert sorted(flat) == users
-        sizes = [(len(small_cube.usage_rows(u)[1]), len(small_cube.user_ratings(u))) for u in flat]
-        assert sizes == sorted(sizes)
-        assert [count for _, count in sizes] != sorted(count for _, count in sizes)
-        # with more workers than full blocks, every worker gets a block
-        assert len(pipeline._phase1_blocks(small_cube, users[:6], workers=3)) == 3
+        def spy(seeds, neuron_count, p):
+            drawn.append(list(seeds))
+            return draw(seeds, neuron_count, p)
+
+        monkeypatch.setattr(som, "_draw_weights", spy)
+        cfg = SomConfig(DEFAULT_PHASE1_NEURONS, epochs=2)
+        fit_phase1(small_cube, cfg)
+        trained = [u for u in sorted(small_cube.users) if len(small_cube.user_ratings(u)) > 1]
+        assert len(trained) > 2
+        assert all(len(seeds) == 1 for seeds in drawn)
+        assert sorted(drawn) == sorted([derive_seed(cfg.seed, "phase1", user)] for user in trained)
+
+    def test_one_lockstep_call_per_width(self, monkeypatch):
+        """A serial phase 1 trains every lane of one width in one
+        ``_train_lanes`` call, narrowest first, however many users train."""
+        cube = generate(GenConfig(n_users=80, n_items=30, density=0.02, seed=1))
+        cfg = SomConfig(DEFAULT_PHASE1_NEURONS, epochs=2)
+        calls = []
+        train_lanes = som._train_lanes
+
+        def spy(matrices, cfg, seeds, weights, skip):
+            calls.append((weights.shape[2], sorted(seeds)))
+            return train_lanes(matrices, cfg, seeds, weights, skip)
+
+        monkeypatch.setattr(som, "_train_lanes", spy)
+        fit_phase1(cube, cfg)
+        trained = [u for u in cube.users if len(cube.user_ratings(u)) > 1]
+        assert len(trained) > 64
+        width_of = {
+            derive_seed(cfg.seed, "phase1", user): 1 << len(cube.usage_rows(user)[1]).bit_length()
+            for user in trained
+        }
+        widths = sorted(set(width_of.values()))
+        assert len(widths) > 1
+        assert calls == [
+            (width, sorted(seed for seed, w in width_of.items() if w == width)) for width in widths
+        ]
 
     @pytest.mark.parametrize("cpus", [1, 2, 64])
     def test_workers_capped_at_cpus_and_blocks(self, small_cube, monkeypatch, cpus):
@@ -1319,9 +1337,9 @@ class TestFitPipeline:
         assert pooled.space.to_json_dict() == serial.space.to_json_dict()
 
     def test_pooled_run_maps_the_serial_job(self, small_cube, monkeypatch):
-        """A pooled run maps one job, bound to the whole training cube, over
-        exactly the blocks the serial run takes: the same calls in other
-        processes."""
+        """A pooled run maps the serial run's one job, bound to the whole
+        training cube, over interleaved slices of the users, one a worker:
+        the serial call, split across processes."""
         import concurrent.futures
 
         sent = []
@@ -1342,19 +1360,19 @@ class TestFitPipeline:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(pipeline.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(pipeline, "PHASE1_BLOCK", 4)
         cfg1 = SomConfig(DEFAULT_PHASE1_NEURONS, epochs=10)
         pooled = fit_pipeline(small_cube, cfg1, SomConfig(6, epochs=10), workers=2)
         users = [u for u in sorted(small_cube.users) if small_cube.user_ratings(u)]
-        blocks = pipeline._phase1_blocks(small_cube, users, workers=2)
         assert len(sent) == 1 and len(sent[0]) == 2
         job, mapped = sent[0]
-        assert list(mapped) == blocks
+        assert list(mapped) == [users[0::2], users[1::2]]
         assert job.func is pipeline.cluster_users
         assert len(job.args) == 1 and job.args[0] is small_cube
         assert job.keywords == {"cfg": cfg1}
         serial = fit_pipeline(small_cube, cfg1, SomConfig(6, epochs=1))
         assert pooled.clusterings == serial.clusterings
+        # in sorted user order on both paths, not in the slices' order
+        assert list(pooled.clusterings) == list(serial.clusterings) == users
 
     @pytest.mark.parametrize("method", ["spawn", "forkserver"])
     def test_pool_start_method_does_not_change_result(self, small_cube, monkeypatch, method):
